@@ -1,15 +1,16 @@
 """Sample-path diagnostics: analysis, sup profiles, slope and modulus fits.
 
-The analysis side mirrors synthesis: a coefficient is the left-endpoint
-Riemann sum of path times weighted wavelet on the sample grid, evaluated
-through the same periodized kernel slices.  A Haar round trip is therefore
-exact to rounding, while a smooth-wavelet round trip is limited only by
-cross-scale quadrature leakage; the four spare resolution levels keep that
-leakage at the percent scale.
+The analysis side is the transpose of synthesis: a coefficient is the
+left-endpoint Riemann sum of path times weighted wavelet on the sample
+grid, computed as one phi-quadrature at the finest analysed level followed
+by the forward filter bank.  A Haar round trip is therefore exact to
+rounding, while a smooth-wavelet round trip is limited only by cross-scale
+quadrature leakage; the four spare resolution levels keep that leakage at
+the percent scale.
 
-Sup profiles accumulate partial sums in the synthesis reduction order
-(scales ascending), so every recorded sup matches a separately synthesized
-path bit for bit, for any worker count.
+Sup profiles synthesize each truncation with the same filter bank as
+synthesis, so every recorded sup matches a separately synthesized path bit
+for bit.
 
 Almost-sure divergence or boundedness is never decided here: the profiles
 and fits report observed statistics against the rates that the symbolic
@@ -26,36 +27,11 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope, holder_fit, scale_envelope
 from .laws import RandomLaw, law_string
-from .synthesis import SamplePath, _scale_contribution, randomized_field
-from .util import parallel_map, write_csv
-from .wavelets import MotherWaveletTable, periodized_grid
+from .synthesis import SamplePath, randomized_field
+from .util import write_csv
+from .wavelets import MotherWaveletTable, pyramid_analysis, pyramid_synthesis
 
 # ---------------------------------------------------------------- analysis
-
-def _analysis_level(path_: SamplePath, table: MotherWaveletTable, j: int) -> np.ndarray:
-    """All scale-j coefficients of the grid quadrature in one pass.
-
-    With m = q * stride + r the kernel offset (m - k * stride) mod 2^R
-    splits into a block shift d = (q - k) mod 2^j and the in-block index r,
-    so the sum folds into depth-many row dot products against the kernel
-    head (zero past the support, padded to whole blocks).
-    """
-    size = path_.values.size
-    count = 2**j
-    stride = size // count
-    kernel = periodized_grid(table, j, path_.resolution)
-    span = min(size, table.support_length * stride + 1)
-    depth = -(-span // stride)
-    head = np.zeros(depth * stride)
-    head[:span] = kernel[:span]
-    fmat = path_.values.reshape(count, stride)
-    kmat = head.reshape(depth, stride)
-    out = np.zeros(count)
-    idx = np.arange(count)
-    for d in range(depth):
-        out += fmat[(idx + d) % count] @ kmat[d]
-    return out * 2.0 ** (j - path_.resolution)
-
 
 def analysis_field(path_: SamplePath, table: MotherWaveletTable,
                    j_hi: int) -> CoefficientField:
@@ -68,8 +44,10 @@ def analysis_field(path_: SamplePath, table: MotherWaveletTable,
         raise InvalidParameterError(
             f"analysis to scale {j_hi} needs resolution {j_hi + 4}, "
             f"got {path_.resolution}")
-    levels = parallel_map(lambda j: _analysis_level(path_, table, j),
-                          list(range(j_hi + 1)))
+    if path_.resolution > table.r_psi:
+        raise InvalidParameterError(
+            f"path resolution {path_.resolution} exceeds the table depth {table.r_psi}")
+    levels = pyramid_analysis(path_.values, table, j_hi)
     return CoefficientField(j_hi, float(np.mean(path_.values)), levels)
 
 
@@ -105,8 +83,9 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
                truncations, depth: int) -> SupGrowthProfile:
     """Sup profile of the (optionally randomized) series on the table grid.
 
-    Truncations are deduplicated and walked in ascending order, each scale
-    added once, so the snapshot at J equals synthesize(..., J, R) exactly.
+    Truncations are deduplicated and sorted; each snapshot is synthesized
+    by the same filter bank as synthesize(..., J, R), so the two agree
+    exactly.
     """
     cuts = sorted({int(t) for t in truncations})
     if not cuts:
@@ -131,13 +110,9 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
 
     resolution = table.r_psi
     cells = 2**depth
-    values = np.full(2**resolution, float(src.coarse))
     global_sups, local_sups = [], []
-    done = 0
     for j_trunc in cuts:
-        while done <= j_trunc:
-            values += _scale_contribution(src, table, done, resolution)
-            done += 1
+        values = pyramid_synthesis(src.coarse, src.levels[: j_trunc + 1], table, resolution)
         magnitudes = np.abs(values)
         global_sups.append(float(magnitudes.max()))
         local_sups.append(magnitudes.reshape(cells, -1).max(axis=1))
@@ -217,12 +192,9 @@ def modulus_ratio(path_: SamplePath, theta: PowerLogModulus,
             f"lag exponents must satisfy 2 <= m_lo < m_hi <= "
             f"{path_.resolution - 1}, got ({m_lo}, {m_hi})")
     ms = tuple(range(m_lo, m_hi + 1))
-
-    def lag_sup(m: int) -> float:
-        stride = 2 ** (path_.resolution - m)
-        return float(np.max(np.abs(np.roll(path_.values, -stride) - path_.values)))
-
-    sups = np.asarray(parallel_map(lag_sup, list(ms)))
+    v = path_.values
+    sups = np.asarray([np.max(np.abs(np.roll(v, -2 ** (path_.resolution - m)) - v))
+                       for m in ms])
     lags = 2.0 ** -np.asarray(ms, dtype=float)
     thetas = np.asarray([theta.value(h) for h in lags])
     return ModulusFit(lags_m=ms, lags=lags, sup_increments=sups,

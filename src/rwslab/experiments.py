@@ -87,6 +87,12 @@ class Experiment:
     runner: Callable[[dict, Path, str], tuple[list[str], dict]]
 
 
+def _write_rows(path, names, rows, comment):
+    """Write row tuples as CSV columns named ``names``; no rows, header only."""
+    write_csv(path, [(name, [r[i] for r in rows]) for i, name in enumerate(names)],
+              comment=comment)
+
+
 def _table(config):
     filt = build_filter(config["wavelet"], config["vanishing_moments"])
     return cascade_evaluate(filt, config["table_resolution"])
@@ -159,12 +165,8 @@ def _run_prop22(config, out, comment):
         target = 0.8 * table.positivity_floor * sum(
             env.values[j] for j in scales[: l + 1])
         rows.append((l + 1, j_trunc, float(lo_f), float(hi_f), average, target))
-    write_csv(out / "witness.csv",
-              [("level", [r[0] for r in rows]), ("scale", [r[1] for r in rows]),
-               ("interval_lo", [r[2] for r in rows]),
-               ("interval_hi", [r[3] for r in rows]),
-               ("average", [r[4] for r in rows]),
-               ("threshold", [r[5] for r in rows])], comment=comment)
+    _write_rows(out / "witness.csv", ("level", "scale", "interval_lo", "interval_hi",
+                                      "average", "threshold"), rows, comment)
     flags = {"fraction_within": float(np.mean(within)),
              "witness_levels_exceeding": sum(1 for r in rows if r[4] >= r[5])}
     return ["tail_bounds.csv", "witness.csv"], flags
@@ -190,9 +192,7 @@ def _run_prop31(config, out, comment):
             variations.append(float(sups.max() - sups.min()))
             rows.extend((base + s, j, float(g))
                         for j, g in zip(truncations, sups))
-        write_csv(out / "stability.csv",
-                  [("seed", [r[0] for r in rows]), ("J", [r[1] for r in rows]),
-                   ("global_sup", [r[2] for r in rows])], comment=comment)
+        _write_rows(out / "stability.csv", ("seed", "J", "global_sup"), rows, comment)
         flags = {"regime": "bounded-regime",
                  "max_variation": max(variations)}
         return ["stability.csv"], flags
@@ -205,10 +205,8 @@ def _run_prop31(config, out, comment):
         hit += bool(events)
         rows.extend((base + s, e["n"], e["j"], e["count"], e["first_k"])
                     for e in events)
-    write_csv(out / "exceedances.csv",
-              [("seed", [r[0] for r in rows]), ("n", [r[1] for r in rows]),
-               ("j", [r[2] for r in rows]), ("count", [r[3] for r in rows]),
-               ("first_k", [r[4] for r in rows])], comment=comment)
+    _write_rows(out / "exceedances.csv", ("seed", "n", "j", "count", "first_k"),
+                rows, comment)
     flags = {"regime": "exceedance events logged",
              "seeds_with_event": hit, "seeds": seeds}
     return ["exceedances.csv"], flags
@@ -226,16 +224,11 @@ def _run_prevalence(config, out, comment):
                        r["chi_exceedances"], r["product_exceedances"])
                       for r in report["per_scale"])
         s_rows.append((seed, report["scales_with_product_exceedance"]))
-    write_csv(out / "witnesses.csv",
-              [("seed", [r[0] for r in w_rows]), ("n", [r[1] for r in w_rows]),
-               ("j", [r[2] for r in w_rows]), ("blocks", [r[3] for r in w_rows]),
-               ("witness_blocks", [r[4] for r in w_rows]),
-               ("chi_exceedances", [r[5] for r in w_rows]),
-               ("product_exceedances", [r[6] for r in w_rows])], comment=comment)
-    write_csv(out / "summary.csv",
-              [("seed", [r[0] for r in s_rows]),
-               ("scales_with_product_exceedance", [r[1] for r in s_rows])],
-              comment=comment)
+    _write_rows(out / "witnesses.csv", ("seed", "n", "j", "blocks", "witness_blocks",
+                                        "chi_exceedances", "product_exceedances"),
+                w_rows, comment)
+    _write_rows(out / "summary.csv", ("seed", "scales_with_product_exceedance"),
+                s_rows, comment)
     flags = {"mean_scales_with_exceedance":
              float(np.mean([r[1] for r in s_rows]))}
     return ["witnesses.csv", "summary.csv"], flags
@@ -332,12 +325,9 @@ def _run_criteria(config, out, comment):
     rows, flags = [], {}
     for kind in kinds:
         decision = check_criterion(env, kind, gamma if kind == "gamma" else None)
-        rows.append((kind, decision.verdict))
+        rows.append((kind, decision.verdict, gamma if kind == "gamma" else ""))
         flags[kind] = decision.verdict
-    gamma_col = [gamma if kind == "gamma" else "" for kind, _ in rows]
-    write_csv(out / "verdicts.csv",
-              [("kind", [r[0] for r in rows]), ("verdict", [r[1] for r in rows]),
-               ("gamma", gamma_col)], comment=comment)
+    _write_rows(out / "verdicts.csv", ("kind", "verdict", "gamma"), rows, comment)
     return ["verdicts.csv"], flags
 
 
@@ -369,12 +359,8 @@ def _run_modulus(config, out, comment):
             for m, h, inc, tv, rt, fl in zip(
                 fit.lags_m, fit.lags, fit.sup_increments,
                 fit.theta_values, fit.ratios, flat))
-    write_csv(out / "modulus.csv",
-              [("seed", [r[0] for r in rows]), ("m", [r[1] for r in rows]),
-               ("h", [r[2] for r in rows]),
-               ("sup_increment", [r[3] for r in rows]),
-               ("theta", [r[4] for r in rows]), ("ratio", [r[5] for r in rows]),
-               ("ratio_no_log", [r[6] for r in rows])], comment=comment)
+    _write_rows(out / "modulus.csv", ("seed", "m", "h", "sup_increment", "theta",
+                                      "ratio", "ratio_no_log"), rows, comment)
     flags = {"median_spread": float(np.median(spreads)),
              "rising_fraction": rising / config["seeds"],
              "strict_rising_fraction": strictly_rising / config["seeds"]}
@@ -393,10 +379,8 @@ def _run_hmin(config, out, comment):
         rad = hmin_estimate(
             scale_envelope(randomized_field(field, rademacher(), seed)), j_lo, j_hi)
         rows.append((seed, gau, rad))
-    write_csv(out / "estimates.csv",
-              [("seed", [r[0] for r in rows]),
-               ("gaussian_estimate", [r[1] for r in rows]),
-               ("rademacher_estimate", [r[2] for r in rows])], comment=comment)
+    _write_rows(out / "estimates.csv",
+                ("seed", "gaussian_estimate", "rademacher_estimate"), rows, comment)
     flags = {"deterministic_alpha": det,
              "mean_gaussian": float(np.mean([r[1] for r in rows])),
              "rademacher_exact": all(r[2] == det for r in rows)}
@@ -419,10 +403,7 @@ def _run_wiener(config, out, comment):
             stride = size >> m
             inc = path_.values[stride:] - path_.values[:-stride]
             rows.append((seed, m, 2.0**-m, float(np.mean(inc * inc) * 2.0**m)))
-    write_csv(out / "variance.csv",
-              [("seed", [r[0] for r in rows]), ("m", [r[1] for r in rows]),
-               ("h", [r[2] for r in rows]), ("ratio", [r[3] for r in rows])],
-              comment=comment)
+    _write_rows(out / "variance.csv", ("seed", "m", "h", "ratio"), rows, comment)
     by_m = {m: [r[3] for r in rows if r[1] == m] for m in ms}
     mean_ratios = [float(np.mean(by_m[m])) for m in ms]
     write_csv(out / "means.csv",

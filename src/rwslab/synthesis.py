@@ -1,12 +1,10 @@
 """Partial-sum evaluation on dyadic grids, plus the Fourier-side comparisons.
 
-Wavelet synthesis accumulates one scale at a time from the tabulated mother
-wavelet: the scale-j kernel sampled at step 2^-R is an exact slice of the
-table (R <= r_psi keeps every lookup on a grid point), and each coefficient
-adds one shifted copy of it.  Scales are summed in increasing j and, within
-a scale, translates in increasing k, so the floating-point result is a pure
-function of the field and never of chunking; parallelism only farms out
-whole scales, whose contributions are reduced serially afterwards.
+Wavelet synthesis runs the inverse periodized filter bank (the Mallat
+pyramid) from scale 0 up to J+1 and evaluates the resulting scaling
+coefficients against the tabulated phi in one matrix product; R <= r_psi
+keeps every table lookup on a grid point.  The summation order is fixed, so
+the floating-point result is a pure function of the field and the grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) is summed term by term.  At the grid sizes used here the direct
@@ -25,8 +23,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fields import CoefficientField, field_digest
 from .laws import COEFFICIENT_STREAM, RandomLaw, draw_array, gaussian, law_string
-from .util import canonical_json, parallel_map, write_csv
-from .wavelets import MotherWaveletTable, periodized_grid
+from .util import canonical_json, write_csv
+from .wavelets import MotherWaveletTable, pyramid_synthesis
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
@@ -83,44 +81,11 @@ def _check_resolutions(field_: CoefficientField, table: MotherWaveletTable,
         )
 
 
-def _scale_contribution(field_: CoefficientField, table: MotherWaveletTable,
-                        j: int, resolution: int) -> np.ndarray:
-    """Scale-j partial sum on the grid, one slice-add per nonzero translate."""
-    size = 2**resolution
-    out = np.zeros(size)
-    c = field_.levels[j]
-    live = np.flatnonzero(c)
-    if live.size == 0:
-        return out
-    kernel = periodized_grid(table, j, resolution)
-    stride = 2 ** (resolution - j)
-    # The kernel vanishes past support_length * stride; keep only the head
-    # (the whole circle when 2^j <= support_length and wraps fold over).
-    span = min(size, table.support_length * stride + 1)
-    head = kernel[:span]
-    for k in live:
-        start = int(k) * stride
-        stop = start + span
-        if stop <= size:
-            out[start:stop] += c[k] * head
-        else:
-            cut = size - start
-            out[start:] += c[k] * head[:cut]
-            out[: stop - size] += c[k] * head[cut:]
-    return out
-
-
 def synthesize(field_: CoefficientField, table: MotherWaveletTable,
                j_trunc: int, resolution: int) -> SamplePath:
     """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid."""
     _check_resolutions(field_, table, j_trunc, resolution)
-    parts = parallel_map(
-        lambda j: _scale_contribution(field_, table, j, resolution),
-        range(j_trunc + 1),
-    )
-    values = np.full(2**resolution, float(field_.coarse))
-    for part in parts:  # ascending j, fixed reduction order
-        values += part
+    values = pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table, resolution)
     provenance = {
         "field": field_digest(field_),
         "law": "deterministic",

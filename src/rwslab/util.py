@@ -1,17 +1,13 @@
-"""Small shared helpers: CSV/JSON output and deterministic parallel mapping."""
+"""Small shared helpers: CSV and canonical JSON output, SHA-256 digests."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-THREADS_ENV = "RWS_LAB_THREADS"
 
 
 def fmt_float(value: float, digits: int) -> str:
@@ -55,30 +51,3 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise InvalidParameterError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return n
-
-
-def parallel_map(fn, items):
-    """Map fn over items, collecting results in input order.
-
-    Work units must be independent; with the thread-count variable unset or 1
-    this is a plain loop, so results never depend on scheduling.
-    """
-    items = list(items)
-    n = worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

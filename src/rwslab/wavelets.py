@@ -16,6 +16,11 @@ orthonormal filter the refinement reproduces the coarse values identically,
 which is monitored (not assumed): corrupted taps make the reproduction
 error grow with depth and raise a numerical failure instead of returning a
 quietly wrong table.
+
+Grid synthesis and analysis share one periodized filter-bank pair (the
+Mallat pyramid) over the tabulated phi; ``periodized_grid`` and
+``eval_periodized`` evaluate single wavelets directly and serve as
+independent references.
 """
 
 from __future__ import annotations
@@ -77,15 +82,6 @@ class DyadicInterval:
     def width(self) -> float:
         return 2.0 ** -self.level
 
-    def scaled(self, j: int, k: int) -> tuple[float, float]:
-        """Endpoints of {x : 2^j x - k in self}, before any torus wrap."""
-        return ((k + self.left) * 2.0 ** -j, (k + self.right) * 2.0 ** -j)
-
-    def half(self) -> tuple[float, float]:
-        """Endpoints of the concentric interval of half the width."""
-        quarter = self.width / 4.0
-        return (self.left + quarter, self.right - quarter)
-
 
 @dataclass(frozen=True, eq=False)
 class MotherWaveletTable:
@@ -116,9 +112,6 @@ class MotherWaveletTable:
     def psi_at(self, t) -> np.ndarray:
         """Nearest-grid-point value of the mother wavelet at t (vectorized)."""
         return _lookup(self.psi, t, self.r_psi)
-
-    def phi_at(self, t) -> np.ndarray:
-        return _lookup(self.phi, t, self.r_psi)
 
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
@@ -259,15 +252,66 @@ def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.nd
     return out
 
 
-def export_table_csv(table: MotherWaveletTable, path) -> None:
-    """Write (grid_x, phi, psi) rows at 15 significant digits."""
-    from .util import write_csv
+def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
+                      resolution: int) -> np.ndarray:
+    """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution.
 
-    write_csv(
-        path,
-        [("grid_x", table.grid_x()), ("phi", table.phi), ("psi", table.psi)],
-        digits=15,
-    )
+    The inverse periodized filter bank lifts the scales to scaling
+    coefficients at level J+1 = len(levels), which are then evaluated
+    against the tabulated phi in one matrix product.  Needs
+    J + 1 <= resolution <= r_psi.
+    """
+    p, q = _bank_filters(table.filter)
+    a = np.zeros(1)
+    for c in levels:
+        nxt = np.zeros(2 * a.size)
+        evens = 2 * np.arange(a.size)
+        for n in range(p.size):
+            nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
+        a = nxt
+    phi = _phi_rows(table, 2**resolution // a.size)
+    shifted = a[(np.arange(a.size)[:, None] - np.arange(phi.shape[0])) % a.size]
+    return float(coarse) + (shifted @ phi).ravel()
+
+
+def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
+                     j_hi: int) -> list[np.ndarray]:
+    """Grid quadratures 2^(j-R) sum_m values[m] psi_{j,k}(m 2^-R) for j = 0..j_hi.
+
+    The transpose of ``pyramid_synthesis``: one phi-quadrature at level
+    j_hi + 1, then the forward filter bank with weights p/2 and q/2.
+    Needs j_hi + 1 <= R <= r_psi for the 2^R samples.
+    """
+    p, q = _bank_filters(table.filter)
+    size = 2 ** (j_hi + 1)
+    phi = _phi_rows(table, values.size // size)
+    g = (values.reshape(size, -1) @ phi.T) * (size / values.size)
+    a = sum(np.roll(g[:, d], -d) for d in range(phi.shape[0]))
+    levels = []
+    while size > 1:
+        size //= 2
+        window = a[(2 * np.arange(size)[:, None] + np.arange(p.size)) % a.size]
+        levels.append(window @ (0.5 * q))
+        a = window @ (0.5 * p)
+    return levels[::-1]
+
+
+def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
+    """Two-scale weights of the height-normalized basis.
+
+    phi_{j,k} = sum_n p_n phi_{j+1,2k+n} and psi_{j,k} = sum_n q_n phi_{j+1,2k+n}
+    with p = 2h / sum(h) (that is sqrt(2) h, but exactly 1 for Haar) and
+    q_n = (-1)^n p_{N-1-n}.
+    """
+    h = np.asarray(filt.taps)
+    p = 2.0 * h / h.sum()
+    return p, (-1.0) ** np.arange(p.size) * p[::-1]
+
+
+def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
+    """phi(d + r / cell) for d in 0..support-1 (rows) and r in 0..cell-1."""
+    top = table.support_length * 2**table.r_psi
+    return table.phi[: top : 2**table.r_psi // cell].reshape(table.support_length, cell)
 
 
 def _haar_tables(r_psi: int):

@@ -11,3 +11,8 @@ def haar_table():
 @pytest.fixture(scope="session")
 def db10_table():
     return cascade_evaluate(build_filter("daubechies", 10), 12)
+
+
+@pytest.fixture(scope="session")
+def db4_table():
+    return cascade_evaluate(build_filter("daubechies", 4), 12)

