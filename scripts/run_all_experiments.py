@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every named experiment at its defaults into one output root.
 
-Full-scale defaults take a few minutes in total.  Pass experiment names to
-run a subset; --seed shifts the base seed of every run.
+Full-scale defaults take about 100 s in total on a 2-vCPU VM, 86 s of it
+in hmin.  Pass experiment names to run a subset; --seed shifts the base
+seed of every run.
 """
 
 import argparse

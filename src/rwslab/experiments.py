@@ -8,12 +8,12 @@ to per-file content digests.  Re-running from a manifest therefore
 reproduces the CSVs byte for byte, and any figure file can be traced back
 to the exact parameters that produced it.
 
-Two defaults deviate from the common R = 17 grid for runtime reasons and
-are equivalent by construction: the ``wiener`` experiment samples at
-R = 10 (coefficient draws do not depend on the grid, so the R = 10 path
-is exactly the R = 17 path restricted to every 128th sample, and all
-probed lags are 2^-10 or coarser), and sup profiles always live on the
-mother-table grid R_psi, which the config pins explicitly.
+Two defaults deviate from the common R = 17 grid and are equivalent by
+construction: the ``wiener`` experiment samples at R = 10 (coefficient
+draws do not depend on the grid, so the R = 10 path is the R = 17 path
+restricted to every 128th sample up to rounding, and all probed lags are
+2^-10 or coarser), and sup profiles always live on the mother-table grid
+R_psi, which the config pins explicitly.
 """
 
 from __future__ import annotations
@@ -265,9 +265,6 @@ def _run_prop43(config, out, comment):
 
 def _run_prop46(config, out, comment):
     terms = config["terms"]
-    if not 1 <= terms <= 25:
-        raise InvalidParameterError(
-            f"terms must lie in 1..25 so scales stay within int64, got {terms}")
     rate = sparse_loglog_rate()
     ratio = geometric_scale_ratio()
     ns = np.arange(1, terms + 1)
@@ -482,6 +479,12 @@ def _parse_override(text: str):
         return text
 
 
+# [lo, hi) of integer keys: the seed is a u64 stream key, and prop46's
+# terms keep its geometric scales within int64
+_INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
+               "terms": (1, 26)}
+
+
 def _coerced(name, key, value, default):
     label = f"{name} config key {key!r}"
     if isinstance(default, bool):
@@ -491,10 +494,14 @@ def _coerced(name, key, value, default):
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidParameterError(f"{label} expects an integer, got {value!r}")
+        lo, hi = _INT_BOUNDS.get(key, (-math.inf, math.inf))
+        if not lo <= value < hi:
+            raise InvalidParameterError(f"{label} must lie in [{lo}, {hi}), got {value}")
         return value
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameterError(f"{label} expects a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise InvalidParameterError(f"{label} expects a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, str):
         raise InvalidParameterError(f"{label} expects a string, got {value!r}")
@@ -557,7 +564,8 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
         "started": started,
         "finished": _utc_now(),
     }
+    # rendered first, so a NaN flag leaves no empty manifest behind
+    text = canonical_json(manifest) + "\n"
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest))
-        fh.write("\n")
+        fh.write(text)
     return manifest

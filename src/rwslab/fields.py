@@ -11,6 +11,8 @@ so numeric-only envelopes never get a holds/fails verdict.
 Step-function coefficients are computed by quadrature in the rescaled
 variable u = 2^j x - k on the wavelet's own table grid, which makes the
 quadrature error uniform in j (the integrand never sharpens as j grows).
+For the sawtooth it reduces to moments and suffix sums of the psi table,
+one term per wrap point instead of a pass over the table per coefficient.
 """
 
 from __future__ import annotations
@@ -354,19 +356,26 @@ def step_function_coefficients(
 
     # sawtooth: x - 1/2 is linear wherever the support does not cross the
     # wrap, so those coefficients reduce to 2^-j times the first moment of
-    # psi; only wrap-crossing positions need the folded integrand
-    first_moment = float(np.sum(u * psi) * step)
+    # psi.  A wrap-crossing translate is that line less a unit step at each
+    # wrap point inside the support, where the grid point takes the
+    # midpoint value 0 (sign(0) = 0 on the heaviside side): suffix sums.
+    moment = float(np.sum(u * psi))
+    mass = float(np.sum(psi))
+    suffix = np.cumsum(psi[::-1])[::-1]
     for j in range(j_max + 1):
         size = 2**j
         scale = 2.0**-j
         lv = out.levels[j]
-        lv[:] = scale * first_moment
-        for k in range(max(0, size - length + 1), size):
-            x = ((u + k) * scale) % 1.0
-            # midpoint value at a grid point exactly on the wrap, matching
-            # sign(0) = 0 on the heaviside side
-            saw = np.where(x == 0.0, 0.0, x - 0.5)
-            lv[k] = float(np.sum(saw * psi) * step)
+        lv[:] = scale * (moment * step)
+        ks = np.arange(max(0, size - length + 1), size)
+        jumps = np.zeros(ks.size)
+        if ks.size and ks[0] == 0:
+            jumps[0] = 0.5 * psi[0]  # k = 0 starts on the wrap: midpoint only
+        for w in range(1, (length + size - 1) // size + 1):
+            pos = (w * size - ks) * 2**table.r_psi
+            inside = pos < psi.size
+            jumps[inside] += 0.5 * psi[pos[inside]] - suffix[pos[inside]]
+        lv[ks] = step * (scale * (moment + ks * mass) - 0.5 * mass + jumps)
     return out
 
 

@@ -24,6 +24,7 @@ from rwslab.experiments import (
     config_digest,
     default_config,
     resolve_config,
+    run_experiment,
 )
 from rwslab.util import canonical_json, sha256_file
 
@@ -139,6 +140,44 @@ def test_runtime_parameter_error_exits_2(tmp_path):
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "criteria", "--out", str(tmp_path),
                  "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["modulus", "--set", "gamma=NaN"],
+    ["modulus", "--set", "alpha=Infinity"],
+    ["wiener", "--set", "seeds=0"],
+    ["prop43", "--set", "seeds=-3"],
+    ["prop22", "--set", "trials=0"],
+    ["prop31", "--set", "seeds=0"],
+    ["criteria", "--seed", "-1"],
+    ["criteria", "--seed", str(2**64)],
+], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
+        "prop31-seeds-0", "seed-negative", "seed-2-64"])
+def test_unrunnable_config_exits_2_without_output(tmp_path, args):
+    out = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_runner_range_check_exits_2(tmp_path):
+    assert main(["run", "wiener", "--out", str(tmp_path),
+                 "--set", "m_hi=11"]) == 2
+
+
+def test_largest_seed_accepted(tmp_path):
+    assert main(["run", "criteria", "--seed", str(2**64 - 1),
+                 "--out", str(tmp_path)]) == 0
+    assert read_manifest(tmp_path)["config"]["seed"] == 2**64 - 1
+
+
+def test_failed_run_leaves_no_manifest(tmp_path):
+    # unchecked library call: no seeds leave NaN means, and a NaN flag
+    # cannot be written as canonical JSON
+    config = {**default_config("wiener"), "seeds": 0, "fourier_terms": 8,
+              "resolution": 6, "m_hi": 6}
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
+        run_experiment("wiener", config, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_insufficient_window_exits_3(tmp_path, capsys):
@@ -261,6 +300,9 @@ def test_figure1_outputs(tmp_path):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first == f"# manifest_digest={manifest['digest']}"
     assert load_rows(tmp_path / "sawtooth.csv").shape == (1024, 2)
+    for name in ("sawtooth.csv", "wiener.csv"):
+        # x = 0 is a zero of every mode: written as 0, never -0
+        assert (tmp_path / name).read_text().splitlines()[2] == "0,0"
     assert load_rows(tmp_path / "wiener.csv").shape == (1024, 2)
     profile = load_rows(tmp_path / "randomized_sawtooth.csv")
     assert profile.shape == (3 * 8, 4)          # truncations 4..6, 2^3 cells

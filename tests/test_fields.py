@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +46,26 @@ def sawtooth_xspace_oracle(table, j, k, r):
     x = np.arange(2**r) / 2**r
     saw = np.where(x == 0.0, 0.0, x - 0.5)
     return 2.0**j * float(np.mean(saw * eval_periodized(table, j, k, x)))
+
+
+def sawtooth_quadrature_oracle(table, j_max):
+    """Sawtooth coefficients by quadrature of the folded integrand over the
+    whole table for every wrap-crossing translate (O(L 2^r_psi) each); the
+    other positions are 2^-j times the first moment of psi."""
+    length, step = table.support_length, table.grid_step
+    u = np.arange(length * 2**table.r_psi) * step
+    psi = table.psi[:-1]
+    first_moment = float(np.sum(u * psi) * step)
+    levels = []
+    for j in range(j_max + 1):
+        size, scale = 2**j, 2.0**-j
+        lv = np.full(size, scale * first_moment)
+        for k in range(max(0, size - length + 1), size):
+            x = ((u + k) * scale) % 1.0
+            saw = np.where(x == 0.0, 0.0, x - 0.5)
+            lv[k] = float(np.sum(saw * psi) * step)
+        levels.append(lv)
+    return levels
 
 
 RATE_GRID = [
@@ -313,6 +334,27 @@ def test_db10_sawtooth_properties(db10_table):
     # j-invariance of the cone values, each level computed independently
     for k in range(-18, 0):
         assert f.levels[5][k % 32] == pytest.approx(f.levels[6][k % 64], abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["haar_table", "db4_table", "db10_table"])
+def test_sawtooth_matches_full_table_quadrature(name, request):
+    # for db4 and db10, j = 0..6 covers scales with 2^j below the support
+    # length (a translate crosses the wrap several times) and deeper ones
+    table = request.getfixturevalue(name)
+    f = step_function_coefficients(table, "sawtooth", 6)
+    for j, want in enumerate(sawtooth_quadrature_oracle(table, 6)):
+        assert np.max(np.abs(f.levels[j] - want)) <= 1e-12, j
+
+
+def test_sawtooth_closed_form_on_arbitrary_table():
+    # Daubechies tables vanish at u = 0, so a random table is what exercises
+    # the midpoint term of a translate starting on the wrap (k = 0)
+    rng = np.random.default_rng(3)
+    table = types.SimpleNamespace(support_length=5, r_psi=10, grid_step=2.0**-10,
+                                  psi=rng.standard_normal(5 * 2**10 + 1))
+    f = step_function_coefficients(table, "sawtooth", 4)
+    for j, want in enumerate(sawtooth_quadrature_oracle(table, 4)):
+        assert np.max(np.abs(f.levels[j] - want)) <= 1e-12, j
 
 
 def test_sawtooth_against_xspace_oracle(db10_table):

@@ -6,6 +6,8 @@ Oracles:
     (per-point wrap loop instead of the filter bank).
   * dirichlet_tail bounds the sawtooth partial-sum error away from the
     jump by summation by parts.
+  * loop_sawtooth and loop_wiener sum the Fourier modes one at a time, the
+    direct O(M 2^R) route the folded FFT replaces.
   * block_energy_oracle recomputes dyadic block norms from explicit index
     sets with fsum.
 """
@@ -63,6 +65,30 @@ def brute_synthesize(field_, table, j_trunc, resolution):
 def dirichlet_tail(x: float, m_terms: int) -> float:
     """|sum_{m > M} sin(2 pi m x) / (pi m)| <= 2 / (pi (M+1) |sin(pi x)|)."""
     return 2.0 / (math.pi * (m_terms + 1) * abs(math.sin(math.pi * x)))
+
+
+def loop_sawtooth(m_terms, resolution):
+    """-sum_{m <= M} sin(2 pi m x)/(pi m) on the grid, one mode at a time."""
+    xs = np.arange(2**resolution) * 2.0**-resolution
+    values = np.zeros(xs.size)
+    for m in range(1, m_terms + 1):
+        values -= np.sin((2.0 * math.pi * m) * xs) / (math.pi * m)
+    return values
+
+
+def loop_wiener(m_terms, resolution, seed):
+    """The Brownian sine expansion on the grid, one mode at a time."""
+    xs = np.arange(2**resolution) * 2.0**-resolution
+    chi = [draw(gaussian(), seed, (FOURIER_MODE_STREAM, 0, m)) for m in range(m_terms + 1)]
+    values = (math.sqrt(2.0) * chi[0]) * xs
+    for m in range(1, m_terms + 1):
+        values += (chi[m] / (math.pi * m)) * np.sin((2.0 * math.pi * m) * xs)
+    return values
+
+
+# (M, R): M < 2^(R-1); M >= 2^R, so modes fold onto each other; R in {0, 1, 2}
+FOURIER_CASES = [(5, 6), (100, 10), (600, 12), (64, 6), (100, 5), (1000, 4),
+                 (1, 0), (7, 0), (1, 1), (3, 1), (1, 2), (9, 2)]
 
 
 def block_energy_oracle(one_sided):
@@ -243,6 +269,27 @@ def test_sawtooth_provenance_and_validation():
     }
     with pytest.raises(InvalidParameterError):
         fourier_sawtooth(0, 5)
+
+
+@pytest.mark.parametrize("m_terms,resolution", FOURIER_CASES)
+def test_sawtooth_matches_term_by_term_sum(m_terms, resolution):
+    path = fourier_sawtooth(m_terms, resolution)
+    assert np.max(np.abs(path.values - loop_sawtooth(m_terms, resolution))) <= 1e-12
+
+
+@pytest.mark.parametrize("m_terms,resolution", FOURIER_CASES + [(0, 6), (0, 1)])
+def test_wiener_matches_term_by_term_sum(m_terms, resolution):
+    path = wiener_brownian(m_terms, resolution, 17)
+    assert np.max(np.abs(path.values - loop_wiener(m_terms, resolution, 17))) <= 1e-12
+
+
+@pytest.mark.parametrize("m_terms,resolution", [(1, 1), (64, 6), (100, 5), (2**14, 10)])
+def test_sawtooth_exact_positive_zeros(m_terms, resolution):
+    # every mode vanishes at x = 0 and x = 1/2; the samples there are +0.0,
+    # so the CSV never reads -0
+    values = fourier_sawtooth(m_terms, resolution).values
+    for i in (0, values.size // 2):
+        assert values[i] == 0.0 and math.copysign(1.0, values[i]) == 1.0
 
 
 def test_wiener_origin_and_determinism():
