@@ -1,9 +1,10 @@
 """Command line front end: ``rws-lab run <experiment> [options]``.
 
 Exit codes: 0 success, 2 invalid config (unknown experiment or key, bad
-value, unreadable config file, infeasible parameters), 3 numerical failure
-during the run.  Module errors surface with their tag as
-``error[<tag>]: <message>`` on stderr.
+value, unreadable config file, infeasible parameters), 3 failure during the
+run: a numerical failure, or any other exception, reported as
+``error[internal]``.  Errors surface with their tag as
+``error[<tag>]: <message>`` on stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(f"{args.experiment}: wrote {len(manifest['outputs'])} outputs and "
           f"manifest.json to {out_dir}")
     return 0

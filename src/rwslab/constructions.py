@@ -27,7 +27,15 @@ from .fields import (
     check_criterion,
     zero_field,
 )
-from .laws import COEFFICIENT_STREAM, RandomLaw, divergence_sequence, draw_array, law_string, rademacher
+from .laws import (
+    COEFFICIENT_STREAM,
+    RandomLaw,
+    divergence_sequence,
+    draw_array,
+    draw_blocks,
+    law_string,
+    rademacher,
+)
 from .wavelets import MotherWaveletTable
 
 # The first positivity window is anchored well inside the torus so that
@@ -269,11 +277,14 @@ def coefficient_exceedances(law: RandomLaw, j_max: int, seed: int,
     """
     events: list[dict] = []
     for n, j in divergence_scales(law, j_max, variant):
-        chi = draw_array(law, seed, COEFFICIENT_STREAM, j, np.arange(2**j))
-        hits = np.abs(chi) >= float(n) ** 3
-        if hits.any():
-            events.append({"n": n, "j": j, "count": int(hits.sum()),
-                           "first_k": int(np.argmax(hits))})
+        threshold, count, first_k = float(n) ** 3, 0, None
+        for lo, chi in draw_blocks(law, seed, COEFFICIENT_STREAM, j, 0, 2**j):
+            hits = np.abs(chi) >= threshold
+            if first_k is None and hits.any():
+                first_k = lo + int(np.argmax(hits))
+            count += int(np.count_nonzero(hits))
+        if count:
+            events.append({"n": n, "j": j, "count": count, "first_k": first_k})
             if stop_after is not None and len(events) >= stop_after:
                 break
     return events

@@ -21,6 +21,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -28,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .constructions import (
+    _LEVEL_CAP,
     block_witness_process,
     coefficient_exceedances,
     divergence_scale_field,
@@ -66,6 +68,7 @@ from .laws import (
 from .synthesis import (
     export_path_csv,
     fourier_sawtooth,
+    randomized_envelope,
     randomized_field,
     randomized_synthesize,
     synthesize,
@@ -80,11 +83,15 @@ class Experiment:
     """Complete defaults plus a runner writing CSVs into an output dir.
 
     The runner returns the written file names in creation order and a flat
-    dict of summary flags for the manifest.
+    dict of summary flags for the manifest.  ``orderings`` are chains of
+    config keys and integers joined by < or <=, such as
+    "0 < j_lo < j_hi"; ``run_experiment`` checks them before it writes
+    anything.
     """
 
     defaults: dict
     runner: Callable[[dict, Path, str], tuple[list[str], dict]]
+    orderings: tuple[str, ...] = ()
 
 
 def _write_rows(path, names, rows, comment):
@@ -124,8 +131,6 @@ def _run_prop22(config, out, comment):
     table = _table(config)
     res = table.r_psi
     j_lo, j_hi = config["j_lo"], config["j_hi"]
-    if not 0 < j_lo < j_hi:
-        raise InvalidParameterError(f"need 0 < j_lo < j_hi, got {j_lo}, {j_hi}")
     level_factor = table.support_length * table.sup_norm
     law = bounded_uniform(1.0)
     trials, diffs, bounds = [], [], []
@@ -238,8 +243,6 @@ def _run_prop43(config, out, comment):
     table = _table(config)
     law = parse_law(config["law"])
     j_lo, j_hi, power = config["j_lo"], config["j_hi"], config["rate_power"]
-    if not 0 < j_lo < j_hi:
-        raise InvalidParameterError(f"need 0 < j_lo < j_hi, got {j_lo}, {j_hi}")
     field = zero_field(j_hi)
     for j in range(1, j_hi + 1):
         field.levels[j][:] = float(j) ** power
@@ -315,9 +318,7 @@ def _parse_rate(text: str) -> PowerLogRate:
 
 def _run_criteria(config, out, comment):
     env = envelope_from_rate(_parse_rate(config["rate"]), config["horizon"])
-    kinds = [k.strip() for k in config["kinds"].split(",") if k.strip()]
-    if not kinds:
-        raise InvalidParameterError("kinds must name at least one criterion")
+    kinds = _items(config["kinds"])
     gamma = config["gamma"] if config["gamma"] > 0 else None
     rows, flags = [], {}
     for kind in kinds:
@@ -371,10 +372,8 @@ def _run_hmin(config, out, comment):
     rows = []
     for s in range(config["seeds"]):
         seed = config["seed"] + s
-        gau = hmin_estimate(
-            scale_envelope(randomized_field(field, gaussian(), seed)), j_lo, j_hi)
-        rad = hmin_estimate(
-            scale_envelope(randomized_field(field, rademacher(), seed)), j_lo, j_hi)
+        gau = hmin_estimate(randomized_envelope(field, gaussian(), seed), j_lo, j_hi)
+        rad = hmin_estimate(randomized_envelope(field, rademacher(), seed), j_lo, j_hi)
         rows.append((seed, gau, rad))
     _write_rows(out / "estimates.csv",
                 ("seed", "gaussian_estimate", "rademacher_estimate"), rows, comment)
@@ -386,12 +385,8 @@ def _run_hmin(config, out, comment):
 
 def _run_wiener(config, out, comment):
     res = config["resolution"]
-    m_lo, m_hi = config["m_lo"], config["m_hi"]
-    if not 1 <= m_lo <= m_hi <= res:
-        raise InvalidParameterError(
-            f"need 1 <= m_lo <= m_hi <= resolution, got {m_lo}, {m_hi}, {res}")
     size = 2**res
-    ms = list(range(m_lo, m_hi + 1))
+    ms = list(range(config["m_lo"], config["m_hi"] + 1))
     rows = []
     for s in range(config["seeds"]):
         seed = config["seed"] + s
@@ -423,7 +418,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "prop22": Experiment(dict(
         trials=100, j_lo=10, j_hi=16, wavelet="haar", vanishing_moments=1,
         table_resolution=20, witness_levels=4, witness_j_max=12, seed=0),
-        _run_prop22),
+        _run_prop22, orderings=("0 < j_lo < j_hi",)),
     "prop31": Experiment(dict(
         field_law="heavy_tail:1", law="heavy_tail:1", seeds=100, seed=0,
         exceedance_j_max=22, field_j_max=8, j_max=12, depth=4,
@@ -434,7 +429,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         seed=0), _run_prevalence),
     "prop43": Experiment(dict(
         seeds=100, seed=0, j_lo=12, j_hi=16, rate_power=-2.0, law="gaussian",
-        wavelet="haar", vanishing_moments=1, table_resolution=20), _run_prop43),
+        wavelet="haar", vanishing_moments=1, table_resolution=20), _run_prop43,
+        orderings=("0 < j_lo < j_hi",)),
     "prop46": Experiment(dict(terms=20, horizon=4096, seed=0), _run_prop46),
     "modulus": Experiment(dict(
         alpha=0.5, gamma=2.0, j_max=13, resolution=17, m_lo=4, m_hi=12,
@@ -444,7 +440,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         alpha=0.4, j_max=24, j_lo=16, j_hi=24, seeds=20, seed=0), _run_hmin),
     "wiener": Experiment(dict(
         fourier_terms=2**14, resolution=10, seeds=200, seed=0, m_lo=4,
-        m_hi=10), _run_wiener),
+        m_hi=10), _run_wiener, orderings=("1 <= m_lo <= m_hi <= resolution",)),
     "criteria": Experiment(dict(
         rate="loglog-prop46", kinds="linfty,c0,l1,sqrtj,loglog", gamma=0.0,
         horizon=4096, seed=0), _run_criteria),
@@ -479,10 +475,17 @@ def _parse_override(text: str):
         return text
 
 
-# [lo, hi) of integer keys: the seed is a u64 stream key, and prop46's
-# terms keep its geometric scales within int64
+# [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
+# keep its geometric scales within int64, and j_max levels are dense
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
-               "terms": (1, 26)}
+               "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1)}
+
+# Comma-separated string keys that must name at least one item.
+_LIST_KEYS = ("kinds",)
+
+
+def _items(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _coerced(name, key, value, default):
@@ -505,6 +508,8 @@ def _coerced(name, key, value, default):
         return float(value)
     if not isinstance(value, str):
         raise InvalidParameterError(f"{label} expects a string, got {value!r}")
+    if key in _LIST_KEYS and not _items(value):
+        raise InvalidParameterError(f"{label} must name at least one item, got {value!r}")
     return value
 
 
@@ -542,6 +547,19 @@ def resolve_config(name: str, file_obj: dict | None = None,
     return config
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le}
+
+
+def _check_ordering(name: str, config: dict, chain: str) -> None:
+    terms = chain.split()
+    operands = terms[::2]
+    values = [config[t] if t in config else int(t) for t in operands]
+    if not all(_COMPARE[op](a, b)
+               for op, a, b in zip(terms[1::2], values, values[1:])):
+        got = ", ".join(f"{t}={config[t]}" for t in operands if t in config)
+        raise InvalidParameterError(f"{name} needs {chain}, got {got}")
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds")
@@ -550,6 +568,8 @@ def _utc_now() -> str:
 def run_experiment(name: str, config: dict, out_dir) -> dict:
     """Run one experiment and write its CSVs plus ``manifest.json``."""
     exp = _lookup(name)
+    for chain in exp.orderings:
+        _check_ordering(name, config, chain)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(name, config)

@@ -20,8 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fields import CoefficientField, field_digest
-from .laws import COEFFICIENT_STREAM, RandomLaw, draw_array, gaussian, law_string
+from .fields import CoefficientField, ScaleEnvelope, field_digest
+from .laws import (
+    COEFFICIENT_STREAM,
+    RandomLaw,
+    abs_max,
+    draw_array,
+    draw_blocks,
+    gaussian,
+    law_string,
+)
 from .util import canonical_json, write_csv
 from .wavelets import MotherWaveletTable, pyramid_synthesis
 
@@ -101,6 +109,28 @@ def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> Coe
         for j, lv in enumerate(field_.levels)
     ]
     return CoefficientField(field_.j_max, field_.coarse, levels)
+
+
+def randomized_envelope(field_: CoefficientField, law: RandomLaw, seed: int) -> ScaleEnvelope:
+    """``scale_envelope(randomized_field(field_, law, seed))``, bit for bit,
+    without materializing a randomized level.
+
+    A constant level c gives |c| * max_k |chi_{j,k}|: rounding |c| |chi| is
+    monotone in |chi|, so the max commutes with the product.  Other levels
+    are multiplied and reduced block by block.  Non-finite products are
+    rejected by ``ScaleEnvelope``, as ``randomized_field`` rejects them.
+    """
+    values = []
+    for j, lv in enumerate(field_.levels):
+        lo, hi = lv.min(), lv.max()
+        if lo == hi:
+            m = abs(float(lo)) * abs_max(law, seed, COEFFICIENT_STREAM, j, 0, lv.size)
+        else:
+            m = float(np.max([
+                np.max(np.abs(lv[k : k + chi.size] * chi))
+                for k, chi in draw_blocks(law, seed, COEFFICIENT_STREAM, j, 0, lv.size)]))
+        values.append(m)
+    return ScaleEnvelope(values=np.array(values), rate=None)
 
 
 def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,

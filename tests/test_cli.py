@@ -4,6 +4,7 @@ Every experiment here runs shrunk (small resolutions, few seeds) so the
 module stays fast; full-scale runs live in the acceptance suite.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ from rwslab.cli import main
 from rwslab.errors import InvalidParameterError
 from rwslab.experiments import (
     EXPERIMENT_NAMES,
+    EXPERIMENTS,
     config_digest,
     default_config,
     resolve_config,
@@ -151,8 +153,15 @@ def test_missing_config_file_exits_2(tmp_path):
     ["prop31", "--set", "seeds=0"],
     ["criteria", "--seed", "-1"],
     ["criteria", "--seed", str(2**64)],
+    ["wiener", "--set", "m_hi=11"],
+    ["wiener", "--set", "m_lo=0"],
+    ["prop22", "--set", "j_lo=16"],
+    ["prop43", "--set", "j_lo=0"],
+    ["criteria", "--set", "kinds= , "],
+    ["hmin", "--set", "j_max=26"],
 ], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
-        "prop31-seeds-0", "seed-negative", "seed-2-64"])
+        "prop31-seeds-0", "seed-negative", "seed-2-64", "m_hi-above-resolution",
+        "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
@@ -162,6 +171,16 @@ def test_unrunnable_config_exits_2_without_output(tmp_path, args):
 def test_runner_range_check_exits_2(tmp_path):
     assert main(["run", "wiener", "--out", str(tmp_path),
                  "--set", "m_hi=11"]) == 2
+
+
+def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(config, out, comment):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(EXPERIMENTS, "criteria",
+                        dataclasses.replace(EXPERIMENTS["criteria"], runner=broken))
+    assert main(["run", "criteria", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error[internal]: RuntimeError: runner bug\n"
 
 
 def test_largest_seed_accepted(tmp_path):

@@ -39,10 +39,24 @@ from rwslab.fields import (
     uniform_decay_field,
     zero_field,
 )
-from rwslab.laws import draw_array, gaussian, heavy_tail, rademacher
+from rwslab.laws import BLOCK, COEFFICIENT_STREAM, draw_array, exp_tail, gaussian, heavy_tail, rademacher
 
 
 # ---------------------------------------------------------------- oracles
+
+def dense_exceedances_oracle(law, j_max, seed, variant="plain", stop_after=1):
+    """Exceedance events from each scale's full draw vector."""
+    events = []
+    for n, j in divergence_scales(law, j_max, variant):
+        chi = draw_array(law, seed, COEFFICIENT_STREAM, j, np.arange(2**j))
+        hits = np.abs(chi) >= float(n) ** 3
+        if hits.any():
+            events.append({"n": n, "j": j, "count": int(hits.sum()),
+                           "first_k": int(np.argmax(hits))})
+            if stop_after is not None and len(events) >= stop_after:
+                break
+    return events
+
 
 def greedy_blocks_oracle(values, horizon):
     """Block-by-block greedy selection, written independently with plain
@@ -294,6 +308,19 @@ def test_coefficient_exceedances_heavy():
     n, j = full[-1]["n"], full[-1]["j"]
     chi = draw_array(law, 7, "coef", j, np.arange(2**j))
     assert full[-1]["count"] == int(np.sum(np.abs(chi) >= n**3))
+
+
+@pytest.mark.parametrize("law", [heavy_tail(1.0), exp_tail(0.5, 0.5), gaussian()],
+                         ids=["heavy_tail", "exp_tail", "gaussian"])
+@pytest.mark.parametrize("stop_after", [None, 1])
+def test_coefficient_exceedances_match_dense_scan(law, stop_after):
+    deep_first_k = False
+    for seed in (0, 3, 2**64 - 1):
+        expected = dense_exceedances_oracle(law, 20, seed, stop_after=stop_after)
+        assert coefficient_exceedances(law, 20, seed, stop_after=stop_after) == expected
+        deep_first_k |= any(e["first_k"] >= BLOCK for e in expected)
+    if law.tag == "exp_tail" and stop_after is None:
+        assert deep_first_k  # a first hit past the first draw block
 
 
 def test_coefficient_exceedances_errors():

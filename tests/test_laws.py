@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from rwslab import InvalidParameterError, NoDivergenceSequenceError
 from rwslab.laws import (
+    BLOCK,
+    LAW_TAGS,
     RandomLaw,
+    abs_max,
     bernoulli,
     bounded_uniform,
     divergence_sequence,
     draw,
     draw_array,
+    draw_blocks,
     exp_tail,
     gaussian,
     gaussian_max_check,
@@ -30,6 +34,18 @@ mp.mp.dps = 50
 
 
 # ---------------------------------------------------------------- oracles
+
+def gaussian_max_oracle(js, trials, seed):
+    """Per-j exceedance rate from each trial's full draw vector."""
+    rates = {}
+    for j in js:
+        n = 2**j
+        hits = [float(np.max(np.abs(draw_array(gaussian(), seed, "gaussian-max", j,
+                                               np.arange(t * n, (t + 1) * n)))))
+                > math.sqrt(2.0 * j) for t in range(trials)]
+        rates[j] = sum(hits) / trials
+    return rates
+
 
 def erfc_tail_oracle(x):
     """P(|Z| >= x) for a standard Gaussian, at 50 digits."""
@@ -311,7 +327,47 @@ def test_divergence_strictly_increasing(law, variant, n_max):
     assert all(b > a for a, b in zip(seq, seq[1:]))
 
 
+# ------------------------------------------------------- streamed draws
+
+# One law per tag; a tag added to LAW_TAGS fails below until it is listed.
+STREAM_LAWS = {"rademacher": rademacher(), "gaussian": gaussian(),
+               "bernoulli": bernoulli(0.3), "exp_tail": exp_tail(0.5, 0.5),
+               "heavy_tail": heavy_tail(1.5), "bounded_uniform": bounded_uniform(2.0)}
+EXTREME_SEEDS = (0, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+def test_draw_blocks_equal_draw_array(tag):
+    law = STREAM_LAWS[tag]
+    start, stop = BLOCK - 5, 2 * BLOCK + 7
+    for seed in (0, 2**64 - 1):
+        blocks = list(draw_blocks(law, seed, "coef", 19, start, stop))
+        assert [lo for lo, _ in blocks] == [start, start + BLOCK]
+        assert [b.size for _, b in blocks] == [BLOCK, 12]
+        dense = draw_array(law, seed, "coef", 19, np.arange(start, stop))
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), dense)
+    assert list(draw_blocks(law, 0, "coef", 3, 4, 4)) == []
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+@pytest.mark.parametrize("seed", EXTREME_SEEDS)
+def test_abs_max_equals_dense_max(tag, seed):
+    law = STREAM_LAWS[tag]
+    for j, start, stop in ((0, 0, 1), (4, 0, 16), (11, 7, 2**11), (19, 0, 2**19),
+                           (20, 3 * 2**20, 4 * 2**20 - 1)):
+        dense = float(np.max(np.abs(draw_array(law, seed, "coef", j, np.arange(start, stop)))))
+        assert abs_max(law, seed, "coef", j, start, stop) == dense
+    assert abs_max(law, seed, "coef", 5, 9, 9) == 0.0
+
+
 # ------------------------------------------------------------- max check
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_gaussian_max_check_matches_dense_trials(seed):
+    expected = gaussian_max_oracle([10, 11], 40, seed)
+    assert gaussian_max_check([10, 11], 40, seed) == expected
+    assert sum(expected.values()) > 0.0  # exceedances to agree on
+
 
 def test_gaussian_max_check_smoke():
     rates = gaussian_max_check([10, 12], 20, seed=123)

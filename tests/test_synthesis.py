@@ -30,8 +30,11 @@ from rwslab.fields import (
     zero_field,
 )
 from rwslab.laws import (
+    LAW_TAGS,
+    bernoulli,
     bounded_uniform,
     draw,
+    exp_tail,
     gaussian,
     heavy_tail,
     rademacher,
@@ -42,6 +45,7 @@ from rwslab.synthesis import (
     dyadic_block_energies,
     export_path_csv,
     fourier_sawtooth,
+    randomized_envelope,
     randomized_field,
     randomized_synthesize,
     synthesize,
@@ -235,6 +239,52 @@ def test_bounded_randomization_sup_bound(db10_table):
             field_, db10_table, bounded_uniform(1.0), 7, j_trunc, 12
         )
         assert float(np.max(np.abs(path.values))) <= bound
+
+
+# ---------------------------------------------------- randomized envelope
+
+ENVELOPE_LAWS = {"rademacher": rademacher(), "gaussian": gaussian(),
+                 "bernoulli": bernoulli(0.3), "exp_tail": exp_tail(0.5, 0.5),
+                 "heavy_tail": heavy_tail(1.5), "bounded_uniform": bounded_uniform(2.0)}
+
+
+@pytest.fixture(scope="module")
+def envelope_fields():
+    """Depth-19 fields (level 19 spans two draw blocks) of every level kind."""
+    rng = np.random.default_rng(19)
+    j_max = 19
+    constant = uniform_decay_field(0.4, j_max)
+    signed = [2.0**-j * rng.choice([-1.0, 1.0], 2**j) for j in range(j_max + 1)]
+    cycled = [(lv, -lv, np.zeros(lv.size), rng.standard_normal(lv.size))[j % 4]
+              for j, lv in enumerate(constant.levels)]
+    return {
+        "constant": constant,
+        "negative-constant": CoefficientField(j_max, 0.0, [-lv for lv in constant.levels]),
+        "mixed-sign": random_field(j_max, rng),
+        "zero": zero_field(j_max),
+        "signed-constant": CoefficientField(j_max, 0.0, signed),
+        "cycled": CoefficientField(j_max, 0.0, cycled),
+    }
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_randomized_envelope_equals_dense_envelope(envelope_fields, tag, seed):
+    law = ENVELOPE_LAWS[tag]
+    for name, f in envelope_fields.items():
+        dense = scale_envelope(randomized_field(f, law, seed)).values
+        assert np.array_equal(randomized_envelope(f, law, seed).values, dense), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf draws, 0 * inf
+def test_randomized_envelope_rejects_non_finite_draws():
+    law = heavy_tail(0.001)  # u^-1000 overflows for most u
+    for f in (uniform_decay_field(0.5, 4), random_field(4, np.random.default_rng(1)),
+              zero_field(4)):
+        with pytest.raises(InvalidParameterError):
+            randomized_field(f, law, 0)
+        with pytest.raises(InvalidParameterError):
+            randomized_envelope(f, law, 0)
 
 
 # ------------------------------------------------------------ Fourier side
