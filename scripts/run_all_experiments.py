@@ -1,18 +1,33 @@
 #!/usr/bin/env python3
 """Run every named experiment at its defaults into one output root.
 
-Full-scale defaults take about 25 s in total on a 2-vCPU VM, 11 s of it
-in hmin.  Pass experiment names to run a subset; --seed shifts the base
-seed of every run.
+Each experiment runs as its own ``python -m rwslab.cli`` child process;
+its exit code, wall time and peak RSS (the child's own ``ru_maxrss``) are
+printed, so every default can be checked against a memory ceiling.  The
+script exits with the worst exit code.  Full-scale defaults take about
+30 s in total on a shared 2-vCPU VM, 10-16 s of it in hmin.  Pass
+experiment names to run a subset; --seed shifts the base seed of every
+run.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-from rwslab.cli import main as run_cli
+import rwslab
 from rwslab.experiments import EXPERIMENT_NAMES
+
+
+def run_child(argv: list[str], env: dict) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS in MB of one child process."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, time.perf_counter() - t0, usage.ru_maxrss / 1024
 
 
 def main() -> int:
@@ -23,15 +38,19 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
+    # the children import the same rwslab as this script
+    src = str(Path(rwslab.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     worst = 0
     for name in args.names or EXPERIMENT_NAMES:
-        argv = ["run", name, "--out", str(args.out / name)]
+        argv = [sys.executable, "-m", "rwslab.cli", "run", name,
+                "--out", str(args.out / name)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
-        t0 = time.perf_counter()
-        code = run_cli(argv)
-        print(f"  {name}: exit {code} in {time.perf_counter() - t0:.1f}s")
-        worst = max(worst, code)
+        code, wall, rss = run_child(argv, env)
+        print(f"  {name}: exit {code} in {wall:.1f}s, peak RSS {rss:.0f} MB", flush=True)
+        worst = max(worst, code if code >= 0 else 128 - code)  # killed: 128 + signal
     return worst
 
 

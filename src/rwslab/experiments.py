@@ -22,6 +22,9 @@ import datetime
 import json
 import math
 import operator
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -135,17 +138,15 @@ def _run_prop22(config, out, comment):
     law = bounded_uniform(1.0)
     trials, diffs, bounds = [], [], []
     for trial in range(config["trials"]):
-        field = zero_field(j_hi)
-        for j in range(j_hi + 1):
-            field.levels[j][:] = 2.0**-j * draw_array(
+        # S_{j_hi} - S_{j_lo} is the synthesis of the levels above j_lo alone
+        tail = zero_field(j_hi)
+        for j in range(j_lo + 1, j_hi + 1):
+            tail.levels[j][:] = 2.0**-j * draw_array(
                 law, config["seed"], f"l1-trial-{trial}", j, np.arange(2**j))
-        hi = synthesize(field, table, j_hi, res)
-        lo = synthesize(field, table, j_lo, res)
         trials.append(trial)
-        diffs.append(float(np.max(np.abs(hi.values - lo.values))))
+        diffs.append(float(np.max(np.abs(synthesize(tail, table, j_hi, res).values))))
         bounds.append(level_factor * sum(
-            float(np.max(np.abs(field.levels[j])))
-            for j in range(j_lo + 1, j_hi + 1)))
+            float(np.max(np.abs(lv))) for lv in tail.levels[j_lo + 1 :]))
     within = [int(d <= b) for d, b in zip(diffs, bounds)]
     write_csv(out / "tail_bounds.csv",
               [("trial", trials), ("sup_diff", diffs),
@@ -243,18 +244,16 @@ def _run_prop43(config, out, comment):
     table = _table(config)
     law = parse_law(config["law"])
     j_lo, j_hi, power = config["j_lo"], config["j_hi"], config["rate_power"]
-    field = zero_field(j_hi)
-    for j in range(1, j_hi + 1):
-        field.levels[j][:] = float(j) ** power
+    tail = zero_field(j_hi)  # levels above j_lo: S_{j_hi} - S_{j_lo} in one synthesis
+    for j in range(j_lo + 1, j_hi + 1):
+        tail.levels[j][:] = float(j) ** power
     level_factor = table.support_length * table.sup_norm
     bound = sum(math.sqrt(2.0 * j) * float(j) ** power * level_factor
                 for j in range(j_lo + 1, j_hi + 1))
     seeds_col, diffs, within = [], [], []
     for s in range(config["seeds"]):
-        rf = randomized_field(field, law, config["seed"] + s)
-        hi = synthesize(rf, table, j_hi, table.r_psi)
-        lo = synthesize(rf, table, j_lo, table.r_psi)
-        diff = float(np.max(np.abs(hi.values - lo.values)))
+        rf = randomized_field(tail, law, config["seed"] + s)
+        diff = float(np.max(np.abs(synthesize(rf, table, j_hi, table.r_psi).values)))
         seeds_col.append(config["seed"] + s)
         diffs.append(diff)
         within.append(int(diff <= bound))
@@ -566,26 +565,38 @@ def _utc_now() -> str:
 
 
 def run_experiment(name: str, config: dict, out_dir) -> dict:
-    """Run one experiment and write its CSVs plus ``manifest.json``."""
+    """Run one experiment and write its CSVs plus ``manifest.json``.
+
+    The runner writes into a temporary sibling of ``out_dir``; only a run
+    that finishes moves its outputs, then the manifest, into ``out_dir``
+    (created at that point).  A failed run removes the temporary directory
+    and leaves ``out_dir`` as it was.
+    """
     exp = _lookup(name)
     for chain in exp.orderings:
         _check_ordering(name, config, chain)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(name, config)
-    started = _utc_now()
-    names, flags = exp.runner(config, out, f"manifest_digest={digest}")
-    manifest = {
-        "experiment": name,
-        "config": config,
-        "digest": digest,
-        "flags": flags,
-        "outputs": [{"path": n, "sha256": sha256_file(out / n)} for n in names],
-        "started": started,
-        "finished": _utc_now(),
-    }
-    # rendered first, so a NaN flag leaves no empty manifest behind
-    text = canonical_json(manifest) + "\n"
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # the nearest existing ancestor keeps the final renames on one filesystem
+    anchor = next(p for p in out.absolute().parents if p.is_dir())
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
+    try:
+        digest = config_digest(name, config)
+        started = _utc_now()
+        names, flags = exp.runner(config, work, f"manifest_digest={digest}")
+        manifest = {
+            "experiment": name,
+            "config": config,
+            "digest": digest,
+            "flags": flags,
+            "outputs": [{"path": n, "sha256": sha256_file(work / n)} for n in names],
+            "started": started,
+            "finished": _utc_now(),
+        }
+        with open(work / "manifest.json", "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(manifest) + "\n")
+        out.mkdir(parents=True, exist_ok=True)
+        for n in [*names, "manifest.json"]:
+            os.replace(work / n, out / n)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return manifest

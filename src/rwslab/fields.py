@@ -166,7 +166,9 @@ def envelope_from_rate(rate: PowerLogRate, j_max: int) -> ScaleEnvelope:
 
 
 def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
-    values = np.array([np.max(np.abs(lv)) if lv.size else 0.0 for lv in field_.levels])
+    # max |c| without an |level| temporary; abs turns an all -0.0 level into +0.0
+    values = np.array([abs(max(lv.max(), -lv.min())) if lv.size else 0.0
+                       for lv in field_.levels])
     return ScaleEnvelope(values=values, rate=None)
 
 

@@ -142,16 +142,16 @@ def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,
     (field, law, seed, truncation) identifies the output exactly.
     """
     _check_resolutions(field_, table, j_trunc, resolution)
-    base_id = field_digest(field_)
     kept = CoefficientField(j_trunc, field_.coarse, field_.levels[: j_trunc + 1])
-    path = synthesize(randomized_field(kept, law, seed), table, j_trunc, resolution)
+    values = pyramid_synthesis(field_.coarse, randomized_field(kept, law, seed).levels,
+                               table, resolution)
     provenance = {
-        "field": base_id,
+        "field": field_digest(field_),
         "law": law_string(law),
         "seed": int(seed),
         "truncation": int(j_trunc),
     }
-    return SamplePath(resolution, path.values, provenance)
+    return SamplePath(resolution, values, provenance)
 
 
 # -------------------------------------------------------------- Fourier side

@@ -10,10 +10,6 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def fmt_float(value: float, digits: int) -> str:
-    return f"{value:.{digits}g}"
-
-
 def write_csv(path, columns, digits: int = 15, comment: str | None = None) -> None:
     """Write named columns of equal length; floats at ``digits`` significant digits."""
     names = [name for name, _ in columns]
@@ -30,7 +26,7 @@ def write_csv(path, columns, digits: int = 15, comment: str | None = None) -> No
             for a in arrays:
                 v = a[i]
                 if isinstance(v, (np.floating, float)):
-                    cells.append(fmt_float(float(v), digits))
+                    cells.append(f"{float(v):.{digits}g}")
                 else:
                     cells.append(str(v))
             fh.write(",".join(cells) + "\n")

@@ -173,6 +173,9 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
             nxt = _refine(phi, taps, length, r)
             nxt[::2] = phi  # keep the exact coarse values
             phi = nxt
+        # The table's peak comes with psi; freeing the probe earlier, before
+        # the phi loop, made that loop fault in fresh pages.
+        del probe
         psi = _wavelet_from_phi(phi, filt.highpass_taps(), length, r_psi)
 
     pos, pos_floor = _best_signed_interval(psi, length, r_psi)

@@ -28,6 +28,7 @@ from rwslab.experiments import (
     resolve_config,
     run_experiment,
 )
+from rwslab.synthesis import synthesize
 from rwslab.util import canonical_json, sha256_file
 
 ALL_NAMES = ("criteria", "figure1", "hmin", "modulus", "prevalence",
@@ -159,13 +160,38 @@ def test_missing_config_file_exits_2(tmp_path):
     ["prop43", "--set", "j_lo=0"],
     ["criteria", "--set", "kinds= , "],
     ["hmin", "--set", "j_max=26"],
+    ["criteria", "--set", "rate=fancy"],
+    ["criteria", "--set", "kinds=bogus"],
+    ["modulus", "--set", "resolution=18"],
 ], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
         "prop31-seeds-0", "seed-negative", "seed-2-64", "m_hi-above-resolution",
-        "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap"])
+        "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap",
+        "unknown-rate", "unknown-kind", "resolution-above-table"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []       # neither out nor a temporary
+
+
+@pytest.mark.parametrize("args, code", [
+    # fails in its third output, after the two Fourier paths are written
+    (["figure1", "--set", "fourier_terms=16", "--set", "resolution=8",
+      "--set", "table_resolution=12", "--set", "j_lo=2", "--set", "j_hi=7"], 2),
+    (["hmin", "--set", "j_max=12", "--set", "j_lo=8", "--set", "j_hi=10"], 3),
+], ids=["figure1-partial", "hmin-exit-3"])
+def test_failed_run_writes_nothing(tmp_path, args, code):
+    out = tmp_path / "nested" / "out"
+    assert main(["run", *args, "--out", str(out)]) == code
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rerun_keeps_previous_outputs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "criteria", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["run", "criteria", "--out", str(out), "--set", "rate=fancy"]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_runner_range_check_exits_2(tmp_path):
@@ -195,8 +221,8 @@ def test_failed_run_leaves_no_manifest(tmp_path):
     config = {**default_config("wiener"), "seeds": 0, "fourier_terms": 8,
               "resolution": 6, "m_hi": 6}
     with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
-        run_experiment("wiener", config, tmp_path)
-    assert not (tmp_path / "manifest.json").exists()
+        run_experiment("wiener", config, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_insufficient_window_exits_3(tmp_path, capsys):
@@ -344,6 +370,24 @@ def test_prop22_tail_bounds_and_witness(tmp_path):
     assert wit.shape == (2, 6)
     assert np.all(wit[:, 4] >= wit[:, 5])       # averages clear 0.8 * C * sum
     assert manifest["flags"]["witness_levels_exceeding"] == 2
+
+
+@pytest.mark.parametrize("name, args, calls", [
+    ("prop22", ["trials=3", "j_lo=5", "j_hi=8", "table_resolution=12",
+                "witness_levels=2", "witness_j_max=8"], 3 + 2),  # + witness cuts
+    ("prop43", ["seeds=3", "j_lo=4", "j_hi=6", "table_resolution=10"], 3),
+])
+def test_tail_bounds_synthesize_once_per_trial(tmp_path, monkeypatch, name, args, calls):
+    made = []
+
+    def counting(field_, table, j_trunc, resolution):
+        made.append(j_trunc)
+        return synthesize(field_, table, j_trunc, resolution)
+
+    monkeypatch.setattr("rwslab.experiments.synthesize", counting)
+    sets = [a for kv in args for a in ("--set", kv)]
+    assert main(["run", name, "--out", str(tmp_path), *sets]) == 0
+    assert len(made) == calls
 
 
 def test_prop31_unbounded_regime(tmp_path):

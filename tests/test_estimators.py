@@ -48,7 +48,7 @@ from rwslab.fields import (
     zero_field,
 )
 from rwslab.laws import gaussian, heavy_tail, rademacher
-from rwslab.synthesis import SamplePath, randomized_field, synthesize
+from rwslab.synthesis import SamplePath, randomized_envelope, randomized_field, synthesize
 from rwslab.wavelets import build_filter, cascade_evaluate, eval_periodized
 
 
@@ -248,7 +248,7 @@ def test_hmin_gaussian_randomized():
     f = uniform_decay_field(0.4, 22)
     estimates = []
     for seed in range(10):
-        env = scale_envelope(randomized_field(f, gaussian(), seed))
+        env = randomized_envelope(f, gaussian(), seed)
         estimates.append(hmin_estimate(env, 14, 22))
     assert float(np.mean(estimates)) == pytest.approx(0.4, abs=0.05)
 

@@ -106,6 +106,20 @@ def test_scale_envelope_examples():
     assert np.all(env.values[np.arange(6) != 3] == 0.0)
 
 
+def test_scale_envelope_equals_max_abs_bit_for_bit():
+    rng = np.random.default_rng(5)
+    f = zero_field(4)
+    f.levels[1][:] = [-0.0, -0.0]                    # max alone would give -0.0
+    f.levels[2][:] = -rng.random(4) - 0.5            # all negative
+    f.levels[3][:] = rng.standard_normal(8)          # mixed signs
+    f.levels[4][:] = rng.standard_normal(16) * 1e-300
+    got = scale_envelope(f).values
+    want = [np.max(np.abs(lv)) for lv in f.levels]
+    for g, w in zip(got, want):
+        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+    assert math.copysign(1.0, got[1]) == 1.0 and got[0] == 0.0
+
+
 @given(st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_scale_envelope_permutation_invariant(j_max, rnd):

@@ -179,6 +179,21 @@ def test_truncation_cauchy_bound(db10_table):
     assert float(np.max(np.abs(p_hi - p_lo))) <= bound
 
 
+@pytest.mark.parametrize("table_name", ["haar_table", "db10_table"])
+def test_tail_synthesis_equals_truncation_difference(request, table_name):
+    # prop22 and prop43 synthesize only the levels j_lo < j <= J; by
+    # linearity that is S_J - S_{j_lo}, the pair of syntheses it replaced
+    table = request.getfixturevalue(table_name)
+    j_lo, j_hi, res = 4, 8, 12
+    f = random_field(j_hi, np.random.default_rng(11))
+    assert f.coarse != 0.0
+    tail = zero_field(j_hi)
+    for j in range(j_lo + 1, j_hi + 1):
+        tail.levels[j][:] = f.levels[j]
+    oracle = synthesize(f, table, j_hi, res).values - synthesize(f, table, j_lo, res).values
+    assert synthesize(tail, table, j_hi, res).values == pytest.approx(oracle, abs=1e-12)
+
+
 def test_resolution_preconditions(db10_table):
     f = zero_field(6)
     with pytest.raises(InvalidParameterError):
