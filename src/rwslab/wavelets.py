@@ -178,8 +178,7 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         del probe
         psi = _wavelet_from_phi(phi, filt.highpass_taps(), length, r_psi)
 
-    pos, pos_floor = _best_signed_interval(psi, length, r_psi)
-    neg, neg_floor = _best_signed_interval(-psi, length, r_psi)
+    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, length, r_psi)
     if pos is None or neg is None:
         raise NumericalFailureError(
             "no dyadic interval at the search granularity has a one-signed wavelet"
@@ -189,7 +188,7 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         r_psi=r_psi,
         phi=phi,
         psi=psi,
-        sup_norm=float(np.max(np.abs(psi))),
+        sup_norm=float(abs(max(psi.max(), -psi.min()))),  # no |psi| temporary
         positivity_interval=pos,
         positivity_floor=pos_floor,
         negativity_interval=neg,
@@ -388,16 +387,26 @@ def _wavelet_from_phi(phi: np.ndarray, gtaps, length: int, r_psi: int) -> np.nda
     return psi
 
 
-def _best_signed_interval(values: np.ndarray, length: int, r_psi: int):
-    """Widest dyadic interval maximizing the floor of ``values``.
+def _signed_intervals(psi: np.ndarray, length: int, r_psi: int):
+    """``(interval, floor)`` of the best dyadic interval for psi, then for -psi.
+
+    Both searches start from per-bin extrema at the search granularity;
+    -psi's bin minima are psi's negated bin maxima, so no negated copy of
+    the table is made.
+    """
+    per_bin = 2 ** (r_psi - INTERVAL_GRANULARITY)
+    n_bins = length * 2**INTERVAL_GRANULARITY
+    bins = psi[: n_bins * per_bin].reshape(n_bins, per_bin)
+    return _best_floor_interval(bins.min(axis=1)), _best_floor_interval(-bins.max(axis=1))
+
+
+def _best_floor_interval(mins: np.ndarray):
+    """Widest dyadic interval maximizing the floor, from per-bin minima.
 
     Candidates are half-open dyadic intervals no finer than the search
     granularity; selection is lexicographic (largest floor, then widest,
     then leftmost) so the result is reproducible for a given table.
     """
-    per_bin = 2 ** (r_psi - INTERVAL_GRANULARITY)
-    n_bins = length * 2**INTERVAL_GRANULARITY
-    mins = values[: n_bins * per_bin].reshape(n_bins, per_bin).min(axis=1)
     best = None  # (floor, -level, -index)
     best_iv = None
     level = INTERVAL_GRANULARITY

@@ -13,7 +13,7 @@ from rwslab import (
     cascade_evaluate,
     eval_periodized,
 )
-from rwslab.wavelets import DyadicInterval, periodized_grid
+from rwslab.wavelets import DyadicInterval, _signed_intervals, periodized_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,6 +164,16 @@ def test_signed_intervals_bound_psi(db10_table):
         assert check(t.psi[lo:hi])
     assert t.positivity_floor > 0
     assert t.negativity_ceiling < 0
+
+
+def test_signed_intervals_swap_under_negation(db10_table):
+    # -psi's search reads psi's negated bin maxima: negating psi swaps the
+    # two results exactly; sup_norm is max |psi| without the |psi| array.
+    t = db10_table
+    pos, neg = _signed_intervals(-t.psi, t.support_length, t.r_psi)
+    assert pos == (t.negativity_interval, -t.negativity_ceiling)
+    assert neg == (t.positivity_interval, t.positivity_floor)
+    assert t.sup_norm == float(np.max(np.abs(t.psi)))
 
 
 def test_interval_search_deterministic():
