@@ -55,13 +55,12 @@ from .fields import (
     PowerLogRate,
     check_criterion,
     envelope_from_rate,
-    scale_envelope,
     step_function_coefficients,
+    uniform_decay_envelope,
     uniform_decay_field,
     zero_field,
 )
 from .laws import (
-    BOUNDED_TAGS,
     bounded_uniform,
     draw_array,
     gaussian,
@@ -183,7 +182,7 @@ def _run_prop31(config, out, comment):
     law = parse_law(config["law"])
     seeds, base = config["seeds"], config["seed"]
 
-    if law.tag in BOUNDED_TAGS:
+    if law.is_bounded:
         table = _table(config)
         field = zero_field(config["j_max"])
         src = divergence_scale_field(field_law, config["field_j_max"])
@@ -365,14 +364,14 @@ def _run_modulus(config, out, comment):
 
 
 def _run_hmin(config, out, comment):
-    field = uniform_decay_field(config["alpha"], config["j_max"])
+    env = uniform_decay_envelope(config["alpha"], config["j_max"])
     j_lo, j_hi = config["j_lo"], config["j_hi"]
-    det = hmin_estimate(scale_envelope(field), j_lo, j_hi)
+    det = hmin_estimate(env, j_lo, j_hi)
     rows = []
     for s in range(config["seeds"]):
         seed = config["seed"] + s
-        gau = hmin_estimate(randomized_envelope(field, gaussian(), seed), j_lo, j_hi)
-        rad = hmin_estimate(randomized_envelope(field, rademacher(), seed), j_lo, j_hi)
+        gau = hmin_estimate(randomized_envelope(env, gaussian(), seed), j_lo, j_hi)
+        rad = hmin_estimate(randomized_envelope(env, rademacher(), seed), j_lo, j_hi)
         rows.append((seed, gau, rad))
     _write_rows(out / "estimates.csv",
                 ("seed", "gaussian_estimate", "rademacher_estimate"), rows, comment)

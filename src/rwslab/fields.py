@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
+from .util import write_csv
 from .wavelets import MotherWaveletTable
 
 CRITERION_KINDS = ("linfty", "c0", "l1", "sqrtj", "gamma", "loglog")
@@ -68,11 +69,9 @@ def zero_field(j_max: int, coarse: float = 0.0) -> CoefficientField:
 
 def uniform_decay_field(alpha: float, j_max: int) -> CoefficientField:
     """c_{j,k} = 2^{-alpha j} at every position: the constant-envelope
-    regularity model."""
-    f = zero_field(j_max)
-    for j in range(j_max + 1):
-        f.levels[j][:] = 2.0 ** (-alpha * j)
-    return f
+    regularity model, whose envelope is ``uniform_decay_envelope``."""
+    omegas = uniform_decay_envelope(alpha, j_max).values
+    return CoefficientField(j_max, 0.0, [np.full(2**j, w) for j, w in enumerate(omegas)])
 
 
 @dataclass(frozen=True)
@@ -163,6 +162,11 @@ def envelope_from_rate(rate: PowerLogRate, j_max: int) -> ScaleEnvelope:
     for j in rate.supported_scales(j_max):
         values[j] = rate.value(j)
     return ScaleEnvelope(values=values, rate=rate)
+
+
+def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:
+    """omega_j = 2^{-alpha j} for j = 0..j_max, without building the field."""
+    return ScaleEnvelope(values=np.array([2.0 ** (-alpha * j) for j in range(j_max + 1)]))
 
 
 def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
@@ -424,7 +428,5 @@ def load_field_json(path) -> CoefficientField:
 
 
 def export_envelope_csv(env: ScaleEnvelope, path, comment: str | None = None) -> None:
-    from .util import write_csv
-
     write_csv(path, [("j", np.arange(env.values.size)), ("omega_j", env.values)],
               digits=15, comment=comment)

@@ -26,7 +26,6 @@ from .laws import (
     RandomLaw,
     abs_max,
     draw_array,
-    draw_blocks,
     gaussian,
     law_string,
 )
@@ -111,25 +110,18 @@ def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> Coe
     return CoefficientField(field_.j_max, field_.coarse, levels)
 
 
-def randomized_envelope(field_: CoefficientField, law: RandomLaw, seed: int) -> ScaleEnvelope:
-    """``scale_envelope(randomized_field(field_, law, seed))``, bit for bit,
-    without materializing a randomized level.
+def randomized_envelope(env: ScaleEnvelope, law: RandomLaw, seed: int) -> ScaleEnvelope:
+    """omega_j * max_k |chi_{j,k}|: the envelope of the randomized field with
+    |c_{j,k}| = omega_j, from the coef-stream draws alone.
 
-    A constant level c gives |c| * max_k |chi_{j,k}|: rounding |c| |chi| is
-    monotone in |chi|, so the max commutes with the product.  Other levels
-    are multiplied and reduced block by block.  Non-finite products are
-    rejected by ``ScaleEnvelope``, as ``randomized_field`` rejects them.
+    For a field f of constant magnitude per level this is
+    ``scale_envelope(randomized_field(f, law, seed))`` with env =
+    ``scale_envelope(f)``, bit for bit: rounding omega |chi| is monotone in
+    |chi| and a sign flip is exact.  Non-finite products are rejected by
+    ``ScaleEnvelope``, as ``randomized_field`` rejects them.
     """
-    values = []
-    for j, lv in enumerate(field_.levels):
-        lo, hi = lv.min(), lv.max()
-        if lo == hi:
-            m = abs(float(lo)) * abs_max(law, seed, COEFFICIENT_STREAM, j, 0, lv.size)
-        else:
-            m = float(np.max([
-                np.max(np.abs(lv[k : k + chi.size] * chi))
-                for k, chi in draw_blocks(law, seed, COEFFICIENT_STREAM, j, 0, lv.size)]))
-        values.append(m)
+    values = [float(w) * abs_max(law, seed, COEFFICIENT_STREAM, j, 0, 2**j)
+              for j, w in enumerate(env.values)]
     return ScaleEnvelope(values=np.array(values), rate=None)
 
 

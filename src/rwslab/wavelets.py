@@ -140,8 +140,9 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
     Raises a numerical failure if the refinement reproduction error grows
     over the last three levels instead of staying at rounding level.
     """
-    if not isinstance(r_psi, (int, np.integer)) or r_psi < 4:
-        raise InvalidParameterError(f"refinement depth must be an integer >= 4, got {r_psi!r}")
+    if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
+        raise InvalidParameterError(
+            f"refinement depth must be an integer >= {INTERVAL_GRANULARITY}, got {r_psi!r}")
     r_psi = int(r_psi)
     taps = np.asarray(filt.taps)
     length = filt.support_length
@@ -176,7 +177,8 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         # The table's peak comes with psi; freeing the probe earlier, before
         # the phi loop, made that loop fault in fresh pages.
         del probe
-        psi = _wavelet_from_phi(phi, filt.highpass_taps(), length, r_psi)
+        # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
+        psi = _refine(phi[::2], np.asarray(filt.highpass_taps()), length, r_psi - 1)
 
     (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, length, r_psi)
     if pos is None or neg is None:
@@ -303,11 +305,10 @@ def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
 
     phi_{j,k} = sum_n p_n phi_{j+1,2k+n} and psi_{j,k} = sum_n q_n phi_{j+1,2k+n}
     with p = 2h / sum(h) (that is sqrt(2) h, but exactly 1 for Haar) and
-    q_n = (-1)^n p_{N-1-n}.
+    q = 2g / sum(h) for the high-pass taps g, so q_n = (-1)^n p_{N-1-n}.
     """
     h = np.asarray(filt.taps)
-    p = 2.0 * h / h.sum()
-    return p, (-1.0) ** np.arange(p.size) * p[::-1]
+    return 2.0 * h / h.sum(), 2.0 * np.asarray(filt.highpass_taps()) / h.sum()
 
 
 def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
@@ -370,21 +371,6 @@ def _refine(values: np.ndarray, taps: np.ndarray, length: int, r: int) -> np.nda
         lo = k * 2**r
         out[lo : lo + values.size] += (SQRT2 * h) * values
     return out
-
-
-def _wavelet_from_phi(phi: np.ndarray, gtaps, length: int, r_psi: int) -> np.ndarray:
-    m = 2**r_psi
-    psi = np.zeros(length * m + 1)
-    top = length * m
-    for k, g in enumerate(gtaps):
-        # psi(i/m) needs phi(2i/m - k), i.e. source index 2i - k m.
-        i0 = (k * m + 1) // 2
-        i1 = min(top, (length + k) * m // 2)
-        if i1 < i0:
-            continue
-        s0 = 2 * i0 - k * m
-        psi[i0 : i1 + 1] += (SQRT2 * g) * phi[s0 : s0 + 2 * (i1 - i0) + 1 : 2]
-    return psi
 
 
 def _signed_intervals(psi: np.ndarray, length: int, r_psi: int):

@@ -28,6 +28,7 @@ from rwslab.experiments import (
     resolve_config,
     run_experiment,
 )
+from rwslab.fields import CoefficientField
 from rwslab.synthesis import synthesize
 from rwslab.util import canonical_json, sha256_file
 
@@ -163,10 +164,12 @@ def test_missing_config_file_exits_2(tmp_path):
     ["criteria", "--set", "rate=fancy"],
     ["criteria", "--set", "kinds=bogus"],
     ["modulus", "--set", "resolution=18"],
+    ["figure1", "--set", "table_resolution=5"],
 ], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
         "prop31-seeds-0", "seed-negative", "seed-2-64", "m_hi-above-resolution",
         "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap",
-        "unknown-rate", "unknown-kind", "resolution-above-table"])
+        "unknown-rate", "unknown-kind", "resolution-above-table",
+        "table-below-search-granularity"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
@@ -476,6 +479,16 @@ def test_hmin_estimates(tmp_path):
     assert rows.shape == (2, 3)
     # csv rendering rounds to 15 significant digits; exactness is the flag
     assert rows[:, 2] == pytest.approx(flags["deterministic_alpha"], abs=1e-12)
+
+
+def test_hmin_builds_no_field(tmp_path, monkeypatch):
+    # hmin works on scale envelopes alone; no coefficient level is allocated
+    def refuse(self):
+        raise AssertionError("hmin built a CoefficientField")
+
+    monkeypatch.setattr(CoefficientField, "__post_init__", refuse)
+    assert main(["run", "hmin", "--out", str(tmp_path), "--set", "j_max=12",
+                 "--set", "j_lo=6", "--set", "j_hi=12", "--set", "seeds=2"]) == 0
 
 
 def test_wiener_increment_ratios(tmp_path):

@@ -44,6 +44,7 @@ from rwslab.fields import (
     ScaleEnvelope,
     envelope_from_rate,
     scale_envelope,
+    uniform_decay_envelope,
     uniform_decay_field,
     zero_field,
 )
@@ -245,10 +246,10 @@ def test_hmin_gaussian_randomized():
     # biasing the fitted slope by roughly 0.5 / (j ln 2) per scale; the
     # window must sit deep enough and the estimate be averaged over seeds
     # for that to stay inside the tolerance.
-    f = uniform_decay_field(0.4, 22)
+    omega = uniform_decay_envelope(0.4, 22)
     estimates = []
     for seed in range(10):
-        env = randomized_envelope(f, gaussian(), seed)
+        env = randomized_envelope(omega, gaussian(), seed)
         estimates.append(hmin_estimate(env, 14, 22))
     assert float(np.mean(estimates)) == pytest.approx(0.4, abs=0.05)
 

@@ -22,6 +22,7 @@ from rwslab.fields import (
     save_field_json,
     scale_envelope,
     step_function_coefficients,
+    uniform_decay_envelope,
     uniform_decay_field,
     zero_field,
 )
@@ -98,6 +99,7 @@ def test_scale_envelope_examples():
     f = uniform_decay_field(0.5, 8)
     env = scale_envelope(f)
     assert np.allclose(env.values, 2.0 ** (-0.5 * np.arange(9)), rtol=0, atol=0)
+    assert np.array_equal(uniform_decay_envelope(0.5, 8).values, env.values)
 
     g = zero_field(5)
     g.levels[3][5] = -7.0

@@ -265,20 +265,16 @@ ENVELOPE_LAWS = {"rademacher": rademacher(), "gaussian": gaussian(),
 
 @pytest.fixture(scope="module")
 def envelope_fields():
-    """Depth-19 fields (level 19 spans two draw blocks) of every level kind."""
+    """Depth-19 constant-magnitude fields (level 19 spans two draw blocks)."""
     rng = np.random.default_rng(19)
     j_max = 19
     constant = uniform_decay_field(0.4, j_max)
     signed = [2.0**-j * rng.choice([-1.0, 1.0], 2**j) for j in range(j_max + 1)]
-    cycled = [(lv, -lv, np.zeros(lv.size), rng.standard_normal(lv.size))[j % 4]
-              for j, lv in enumerate(constant.levels)]
     return {
         "constant": constant,
         "negative-constant": CoefficientField(j_max, 0.0, [-lv for lv in constant.levels]),
-        "mixed-sign": random_field(j_max, rng),
         "zero": zero_field(j_max),
         "signed-constant": CoefficientField(j_max, 0.0, signed),
-        "cycled": CoefficientField(j_max, 0.0, cycled),
     }
 
 
@@ -288,7 +284,8 @@ def test_randomized_envelope_equals_dense_envelope(envelope_fields, tag, seed):
     law = ENVELOPE_LAWS[tag]
     for name, f in envelope_fields.items():
         dense = scale_envelope(randomized_field(f, law, seed)).values
-        assert np.array_equal(randomized_envelope(f, law, seed).values, dense), name
+        got = randomized_envelope(scale_envelope(f), law, seed).values
+        assert np.array_equal(got, dense), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf draws, 0 * inf
@@ -299,7 +296,7 @@ def test_randomized_envelope_rejects_non_finite_draws():
         with pytest.raises(InvalidParameterError):
             randomized_field(f, law, 0)
         with pytest.raises(InvalidParameterError):
-            randomized_envelope(f, law, 0)
+            randomized_envelope(scale_envelope(f), law, 0)
 
 
 # ------------------------------------------------------------ Fourier side

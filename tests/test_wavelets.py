@@ -187,6 +187,11 @@ def test_interval_search_deterministic():
 def test_cascade_rejects_shallow_depth():
     with pytest.raises(InvalidParameterError):
         cascade_evaluate(build_filter("haar", 1), 3)
+    # the sign-interval search needs r_psi >= INTERVAL_GRANULARITY = 6
+    for filt in (build_filter("haar", 1), build_filter("daubechies", 2)):
+        for r_psi in (4, 5):
+            with pytest.raises(InvalidParameterError, match=">= 6"):
+                cascade_evaluate(filt, r_psi)
 
 
 def test_cascade_detects_corrupt_taps():
