@@ -52,6 +52,7 @@ from .estimators import (
     sup_growth,
 )
 from .fields import (
+    CRITERION_KINDS,
     PowerLogRate,
     check_criterion,
     envelope_from_rate,
@@ -84,11 +85,12 @@ from .wavelets import build_filter, cascade_evaluate
 class Experiment:
     """Complete defaults plus a runner writing CSVs into an output dir.
 
-    The runner returns the written file names in creation order and a flat
+    The runner gets the config with every string key in ``_PARSERS``
+    parsed, and returns the written file names in creation order and a flat
     dict of summary flags for the manifest.  ``orderings`` are chains of
     config keys and integers joined by < or <=, such as
-    "0 < j_lo < j_hi"; ``run_experiment`` checks them before it writes
-    anything.
+    "0 < j_lo < j_hi"; ``run_experiment`` checks them, and parses the
+    strings, before it computes anything.
     """
 
     defaults: dict
@@ -120,8 +122,8 @@ def _run_figure1(config, out, comment):
 
     coeffs = step_function_coefficients(table, "sawtooth", config["j_hi"])
     truncations = list(range(config["j_lo"], config["j_hi"] + 1))
-    profile = sup_growth(coeffs, table, parse_law(config["law"]),
-                         config["seed"], truncations, config["depth"])
+    profile = sup_growth(coeffs, table, config["law"], config["seed"],
+                         truncations, config["depth"])
     export_profile_csv(profile, out / "randomized_sawtooth.csv", comment=comment)
     flags = {"profile_resolution": int(profile.resolution),
              "max_global_sup": float(profile.global_sups.max())}
@@ -178,14 +180,13 @@ def _run_prop22(config, out, comment):
 
 
 def _run_prop31(config, out, comment):
-    field_law = parse_law(config["field_law"])
-    law = parse_law(config["law"])
+    law = config["law"]
     seeds, base = config["seeds"], config["seed"]
 
     if law.is_bounded:
         table = _table(config)
         field = zero_field(config["j_max"])
-        src = divergence_scale_field(field_law, config["field_j_max"])
+        src = divergence_scale_field(config["field_law"], config["field_j_max"])
         for j in range(src.j_max + 1):
             field.levels[j][:] = src.levels[j]
         truncations = list(range(config["field_j_max"], config["j_max"] + 1))
@@ -218,13 +219,11 @@ def _run_prop31(config, out, comment):
 
 
 def _run_prevalence(config, out, comment):
-    field = divergence_scale_field(parse_law(config["field_law"]),
-                                   config["j_max"], "strengthened")
-    law = parse_law(config["law"])
+    field = divergence_scale_field(config["field_law"], config["j_max"], "strengthened")
     w_rows, s_rows = [], []
     for s in range(config["seeds"]):
         seed = config["seed"] + s
-        report = block_witness_process(field, law, seed)
+        report = block_witness_process(field, config["law"], seed)
         w_rows.extend((seed, r["n"], r["j"], r["blocks"], r["witness_blocks"],
                        r["chi_exceedances"], r["product_exceedances"])
                       for r in report["per_scale"])
@@ -241,7 +240,6 @@ def _run_prevalence(config, out, comment):
 
 def _run_prop43(config, out, comment):
     table = _table(config)
-    law = parse_law(config["law"])
     j_lo, j_hi, power = config["j_lo"], config["j_hi"], config["rate_power"]
     tail = zero_field(j_hi)  # levels above j_lo: S_{j_hi} - S_{j_lo} in one synthesis
     for j in range(j_lo + 1, j_hi + 1):
@@ -251,7 +249,7 @@ def _run_prop43(config, out, comment):
                 for j in range(j_lo + 1, j_hi + 1))
     seeds_col, diffs, within = [], [], []
     for s in range(config["seeds"]):
-        rf = randomized_field(tail, law, config["seed"] + s)
+        rf = randomized_field(tail, config["law"], config["seed"] + s)
         diff = float(np.max(np.abs(synthesize(rf, table, j_hi, table.r_psi).values)))
         seeds_col.append(config["seed"] + s)
         diffs.append(diff)
@@ -279,17 +277,8 @@ def _run_prop46(config, out, comment):
                ("l1_partial_sum", np.cumsum(omega))], comment=comment)
 
     env = envelope_from_rate(rate, config["horizon"])
-    flags = {"scale_ratio": ratio}
-    kinds, verdicts = [], []
-    for kind in ("l1", "sqrtj", "loglog"):
-        decision = check_criterion(env, kind)
-        kinds.append(kind)
-        verdicts.append(decision.verdict)
-        flags[kind] = decision.verdict
-    write_csv(out / "verdicts.csv",
-              [("kind", kinds), ("verdict", verdicts),
-               ("gamma", [""] * len(kinds))], comment=comment)
-    return ["construction.csv", "verdicts.csv"], flags
+    flags = _write_verdicts(env, ("l1", "sqrtj", "loglog"), None, out, comment)
+    return ["construction.csv", "verdicts.csv"], {"scale_ratio": ratio, **flags}
 
 
 _RATE_FORMS = "loglog-prop46 | harmonic | power-log:<s>[:<a>[:<b>[:<c>]]]"
@@ -302,34 +291,46 @@ def _parse_rate(text: str) -> PowerLogRate:
         return PowerLogRate(0.0, a=-1.0)
     if text.startswith("power-log:"):
         parts = text.split(":")[1:]
-        if not 1 <= len(parts) <= 4:
-            raise InvalidParameterError(f"bad power-log rate {text!r}")
         try:
             vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad power-log rate {text!r}") from exc
+        except ValueError:
+            vals = [math.nan]
+        if not 1 <= len(vals) <= 4 or not all(map(math.isfinite, vals)):
+            raise InvalidParameterError(f"bad power-log rate {text!r}; expected 1 to 4 finite numbers")
         vals += [0.0] * (4 - len(vals))
         return PowerLogRate(vals[0], a=vals[1], b=vals[2], c=vals[3])
     raise InvalidParameterError(
         f"unknown rate {text!r}; expected one of {_RATE_FORMS}")
 
 
-def _run_criteria(config, out, comment):
-    env = envelope_from_rate(_parse_rate(config["rate"]), config["horizon"])
-    kinds = _items(config["kinds"])
-    gamma = config["gamma"] if config["gamma"] > 0 else None
+def _parse_kinds(text: str) -> list[str]:
+    kinds = [item.strip() for item in text.split(",") if item.strip()]
+    if not kinds or not set(kinds) <= set(CRITERION_KINDS):
+        raise InvalidParameterError(
+            f"kinds must name one or more of {', '.join(CRITERION_KINDS)}, got {text!r}")
+    return kinds
+
+
+def _write_verdicts(env, kinds, gamma, out, comment):
+    """verdicts.csv with one row per criterion kind; returns kind -> verdict.
+    ``gamma`` applies to the "gamma" kind only."""
     rows, flags = [], {}
     for kind in kinds:
         decision = check_criterion(env, kind, gamma if kind == "gamma" else None)
         rows.append((kind, decision.verdict, gamma if kind == "gamma" else ""))
         flags[kind] = decision.verdict
     _write_rows(out / "verdicts.csv", ("kind", "verdict", "gamma"), rows, comment)
-    return ["verdicts.csv"], flags
+    return flags
+
+
+def _run_criteria(config, out, comment):
+    env = envelope_from_rate(config["rate"], config["horizon"])
+    gamma = config["gamma"] if config["gamma"] > 0 else None
+    return ["verdicts.csv"], _write_verdicts(env, config["kinds"], gamma, out, comment)
 
 
 def _run_modulus(config, out, comment):
     table = _table(config)
-    law = parse_law(config["law"])
     alpha, gamma = config["alpha"], config["gamma"]
     theta = PowerLogModulus(alpha, gamma if gamma > 0 else None)
     plain = PowerLogModulus(alpha, None)
@@ -338,7 +339,7 @@ def _run_modulus(config, out, comment):
     rising = strictly_rising = 0
     for s in range(config["seeds"]):
         seed = config["seed"] + s
-        path_ = randomized_synthesize(field, table, law, seed,
+        path_ = randomized_synthesize(field, table, config["law"], seed,
                                       config["j_max"], config["resolution"])
         fit = modulus_ratio(path_, theta, config["m_lo"], config["m_hi"])
         if fit.sup_increments.min() <= 0.0:
@@ -421,7 +422,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         field_law="heavy_tail:1", law="heavy_tail:1", seeds=100, seed=0,
         exceedance_j_max=22, field_j_max=8, j_max=12, depth=4,
         wavelet="haar", vanishing_moments=1, table_resolution=16,
-        log_all=False), _run_prop31),
+        log_all=False), _run_prop31, orderings=("field_j_max <= j_max",)),
     "prevalence": Experiment(dict(
         field_law="heavy_tail:1", law="heavy_tail:1", j_max=12, seeds=50,
         seed=0), _run_prevalence),
@@ -433,9 +434,11 @@ EXPERIMENTS: dict[str, Experiment] = {
     "modulus": Experiment(dict(
         alpha=0.5, gamma=2.0, j_max=13, resolution=17, m_lo=4, m_hi=12,
         seeds=20, seed=0, law="gaussian", wavelet="daubechies",
-        vanishing_moments=10, table_resolution=17), _run_modulus),
+        vanishing_moments=10, table_resolution=17), _run_modulus,
+        orderings=("2 <= m_lo < m_hi < resolution <= table_resolution",)),
     "hmin": Experiment(dict(
-        alpha=0.4, j_max=24, j_lo=16, j_hi=24, seeds=20, seed=0), _run_hmin),
+        alpha=0.4, j_max=24, j_lo=16, j_hi=24, seeds=20, seed=0), _run_hmin,
+        orderings=("0 <= j_lo < j_hi <= j_max",)),
     "wiener": Experiment(dict(
         fourier_terms=2**14, resolution=10, seeds=200, seed=0, m_lo=4,
         m_hi=10), _run_wiener, orderings=("1 <= m_lo <= m_hi <= resolution",)),
@@ -474,16 +477,15 @@ def _parse_override(text: str):
 
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
-# keep its geometric scales within int64, and j_max levels are dense
+# keep its geometric scales within int64, j_max levels are dense and a
+# horizon is a last scale
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
-               "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1)}
+               "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1), "horizon": (0, math.inf)}
 
-# Comma-separated string keys that must name at least one item.
-_LIST_KEYS = ("kinds",)
-
-
-def _items(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+# String-valued keys and their parsers; ``run_experiment`` hands the runner
+# the parsed values.
+_PARSERS = {"law": parse_law, "field_law": parse_law, "rate": _parse_rate,
+            "kinds": _parse_kinds}
 
 
 def _coerced(name, key, value, default):
@@ -506,8 +508,6 @@ def _coerced(name, key, value, default):
         return float(value)
     if not isinstance(value, str):
         raise InvalidParameterError(f"{label} expects a string, got {value!r}")
-    if key in _LIST_KEYS and not _items(value):
-        raise InvalidParameterError(f"{label} must name at least one item, got {value!r}")
     return value
 
 
@@ -574,6 +574,8 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
     exp = _lookup(name)
     for chain in exp.orderings:
         _check_ordering(name, config, chain)
+    parsed = {key: _PARSERS[key](value) if key in _PARSERS else value
+              for key, value in config.items()}
     out = Path(out_dir)
     # the nearest existing ancestor keeps the final renames on one filesystem
     anchor = next(p for p in out.absolute().parents if p.is_dir())
@@ -581,7 +583,7 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
     try:
         digest = config_digest(name, config)
         started = _utc_now()
-        names, flags = exp.runner(config, work, f"manifest_digest={digest}")
+        names, flags = exp.runner(parsed, work, f"manifest_digest={digest}")
         manifest = {
             "experiment": name,
             "config": config,

@@ -346,12 +346,12 @@ def step_function_coefficients(
         )
     length = table.support_length
     step = table.grid_step
-    # left-endpoint u grid over the support, matching the table
-    u = np.arange(length * 2**table.r_psi) * step
     psi = table.psi[:-1]
     out = zero_field(j_max)
 
     if kind == "heaviside":
+        # left-endpoint u grid over the support, matching the table
+        u = np.arange(length * 2**table.r_psi) * step
         # T(k) = integral of sign(u + k) Psi(u) du, independent of j; the
         # grid point exactly on the jump contributes sign(0) = 0
         for k in range(-(length - 1), 0):
@@ -364,10 +364,12 @@ def step_function_coefficients(
     # wrap, so those coefficients reduce to 2^-j times the first moment of
     # psi.  A wrap-crossing translate is that line less a unit step at each
     # wrap point inside the support, where the grid point takes the
-    # midpoint value 0 (sign(0) = 0 on the heaviside side): suffix sums.
-    moment = float(np.sum(u * psi))
-    mass = float(np.sum(psi))
+    # midpoint value 0 (sign(0) = 0 on the heaviside side): suffix sums
+    # S_p, which also give the mass S_0 and the first moment, as
+    # sum_i i psi_i = sum_{p >= 1} S_p.
     suffix = np.cumsum(psi[::-1])[::-1]
+    mass = float(suffix[0])
+    moment = step * float(np.sum(suffix[1:]))
     for j in range(j_max + 1):
         size = 2**j
         scale = 2.0**-j

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtri
@@ -42,7 +42,17 @@ _M2 = 0x94D049BB133111EB
 
 _LN2 = math.log(2.0)
 
-LAW_TAGS = ("rademacher", "gaussian", "bernoulli", "exp_tail", "heavy_tail", "bounded_uniform")
+# Each law's parameters in config-string order, as (field, upper bound,
+# whether the bound is attained).  Every parameter is finite and positive.
+LAW_PARAMS = {
+    "rademacher": (),
+    "gaussian": (),
+    "bernoulli": (("p", 1.0, False),),
+    "exp_tail": (("b", math.inf, False), ("gamma", 2.0, True)),
+    "heavy_tail": (("exponent", math.inf, False),),
+    "bounded_uniform": (("bound", math.inf, False),),
+}
+LAW_TAGS = tuple(LAW_PARAMS)
 BOUNDED_TAGS = ("rademacher", "bernoulli", "bounded_uniform")
 
 # Stream tag shared by randomized synthesis and every diagnostic that wants
@@ -62,20 +72,16 @@ class RandomLaw:
     bound: float | None = None
 
     def __post_init__(self):
-        t = self.tag
-        if t not in LAW_TAGS:
-            raise InvalidParameterError(f"unknown law tag {t!r}; expected one of {LAW_TAGS}")
-        if t == "bernoulli" and not (self.p is not None and 0.0 < self.p < 1.0):
-            raise InvalidParameterError("bernoulli needs p in (0, 1)")
-        if t == "exp_tail":
-            if not (self.b is not None and self.b > 0.0):
-                raise InvalidParameterError("exp_tail needs b > 0")
-            if not (self.gamma is not None and 0.0 < self.gamma <= 2.0):
-                raise InvalidParameterError("exp_tail needs gamma in (0, 2]")
-        if t == "heavy_tail" and not (self.exponent is not None and self.exponent > 0.0):
-            raise InvalidParameterError("heavy_tail needs a positive exponent")
-        if t == "bounded_uniform" and not (self.bound is not None and self.bound > 0.0):
-            raise InvalidParameterError("bounded_uniform needs a positive bound")
+        if self.tag not in LAW_PARAMS:
+            raise InvalidParameterError(f"unknown law tag {self.tag!r}; expected one of {LAW_TAGS}")
+        names = [name for name, _, _ in LAW_PARAMS[self.tag]]
+        if any(getattr(self, f.name) is not None for f in fields(self)[1:] if f.name not in names):
+            raise InvalidParameterError(f"{self.tag} takes only the parameters {names}")
+        for name, hi, closed in LAW_PARAMS[self.tag]:
+            v = getattr(self, name)
+            if v is None or not (math.isfinite(v) and 0.0 < v and (v <= hi if closed else v < hi)):
+                raise InvalidParameterError(
+                    f"{self.tag} needs a finite {name} in (0, {hi:g}{']' if closed else ')'}, got {v}")
 
     @property
     def is_bounded(self) -> bool:
@@ -108,39 +114,24 @@ def bounded_uniform(bound: float) -> RandomLaw:
 
 def parse_law(text: str) -> RandomLaw:
     """Parse the config-file form: tag or tag:param[:param]."""
-    parts = text.strip().split(":")
-    tag, args = parts[0], parts[1:]
+    tag, *args = text.strip().split(":")
+    if tag not in LAW_PARAMS:
+        raise InvalidParameterError(f"unknown law {tag!r} in {text!r}; expected one of {LAW_TAGS}")
+    names = [name for name, _, _ in LAW_PARAMS[tag]]
+    if len(args) != len(names):
+        raise InvalidParameterError(f"law {tag!r} takes {len(names)} parameter(s), got {len(args)}")
     try:
         values = [float(a) for a in args]
     except ValueError:
-        raise InvalidParameterError(f"non-numeric law parameter in {text!r}")
-    arity = {"rademacher": 0, "gaussian": 0, "bernoulli": 1, "exp_tail": 2,
-             "heavy_tail": 1, "bounded_uniform": 1}
-    if tag not in arity:
-        raise InvalidParameterError(f"unknown law {tag!r} in {text!r}")
-    if len(values) != arity[tag]:
-        raise InvalidParameterError(f"law {tag!r} takes {arity[tag]} parameter(s), got {len(values)}")
-    if tag == "bernoulli":
-        return bernoulli(values[0])
-    if tag == "exp_tail":
-        return exp_tail(values[0], values[1])
-    if tag == "heavy_tail":
-        return heavy_tail(values[0])
-    if tag == "bounded_uniform":
-        return bounded_uniform(values[0])
-    return RandomLaw(tag)
+        raise InvalidParameterError(f"non-numeric law parameter in {text!r}") from None
+    return RandomLaw(tag, **dict(zip(names, values)))
 
 
 def law_string(law: RandomLaw) -> str:
-    if law.tag == "bernoulli":
-        return f"bernoulli:{law.p:g}"
-    if law.tag == "exp_tail":
-        return f"exp_tail:{law.b:g}:{law.gamma:g}"
-    if law.tag == "heavy_tail":
-        return f"heavy_tail:{law.exponent:g}"
-    if law.tag == "bounded_uniform":
-        return f"bounded_uniform:{law.bound:g}"
-    return law.tag
+    """Inverse of ``parse_law``: each parameter as its shortest round-trip
+    repr, less a trailing ".0"."""
+    values = [repr(float(getattr(law, name))) for name, _, _ in LAW_PARAMS[law.tag]]
+    return ":".join([law.tag] + [v.removesuffix(".0") for v in values])
 
 
 # ------------------------------------------------------------------ draws

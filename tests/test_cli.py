@@ -165,15 +165,35 @@ def test_missing_config_file_exits_2(tmp_path):
     ["criteria", "--set", "kinds=bogus"],
     ["modulus", "--set", "resolution=18"],
     ["figure1", "--set", "table_resolution=5"],
+    ["prop31", "--set", "field_j_max=14", "--set", "law=bounded_uniform:1"],
+    ["criteria", "--set", "horizon=-3"],
+    ["prop46", "--set", "horizon=-3"],
+    ["hmin", "--set", "j_max=10", "--set", "j_hi=12"],
+    ["modulus", "--set", "m_hi=17"],
+    ["prevalence", "--set", "field_law=heavy_tail:inf"],
+    ["criteria", "--set", "rate=power-log:inf"],
 ], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
         "prop31-seeds-0", "seed-negative", "seed-2-64", "m_hi-above-resolution",
         "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap",
         "unknown-rate", "unknown-kind", "resolution-above-table",
-        "table-below-search-granularity"])
+        "table-below-search-granularity", "field_j_max-above-j_max",
+        "criteria-horizon-negative", "prop46-horizon-negative", "j_hi-above-j_max",
+        "m_hi-not-below-resolution", "non-finite-field-law", "non-finite-rate"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []       # neither out nor a temporary
+
+
+@pytest.mark.parametrize("name", ["figure1", "modulus", "prop43"])
+def test_law_parsed_before_any_table(tmp_path, monkeypatch, name):
+    def no_table(config):
+        raise AssertionError("wavelet table built for an invalid law")
+
+    monkeypatch.setattr("rwslab.experiments._table", no_table)
+    out = tmp_path / "out"
+    assert main(["run", name, "--set", "law=bogus", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, code", [

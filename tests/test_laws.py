@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rwslab import InvalidParameterError, NoDivergenceSequenceError
 from rwslab.laws import (
     BLOCK,
+    LAW_PARAMS,
     LAW_TAGS,
     RandomLaw,
     abs_max,
@@ -100,6 +101,14 @@ def test_law_validation():
         heavy_tail(-1.0)
     with pytest.raises(InvalidParameterError):
         bounded_uniform(0.0)
+    with pytest.raises(InvalidParameterError):
+        heavy_tail(math.inf)
+    with pytest.raises(InvalidParameterError):
+        exp_tail(math.inf, 1.0)
+    with pytest.raises(InvalidParameterError):
+        bounded_uniform(math.inf)
+    with pytest.raises(InvalidParameterError):
+        bernoulli(math.nan)
 
 
 @pytest.mark.parametrize("text", [
@@ -108,6 +117,20 @@ def test_law_validation():
 ])
 def test_parse_law_round_trip(text):
     law = parse_law(text)
+    assert parse_law(law_string(law)) == law
+
+
+def _valid_param(hi, closed):
+    return st.floats(min_value=0.0, max_value=None if math.isinf(hi) else hi,
+                     exclude_min=True, exclude_max=not closed and not math.isinf(hi),
+                     allow_nan=False, allow_infinity=False)
+
+
+@given(st.sampled_from(LAW_TAGS).flatmap(lambda tag: st.builds(
+    lambda values: RandomLaw(tag, **values),
+    st.fixed_dictionaries({name: _valid_param(hi, closed)
+                           for name, hi, closed in LAW_PARAMS[tag]}))))
+def test_law_string_round_trips_exactly(law):
     assert parse_law(law_string(law)) == law
 
 
