@@ -5,7 +5,7 @@ Each experiment runs as its own ``python -m rwslab.cli`` child process;
 its exit code, wall time and peak RSS (the child's own ``ru_maxrss``) are
 printed, so every default can be checked against a memory ceiling.  The
 script exits with the worst exit code.  Full-scale defaults take about
-23 s in total on a shared 2-vCPU VM, 5-7 s of it in hmin.  Pass
+21 s in total on a shared 2-vCPU VM, 3.5-4 s of it in hmin.  Pass
 experiment names to run a subset; --seed shifts the base seed of every
 run.
 """

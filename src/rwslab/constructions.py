@@ -32,7 +32,7 @@ from .laws import (
     RandomLaw,
     divergence_sequence,
     draw_array,
-    draw_blocks,
+    exceedances,
     law_string,
     rademacher,
 )
@@ -277,12 +277,8 @@ def coefficient_exceedances(law: RandomLaw, j_max: int, seed: int,
     """
     events: list[dict] = []
     for n, j in divergence_scales(law, j_max, variant):
-        threshold, count, first_k = float(n) ** 3, 0, None
-        for lo, chi in draw_blocks(law, seed, COEFFICIENT_STREAM, j, 0, 2**j):
-            hits = np.abs(chi) >= threshold
-            if first_k is None and hits.any():
-                first_k = lo + int(np.argmax(hits))
-            count += int(np.count_nonzero(hits))
+        count, first_k = exceedances(law, seed, COEFFICIENT_STREAM, j, 0, 2**j,
+                                     float(n) ** 3)
         if count:
             events.append({"n": n, "j": j, "count": count, "first_k": first_k})
             if stop_after is not None and len(events) >= stop_after:

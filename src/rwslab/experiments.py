@@ -477,10 +477,12 @@ def _parse_override(text: str):
 
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
-# keep its geometric scales within int64, j_max levels are dense and a
-# horizon is a last scale
+# keep its geometric scales within int64, j_max levels are dense,
+# exceedance_j_max levels are scanned word by word and a horizon is a last
+# scale
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
-               "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1), "horizon": (0, math.inf)}
+               "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1),
+               "exceedance_j_max": (0, _LEVEL_CAP + 1), "horizon": (0, math.inf)}
 
 # String-valued keys and their parsers; ``run_experiment`` hands the runner
 # the parsed values.
@@ -488,8 +490,12 @@ _PARSERS = {"law": parse_law, "field_law": parse_law, "rate": _parse_rate,
             "kinds": _parse_kinds}
 
 
+def _label(name, key):
+    return f"{name} config key {key!r}"
+
+
 def _coerced(name, key, value, default):
-    label = f"{name} config key {key!r}"
+    label = _label(name, key)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise InvalidParameterError(f"{label} expects a boolean, got {value!r}")
@@ -574,8 +580,12 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
     exp = _lookup(name)
     for chain in exp.orderings:
         _check_ordering(name, config, chain)
-    parsed = {key: _PARSERS[key](value) if key in _PARSERS else value
-              for key, value in config.items()}
+    parsed = dict(config)
+    for key in [k for k in config if k in _PARSERS]:
+        try:
+            parsed[key] = _PARSERS[key](config[key])
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{_label(name, key)}: {exc}") from None
     out = Path(out_dir)
     # the nearest existing ancestor keeps the final renames on one filesystem
     anchor = next(p for p in out.absolute().parents if p.is_dir())

@@ -12,13 +12,19 @@ Reductions stream: ``draw_blocks`` yields any k-range of a stream in fixed
 blocks of ``BLOCK`` draws, which are the very draws ``draw_array`` returns
 at those k, so a max or a count never materializes a whole level.  The
 blocks' words share one reused buffer; ``draw_blocks`` yields fresh draws.
-``abs_max`` goes further.  For every law in ``LAW_TAGS``, |chi| is a
-monotone function of the uniform u (non-increasing for bernoulli, exp_tail
-and heavy_tail, constant for rademacher) or V-shaped about u = 1/2
-(gaussian, bounded_uniform), and u increases with the word's top 53 bits.
-So the largest |chi| over a range is attained at the word with the
-smallest or the largest mantissa, and only those two words are
-transformed.
+The reductions go further and decide in word space.  For every law in
+``LAW_TAGS``, |chi| is a monotone function of the uniform u (non-increasing
+for bernoulli, exp_tail and heavy_tail, constant for rademacher) or
+V-shaped about u = 1/2 (``V_SHAPED_TAGS``), and u increases with the
+word's top 53 bits, the mantissa m.  So the largest |chi| over a range is
+attained at the word with the smallest or the largest mantissa: ``abs_max``
+transforms only those two words, and for rademacher, where |chi| = 1,
+none at all.  Likewise |chi| >= x holds on a prefix m < a of the mantissas,
+or on m < a and m >= b for the V-shaped laws.  ``exceedances`` finds a and
+b once, by searching the transform itself at a threshold lowered by a
+relative 1e-9, then compares each word against the cut and transforms only
+the few candidates, which it checks against x exactly; so its count equals
+a dense scan even where a transform is monotone only to within rounding.
 
 Tail probabilities are exact closed forms, with a log-space variant for the
 deep-tail regime where the probability itself underflows.
@@ -54,6 +60,9 @@ LAW_PARAMS = {
 }
 LAW_TAGS = tuple(LAW_PARAMS)
 BOUNDED_TAGS = ("rademacher", "bernoulli", "bounded_uniform")
+# Laws whose |chi| falls with the mantissa m up to m = 2^52 - 1 and rises
+# from m = 2^52 on; for every other law it never rises.
+V_SHAPED_TAGS = ("gaussian", "bounded_uniform")
 
 # Stream tag shared by randomized synthesis and every diagnostic that wants
 # to inspect the same multiplier draws.
@@ -228,8 +237,11 @@ def abs_max(law: RandomLaw, seed: int, stream_tag: str, j: int,
     """max |chi_{j,k}| over k in [start, stop), 0.0 for an empty range.
 
     Equal to the max over ``draw_array``: only the words with the smallest
-    and the largest mantissa are transformed (see the module docstring).
+    and the largest mantissa are transformed (see the module docstring),
+    and none for rademacher.
     """
+    if law.tag == "rademacher":
+        return 1.0 if stop > start else 0.0
     lo = hi = None
     for _, words in _word_blocks(seed, stream_tag, j, start, stop):
         w_lo, w_hi = words.min(), words.max()
@@ -238,6 +250,63 @@ def abs_max(law: RandomLaw, seed: int, stream_tag: str, j: int,
     if lo is None:
         return 0.0
     return float(np.max(np.abs(_from_words(law, np.array([lo, hi], dtype=np.uint64)))))
+
+
+_HALF = 1 << 52                 # mantissas m < _HALF have u < 1/2
+_PROBES = 64                    # mantissas evaluated per round of a cut search
+
+
+def _cut(law: RandomLaw, x: float, lo: int, hi: int, rising: bool) -> int:
+    """First mantissa m in [lo, hi) with (|chi| >= x) == rising, or hi.
+
+    A multi-way search: it assumes |chi| is monotone on [lo, hi) and returns
+    an m whose predecessor fails the test and which passes it (or is hi).
+    """
+    while lo < hi:
+        ms = range(lo, hi, -(-(hi - lo) // _PROBES))
+        words = np.array(ms, dtype=np.uint64) << np.uint64(11)
+        passed = (np.abs(_from_words(law, words)) >= x) == rising
+        i = int(np.argmax(passed)) if passed.any() else len(ms)
+        # the probes before i fail the test and probe i passes it
+        if i:
+            lo = ms[i - 1] + 1
+        if i < len(ms):
+            hi = ms[i]
+    return hi
+
+
+def exceedances(law: RandomLaw, seed: int, stream_tag: str, j: int,
+                start: int, stop: int, threshold: float) -> tuple[int, int | None]:
+    """(count, first_k) of |chi_{j,k}| >= threshold over k in [start, stop).
+
+    Equal to a scan of ``draw_array`` over the range; ``first_k`` is None
+    when nothing exceeds.  Words are compared against a mantissa cut found
+    at ``threshold`` lowered by a relative 1e-9, and only the words inside
+    it are transformed and checked exactly (see the module docstring).
+    """
+    x = threshold * (1.0 - 1e-9)
+    top = 2 * _HALF
+    v_shaped = law.tag in V_SHAPED_TAGS
+    a = _cut(law, x, 0, _HALF if v_shaped else top, rising=False)
+    b = _cut(law, x, _HALF, top, rising=True) if v_shaped else top
+    # Candidate words, with m >= b or m < a, wrap around 2^64: less b 2^11
+    # (mod 2^64) they are exactly the words <= last.
+    off = np.uint64((b << 11) & _MASK)
+    last = ((a + top - b) << 11) - 1
+    count, first_k = 0, None
+    if last < 0:
+        return count, first_k
+    last = np.uint64(last)
+    for lo, words in _word_blocks(seed, stream_tag, j, start, stop):
+        if off:
+            words -= off
+        if words.min() <= last:
+            idx = np.flatnonzero(words <= last)
+            idx = idx[np.abs(_from_words(law, words[idx] + off)) >= threshold]
+            if first_k is None and idx.size:
+                first_k = lo + int(idx[0])
+            count += idx.size
+    return count, first_k
 
 
 def draw(law: RandomLaw, seed: int, index: tuple[str, int, int]) -> float:

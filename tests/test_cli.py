@@ -172,17 +172,26 @@ def test_missing_config_file_exits_2(tmp_path):
     ["modulus", "--set", "m_hi=17"],
     ["prevalence", "--set", "field_law=heavy_tail:inf"],
     ["criteria", "--set", "rate=power-log:inf"],
+    ["prop31", "--set", "exceedance_j_max=-1"],
+    ["prop31", "--set", "exceedance_j_max=26"],
 ], ids=["nan", "infinity", "seeds-0", "seeds-negative", "trials-0",
         "prop31-seeds-0", "seed-negative", "seed-2-64", "m_hi-above-resolution",
         "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap",
         "unknown-rate", "unknown-kind", "resolution-above-table",
         "table-below-search-granularity", "field_j_max-above-j_max",
         "criteria-horizon-negative", "prop46-horizon-negative", "j_hi-above-j_max",
-        "m_hi-not-below-resolution", "non-finite-field-law", "non-finite-rate"])
+        "m_hi-not-below-resolution", "non-finite-field-law", "non-finite-rate",
+        "exceedance_j_max-negative", "exceedance_j_max-above-cap"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []       # neither out nor a temporary
+
+
+def test_parse_error_names_its_config_key(tmp_path, capsys):
+    assert main(["run", "prop31", "--set", "field_law=bogus", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[invalid-parameter]: prop31 config key 'field_law': unknown law 'bogus'")
 
 
 @pytest.mark.parametrize("name", ["figure1", "modulus", "prop43"])

@@ -19,6 +19,7 @@ from rwslab.laws import (
     draw,
     draw_array,
     draw_blocks,
+    exceedances,
     exp_tail,
     gaussian,
     gaussian_max_check,
@@ -381,6 +382,36 @@ def test_abs_max_equals_dense_max(tag, seed):
         dense = float(np.max(np.abs(draw_array(law, seed, "coef", j, np.arange(start, stop)))))
         assert abs_max(law, seed, "coef", j, start, stop) == dense
     assert abs_max(law, seed, "coef", 5, 9, 9) == 0.0
+
+
+def test_rademacher_abs_max_generates_no_words(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("words generated for a constant |chi|")
+
+    monkeypatch.setattr("rwslab.laws._word_blocks", no_words)
+    assert abs_max(rademacher(), 0, "coef", 20, 0, 2**20) == 1.0
+    assert abs_max(rademacher(), 0, "coef", 5, 9, 9) == 0.0
+
+
+# A second law for the tags whose parameters move the tail: heavier and lighter.
+MORE_STREAM_LAWS = {"heavy_tail": heavy_tail(0.3), "exp_tail": exp_tail(2.0, 2.0)}
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+@pytest.mark.parametrize("seed", EXTREME_SEEDS)
+def test_exceedances_equal_dense_count(tag, seed):
+    laws = [STREAM_LAWS[tag]] + ([MORE_STREAM_LAWS[tag]] if tag in MORE_STREAM_LAWS else [])
+    for law in laws:
+        bounds = [law.bound or 1.0] if law.is_bounded else []
+        for j, start, stop in ((19, BLOCK - 5, 2 * BLOCK + 7), (0, 0, 1), (5, 0, 32),
+                               (17, 0, 2**17)):
+            chi = np.abs(draw_array(law, seed, "coef", j, np.arange(start, stop)))
+            for x in [0.0, 1.0, math.nextafter(1.0, 2.0), *bounds, *(2 * b for b in bounds),
+                      8.0, 27.0, 1e6, float(chi.max()), float(chi.min())]:
+                hits = np.flatnonzero(chi >= x)
+                dense = (hits.size, start + int(hits[0]) if hits.size else None)
+                assert exceedances(law, seed, "coef", j, start, stop, x) == dense, (j, x)
+        assert exceedances(law, seed, "coef", 5, 9, 9, 0.0) == (0, None)
 
 
 # ------------------------------------------------------------- max check
