@@ -3,11 +3,12 @@
 
 Each experiment runs as its own ``python -m rwslab.cli`` child process;
 its exit code, wall time and peak RSS (the child's own ``ru_maxrss``) are
-printed, so every default can be checked against a memory ceiling.  The
-script exits with the worst exit code.  Full-scale defaults take about
-21 s in total on a shared 2-vCPU VM, 3.5-4 s of it in hmin.  Pass
-experiment names to run a subset; --seed shifts the base seed of every
-run.
+printed, so every default can be checked against a memory ceiling, and a
+last line gives the total wall time, the largest peak RSS and the worst
+exit code.  The script exits with the worst exit code.  Full-scale
+defaults take about 19 s in total on a shared 2-vCPU VM, 3.5-4 s of it in
+hmin and 2.5-3 s in figure1.  Pass experiment names to run a subset;
+--seed shifts the base seed of every run.
 """
 
 import argparse
@@ -42,7 +43,7 @@ def main() -> int:
     src = str(Path(rwslab.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    worst = 0
+    worst, total, peak = 0, 0.0, 0.0
     for name in args.names or EXPERIMENT_NAMES:
         argv = [sys.executable, "-m", "rwslab.cli", "run", name,
                 "--out", str(args.out / name)]
@@ -51,6 +52,8 @@ def main() -> int:
         code, wall, rss = run_child(argv, env)
         print(f"  {name}: exit {code} in {wall:.1f}s, peak RSS {rss:.0f} MB", flush=True)
         worst = max(worst, code if code >= 0 else 128 - code)  # killed: 128 + signal
+        total, peak = total + wall, max(peak, rss)
+    print(f"total: {total:.1f}s, largest peak RSS {peak:.0f} MB, worst exit {worst}")
     return worst
 
 

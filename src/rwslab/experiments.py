@@ -89,13 +89,14 @@ class Experiment:
     parsed, and returns the written file names in creation order and a flat
     dict of summary flags for the manifest.  ``orderings`` are chains of
     config keys and integers joined by < or <=, such as
-    "0 < j_lo < j_hi"; ``run_experiment`` checks them, and parses the
-    strings, before it computes anything.
+    "0 < j_lo < j_hi"; ``checks`` raise on a parsed config they reject.
+    ``run_experiment`` runs both, after parsing, before any compute.
     """
 
     defaults: dict
     runner: Callable[[dict, Path, str], tuple[list[str], dict]]
     orderings: tuple[str, ...] = ()
+    checks: tuple[Callable[[dict], None], ...] = ()
 
 
 def _write_rows(path, names, rows, comment):
@@ -323,10 +324,16 @@ def _write_verdicts(env, kinds, gamma, out, comment):
     return flags
 
 
+def _check_criteria_gamma(config):
+    if "gamma" in config["kinds"] and not 0.0 < config["gamma"] <= 2.0:
+        raise InvalidParameterError(
+            f"{_label('criteria', 'gamma')} must lie in (0, 2] when kinds names "
+            f"gamma, got {config['gamma']}")
+
+
 def _run_criteria(config, out, comment):
     env = envelope_from_rate(config["rate"], config["horizon"])
-    gamma = config["gamma"] if config["gamma"] > 0 else None
-    return ["verdicts.csv"], _write_verdicts(env, config["kinds"], gamma, out, comment)
+    return ["verdicts.csv"], _write_verdicts(env, config["kinds"], config["gamma"], out, comment)
 
 
 def _run_modulus(config, out, comment):
@@ -444,7 +451,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         m_hi=10), _run_wiener, orderings=("1 <= m_lo <= m_hi <= resolution",)),
     "criteria": Experiment(dict(
         rate="loglog-prop46", kinds="linfty,c0,l1,sqrtj,loglog", gamma=0.0,
-        horizon=4096, seed=0), _run_criteria),
+        horizon=4096, seed=0), _run_criteria, checks=(_check_criteria_gamma,)),
 }
 
 EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
@@ -586,6 +593,8 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
             parsed[key] = _PARSERS[key](config[key])
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{_label(name, key)}: {exc}") from None
+    for check in exp.checks:
+        check(parsed)
     out = Path(out_dir)
     # the nearest existing ancestor keeps the final renames on one filesystem
     anchor = next(p for p in out.absolute().parents if p.is_dir())

@@ -21,10 +21,10 @@ attained at the word with the smallest or the largest mantissa: ``abs_max``
 transforms only those two words, and for rademacher, where |chi| = 1,
 none at all.  Likewise |chi| >= x holds on a prefix m < a of the mantissas,
 or on m < a and m >= b for the V-shaped laws.  ``exceedances`` finds a and
-b once, by searching the transform itself at a threshold lowered by a
-relative 1e-9, then compares each word against the cut and transforms only
-the few candidates, which it checks against x exactly; so its count equals
-a dense scan even where a transform is monotone only to within rounding.
+b once per (law, threshold), searching the transform itself at a threshold
+lowered by a relative 1e-9, then compares each word against the cut and
+transforms only the few candidates, which it checks against x exactly; so
+its count equals a dense scan even where |chi| is monotone only to rounding.
 
 Tail probabilities are exact closed forms, with a log-space variant for the
 deep-tail regime where the probability itself underflows.
@@ -32,6 +32,7 @@ deep-tail regime where the probability itself underflows.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -256,6 +257,7 @@ _HALF = 1 << 52                 # mantissas m < _HALF have u < 1/2
 _PROBES = 64                    # mantissas evaluated per round of a cut search
 
 
+@functools.lru_cache(maxsize=256)  # every seed and range shares a (law, x) cut
 def _cut(law: RandomLaw, x: float, lo: int, hi: int, rising: bool) -> int:
     """First mantissa m in [lo, hi) with (|chi| >= x) == rising, or hi.
 

@@ -9,27 +9,34 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+# Rows converted to Python objects and written per ``write`` call.
+_CHUNK_ROWS = 4096
+
 
 def write_csv(path, columns, digits: int = 15, comment: str | None = None) -> None:
-    """Write named columns of equal length; floats at ``digits`` significant digits."""
+    """Write named columns of equal length; floats at ``digits`` significant digits.
+
+    One ``%`` row template per file: ``%.{digits}g`` for float columns, ``%s``
+    for the rest; object columns are formatted cell by cell by the same rule.
+    """
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr) for _, arr in columns]
     n = arrays[0].shape[0]
     if any(a.shape[0] != n for a in arrays):
         raise InvalidParameterError("csv columns must have equal length")
+    float_cell = f"%.{digits}g"
+    plain = [a.dtype.kind in "fiubU" for a in arrays]
+    template = ",".join(float_cell if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            cells = []
-            for a in arrays:
-                v = a[i]
-                if isinstance(v, (np.floating, float)):
-                    cells.append(f"{float(v):.{digits}g}")
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            cells = [a[lo : lo + _CHUNK_ROWS].tolist() if p else
+                     [float_cell % v if isinstance(v, (np.floating, float)) else str(v)
+                      for v in a[lo : lo + _CHUNK_ROWS]]
+                     for p, a in zip(plain, arrays)]
+            fh.write("".join([template % row for row in zip(*cells)]))
 
 
 def canonical_json(obj) -> str:

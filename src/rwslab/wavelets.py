@@ -11,7 +11,9 @@ directly with function values; the matching analysis integral carries the
 Mother scaling functions and wavelets are tabulated on the dyadic grid
 2^{-r_psi} by exact two-scale refinement: values at the integers come from
 the unit eigenvector of the downsampled filter matrix, and each refinement
-level fills in the odd dyadics from the previous one.  For a valid
+level fills in the odd dyadics from the previous level's odd dyadics alone
+(past the first level every shift k 2^r is even), in cache-sized blocks
+that keep the rounding of one whole-array pass per tap.  For a valid
 orthonormal filter the refinement reproduces the coarse values identically,
 which is monitored (not assumed): corrupted taps make the reproduction
 error grow with depth and raise a numerical failure instead of returning a
@@ -42,6 +44,8 @@ _WIDEST_LEVEL = -4
 
 # Refinement reproduction error below this floor counts as converged.
 _CONVERGENCE_FLOOR = 1e-12
+
+_BLOCK = 2**15  # output block of the two-scale sum: 256 KiB stay in L2
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         probe = np.zeros(length + 1)
         probe[0] = 1.0
         for r in range(r_psi):
-            nxt = _refine(probe, taps, length, r)
+            nxt = _refine(probe, taps, r)
             diffs.append(float(np.max(np.abs(nxt[::2] - probe))))
             probe = nxt
         if diffs[-1] > _CONVERGENCE_FLOOR and diffs[-1] >= diffs[-2] >= diffs[-3]:
@@ -171,14 +175,16 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
             )
         phi = _integer_values(taps, length)
         for r in range(r_psi):
-            nxt = _refine(phi, taps, length, r)
+            nxt = np.empty(2 * phi.size - 1)
+            # past r = 0 every shift k 2^r is even: odd points need odd points only
+            nxt[1::2] = _refine(phi[1::2], taps, r - 1) if r else _refine(phi, taps, 0)[1::2]
             nxt[::2] = phi  # keep the exact coarse values
             phi = nxt
         # The table's peak comes with psi; freeing the probe earlier, before
         # the phi loop, made that loop fault in fresh pages.
         del probe
         # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
-        psi = _refine(phi[::2], np.asarray(filt.highpass_taps()), length, r_psi - 1)
+        psi = _refine(phi[::2], np.asarray(filt.highpass_taps()), r_psi - 1)
 
     (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, length, r_psi)
     if pos is None or neg is None:
@@ -364,12 +370,19 @@ def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:
     return vals
 
 
-def _refine(values: np.ndarray, taps: np.ndarray, length: int, r: int) -> np.ndarray:
-    """Apply the two-scale sum once: level-r grid values to level r+1."""
-    out = np.zeros(length * 2 ** (r + 1) + 1)
-    for k, h in enumerate(taps):
-        lo = k * 2**r
-        out[lo : lo + values.size] += (SQRT2 * h) * values
+def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
+    """out[i] = sum_k sqrt(2) h_k values[i - k 2^r]: level-r grid values to level r+1.
+
+    One ``_BLOCK`` of out at a time, taps in ascending k: the rounding of a pass per tap.
+    """
+    out = np.zeros(values.size + (taps.size - 1) * 2**r)
+    tmp = np.empty(min(_BLOCK, out.size))
+    for start in range(0, out.size, _BLOCK):
+        for k, c in enumerate(SQRT2 * taps):
+            off = k * 2**r
+            lo, hi = max(start, off), min(start + _BLOCK, off + values.size)
+            if lo < hi:
+                out[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
     return out
 
 

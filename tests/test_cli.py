@@ -298,6 +298,35 @@ def test_criteria_gamma_row(tmp_path):
     assert lines[2].split(",")[2] == "2"
 
 
+@pytest.mark.parametrize("args", [
+    ["--set", "kinds=gamma"],
+    ["--set", "kinds=linfty,gamma", "--set", "gamma=3.0"],
+    ["--set", "kinds=gamma", "--set", "gamma=-1.0"],
+], ids=["default-gamma", "gamma-above-2", "gamma-negative"])
+def test_criteria_gamma_checked_before_any_output(tmp_path, monkeypatch, capsys, args):
+    def no_envelope(*a, **k):
+        raise AssertionError("envelope built for an invalid gamma")
+
+    monkeypatch.setattr("rwslab.experiments.envelope_from_rate", no_envelope)
+    out = tmp_path / "out"
+    assert main(["run", "criteria", *args, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []       # neither out nor a temporary
+    assert "criteria config key 'gamma'" in capsys.readouterr().err
+
+
+def test_criteria_gamma_check_leaves_other_exits(tmp_path, capsys):
+    # gamma is read only when kinds names it; earlier rejects keep their
+    # exit code and their own message
+    assert main(["run", "criteria", "--set", "kinds=linfty", "--set", "gamma=3.0",
+                 "--out", str(tmp_path / "ok")]) == 0
+    for args in (["--set", "kinds=bogus"], ["--set", "rate=fancy", "--set", "kinds=gamma"],
+                 ["--set", "gamma=NaN", "--set", "kinds=gamma"]):
+        capsys.readouterr()
+        assert main(["run", "criteria", *args, "--out", str(tmp_path / "bad")]) == 2
+        assert "(0, 2]" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok"]
+
+
 def test_criteria_unknown_rate_exits_2(tmp_path):
     assert main(["run", "criteria", "--out", str(tmp_path),
                  "--set", "rate=fancy"]) == 2

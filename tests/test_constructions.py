@@ -39,6 +39,7 @@ from rwslab.fields import (
     uniform_decay_field,
     zero_field,
 )
+from rwslab import laws
 from rwslab.laws import BLOCK, COEFFICIENT_STREAM, draw_array, exp_tail, gaussian, heavy_tail, rademacher
 
 
@@ -321,6 +322,19 @@ def test_coefficient_exceedances_match_dense_scan(law, stop_after):
         deep_first_k |= any(e["first_k"] >= BLOCK for e in expected)
     if law.tag == "exp_tail" and stop_after is None:
         assert deep_first_k  # a first hit past the first draw block
+
+
+def test_exceedance_cuts_searched_once_per_law_and_threshold():
+    law = heavy_tail(1.0)
+    laws._cut.cache_clear()
+    first = coefficient_exceedances(law, 16, 0, stop_after=None)
+    searched = laws._cut.cache_info().misses
+    assert searched == len(divergence_scales(law, 16, "plain"))
+    for seed in (1, 2):
+        assert coefficient_exceedances(law, 16, seed, stop_after=None) == \
+            dense_exceedances_oracle(law, 16, seed, stop_after=None)
+    assert laws._cut.cache_info().misses == searched
+    assert coefficient_exceedances(law, 16, 0, stop_after=None) == first
 
 
 def test_coefficient_exceedances_errors():

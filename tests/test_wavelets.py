@@ -13,7 +13,14 @@ from rwslab import (
     cascade_evaluate,
     eval_periodized,
 )
-from rwslab.wavelets import DyadicInterval, _signed_intervals, periodized_grid
+from rwslab.wavelets import (
+    _BLOCK,
+    DyadicInterval,
+    _integer_values,
+    _refine,
+    _signed_intervals,
+    periodized_grid,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,6 +59,38 @@ def brute_periodized(table, j, k, x):
         if 0 <= idx < table.psi.size:
             total += table.psi[idx]
     return total
+
+
+def per_tap_refine(values, taps, r):
+    """The two-scale sum as one whole-array pass per tap (the former kernel)."""
+    out = np.zeros(values.size + (taps.size - 1) * 2**r)
+    for k, h in enumerate(taps):
+        lo = k * 2**r
+        out[lo : lo + values.size] += (SQRT2 * h) * values
+    return out
+
+
+def per_tap_cascade(filt, r_psi):
+    """(phi, psi, refinement diffs) from full per-tap refinements at every level."""
+    taps, length = np.asarray(filt.taps), filt.support_length
+    diffs = []
+    probe = np.zeros(length + 1)
+    probe[0] = 1.0
+    for r in range(r_psi):
+        nxt = per_tap_refine(probe, taps, r)
+        diffs.append(float(np.max(np.abs(nxt[::2] - probe))))
+        probe = nxt
+    phi = _integer_values(taps, length)
+    for r in range(r_psi):
+        nxt = per_tap_refine(phi, taps, r)
+        nxt[::2] = phi
+        phi = nxt
+    psi = per_tap_refine(phi[::2], np.asarray(filt.highpass_taps()), r_psi - 1)
+    return phi, psi, diffs
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def riemann(values, step):
@@ -182,6 +221,34 @@ def test_interval_search_deterministic():
     assert a.positivity_interval == b.positivity_interval
     assert a.positivity_floor == b.positivity_floor
     assert np.array_equal(a.psi, b.psi)
+
+
+@pytest.mark.parametrize("n, r_psi", [(2, 8), (2, 16), (4, 14), (10, 15), (20, 14)])
+def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
+    # Blocked, odd-points-only refinement against full per-tap passes, bit
+    # for bit.  db4 r14 ends in a partial block: 7 2^14 + 1 = 3.5 blocks.
+    filt = build_filter("daubechies", n)
+    table = cascade_evaluate(filt, r_psi)
+    phi, psi, diffs = per_tap_cascade(filt, r_psi)
+    assert same_bits(table.phi, phi)
+    assert same_bits(table.psi, psi)
+    assert table.refinement_diffs == tuple(diffs)
+    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, filt.support_length, r_psi)
+    assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
+    assert (table.negativity_interval, table.negativity_ceiling) == (neg, -neg_floor)
+    assert table.sup_norm == float(np.max(np.abs(psi)))
+
+
+@pytest.mark.parametrize("size, r", [(1, 0), (_BLOCK - 3, 0), (_BLOCK + 1, 5),
+                                     (3 * _BLOCK + 7, 12), (5, 16)])
+def test_refine_kernel_matches_per_tap_oracle(size, r):
+    # Random signed values, with zeros and -0.0 among them, across block
+    # boundaries and shifts wider than a block.
+    taps = np.asarray(build_filter("daubechies", 6).taps)
+    values = np.random.default_rng(size + r).standard_normal(size)
+    values[::7] = 0.0
+    values[3::11] = -0.0
+    assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
 
 
 def test_cascade_rejects_shallow_depth():
