@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .fields import CoefficientField, ScaleEnvelope, holder_fit, scale_envelope
+from .fields import CoefficientField, ScaleEnvelope, holder_fit
 from .laws import RandomLaw, law_string
 from .synthesis import SamplePath, randomized_field
 from .util import write_csv
@@ -49,12 +49,6 @@ def analysis_field(path_: SamplePath, table: MotherWaveletTable,
             f"path resolution {path_.resolution} exceeds the table depth {table.r_psi}")
     levels = pyramid_analysis(path_.values, table, j_hi)
     return CoefficientField(j_hi, float(np.mean(path_.values)), levels)
-
-
-def empirical_scale_envelope(path_: SamplePath, table: MotherWaveletTable,
-                             j_hi: int) -> ScaleEnvelope:
-    """Per-scale sup of the measured coefficients."""
-    return scale_envelope(analysis_field(path_, table, j_hi))
 
 
 # ------------------------------------------------------------- sup profile
@@ -201,28 +195,6 @@ def modulus_ratio(path_: SamplePath, theta: PowerLogModulus,
                       theta_values=thetas, ratios=sups / thetas)
 
 
-def regular_modulus_check(theta: PowerLogModulus, smoothness: int,
-                          probe_scale: int) -> bool:
-    """Decide the two-sided dyadic-sum regularity of a power-log modulus.
-
-    For theta(h) = h^alpha |log h|^k both defining comparisons at integer
-    exponent n reduce to strict inequalities on alpha alone: the tail sum
-    stays comparable to its first term iff alpha > n, the head sum iff
-    alpha < n + 1, and at the integer endpoints the log factor cannot
-    rescue a divergent geometric comparison.  Searching n up to the given
-    smoothness, the check holds exactly for non-integer alpha below
-    smoothness + 1.  Within this family the comparisons hold uniformly in
-    the probe scale, so that argument is only validated.
-    """
-    if not isinstance(theta, PowerLogModulus):
-        raise InvalidParameterError("regularity check supports only PowerLogModulus")
-    if smoothness < 0:
-        raise InvalidParameterError("smoothness order must be nonnegative")
-    if probe_scale < 1:
-        raise InvalidParameterError("probe scale must be at least 1")
-    return any(n < theta.alpha < n + 1 for n in range(smoothness + 1))
-
-
 # ------------------------------------------------------------------ export
 
 def export_profile_csv(profile: SupGrowthProfile, destination,
@@ -234,15 +206,4 @@ def export_profile_csv(profile: SupGrowthProfile, destination,
         ("global_sup", np.repeat(profile.global_sups, cells)),
         ("interval_id", np.tile(np.arange(cells), len(profile.truncations))),
         ("local_sup", profile.local_sups.ravel()),
-    ], digits=12, comment=comment)
-
-
-def export_modulus_csv(fit: ModulusFit, destination,
-                       comment: str | None = None) -> None:
-    write_csv(destination, [
-        ("m", np.asarray(fit.lags_m)),
-        ("h", fit.lags),
-        ("sup_increment", fit.sup_increments),
-        ("theta", fit.theta_values),
-        ("ratio", fit.ratios),
     ], digits=12, comment=comment)

@@ -314,11 +314,12 @@ def _parse_kinds(text: str) -> list[str]:
 
 def _write_verdicts(env, kinds, gamma, out, comment):
     """verdicts.csv with one row per criterion kind; returns kind -> verdict.
-    ``gamma`` applies to the "gamma" kind only."""
+    ``gamma`` applies to the "gamma" kind only, and its cell is written by
+    ``write_csv``'s float rule whatever the other rows hold."""
     rows, flags = [], {}
     for kind in kinds:
         decision = check_criterion(env, kind, gamma if kind == "gamma" else None)
-        rows.append((kind, decision.verdict, gamma if kind == "gamma" else ""))
+        rows.append((kind, decision.verdict, "%.15g" % gamma if kind == "gamma" else ""))
         flags[kind] = decision.verdict
     _write_rows(out / "verdicts.csv", ("kind", "verdict", "gamma"), rows, comment)
     return flags

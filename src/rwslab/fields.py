@@ -18,14 +18,12 @@ one term per wrap point instead of a pass over the table per coefficient.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .util import write_csv
 from .wavelets import MotherWaveletTable
 
 CRITERION_KINDS = ("linfty", "c0", "l1", "sqrtj", "gamma", "loglog")
@@ -387,7 +385,7 @@ def step_function_coefficients(
     return out
 
 
-# ------------------------------------------------------------ serialization
+# ------------------------------------------------------------------- digest
 
 def field_digest(field_: CoefficientField) -> str:
     """12-hex-digit content id, sensitive to every coefficient.
@@ -400,35 +398,3 @@ def field_digest(field_: CoefficientField) -> str:
     for lv in field_.levels:
         digest.update(lv.tobytes())
     return digest.hexdigest()[:12]
-
-
-def field_to_json_obj(field_: CoefficientField) -> dict:
-    return {
-        "J_max": field_.j_max,
-        "coarse": field_.coarse,
-        "levels": [lv.tolist() for lv in field_.levels],
-    }
-
-
-def field_from_json_obj(obj: dict) -> CoefficientField:
-    try:
-        return CoefficientField(int(obj["J_max"]), float(obj["coarse"]),
-                                [np.asarray(lv, dtype=float) for lv in obj["levels"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed field document: {exc}")
-
-
-def save_field_json(field_: CoefficientField, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_json_obj(field_), fh)
-        fh.write("\n")
-
-
-def load_field_json(path) -> CoefficientField:
-    with open(path, encoding="utf-8") as fh:
-        return field_from_json_obj(json.load(fh))
-
-
-def export_envelope_csv(env: ScaleEnvelope, path, comment: str | None = None) -> None:
-    write_csv(path, [("j", np.arange(env.values.size)), ("omega_j", env.values)],
-              digits=15, comment=comment)

@@ -1,4 +1,4 @@
-"""Deterministic index-addressed I.I.D. draws and closed-form tail machinery.
+"""Deterministic index-addressed I.I.D. draws and closed-form log tails.
 
 Draws are counter-based: a value is a pure function of (law, seed, stream
 tag, j, k), so any slice of any stream can be generated independently, in
@@ -8,13 +8,13 @@ bits plus a half-ulp offset so they land strictly inside (0, 1), and the
 low bit of the same word supplies an independent sign where a law needs
 one.
 
-Reductions stream: ``draw_blocks`` yields any k-range of a stream in fixed
-blocks of ``BLOCK`` draws, which are the very draws ``draw_array`` returns
-at those k, so a max or a count never materializes a whole level.  The
-blocks' words share one reused buffer; ``draw_blocks`` yields fresh draws.
-The reductions go further and decide in word space.  For every law in
-``LAW_TAGS``, |chi| is a monotone function of the uniform u (non-increasing
-for bernoulli, exp_tail and heavy_tail, constant for rademacher) or
+Reductions stream: ``_word_blocks`` yields any k-range of a stream in
+fixed blocks of ``BLOCK`` words, which are the very words behind the
+draws ``draw_array`` returns at those k, so a max or a count never
+materializes a whole level.  The blocks share one reused buffer.  The
+reductions decide in word space.  For every law in ``LAW_TAGS``, |chi|
+is a monotone function of the uniform u (non-increasing for bernoulli,
+exp_tail and heavy_tail, constant for rademacher) or
 V-shaped about u = 1/2 (``V_SHAPED_TAGS``), and u increases with the
 word's top 53 bits, the mantissa m.  So the largest |chi| over a range is
 attained at the word with the smallest or the largest mantissa: ``abs_max``
@@ -26,8 +26,10 @@ lowered by a relative 1e-9, then compares each word against the cut and
 transforms only the few candidates, which it checks against x exactly; so
 its count equals a dense scan even where |chi| is monotone only to rounding.
 
-Tail probabilities are exact closed forms, with a log-space variant for the
-deep-tail regime where the probability itself underflows.
+Divergence sequences read the tails of the unbounded laws in log space,
+ln P(|chi| >= x) in closed form, so they stay finite where P underflows.
+scipy supplies the Gaussian quantile and log tail and is imported on the
+Gaussian paths only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtri
 
 from .errors import InvalidParameterError, NoDivergenceSequenceError
 
@@ -187,6 +188,8 @@ def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     if t == "rademacher":
         return sign
     if t == "gaussian":
+        from scipy.special import ndtri  # scipy loads on the first Gaussian draw only
+
         return ndtri(u)
     if t == "bernoulli":
         return (u < law.p).astype(np.float64)
@@ -221,16 +224,6 @@ def _word_blocks(seed: int, stream_tag: str, j: int, start: int, stop: int):
         z = buf[: min(BLOCK, stop - lo)]
         np.add(_STEPS[: z.size], np.uint64((lo * _GAMMA + key) & _MASK), out=z)
         yield lo, _mix_words(z)
-
-
-def draw_blocks(law: RandomLaw, seed: int, stream_tag: str, j: int,
-                start: int, stop: int):
-    """Yield (offset, draws) over k in [start, stop) in blocks of BLOCK.
-
-    ``draws`` equals ``draw_array`` at k = offset, offset + 1, ...
-    """
-    for lo, words in _word_blocks(seed, stream_tag, j, start, stop):
-        yield lo, _from_words(law, words)
 
 
 def abs_max(law: RandomLaw, seed: int, stream_tag: str, j: int,
@@ -319,32 +312,14 @@ def draw(law: RandomLaw, seed: int, index: tuple[str, int, int]) -> float:
 
 # ------------------------------------------------------------------ tails
 
-def tail_probability(law: RandomLaw, x: float) -> float:
-    """Exact P(|chi| >= x) for x >= 0."""
-    if x < 0:
-        raise InvalidParameterError(f"tail threshold must be nonnegative, got {x}")
-    t = law.tag
-    if t == "rademacher":
-        return 1.0 if x <= 1.0 else 0.0
-    if t == "gaussian":
-        return float(erfc(x / math.sqrt(2.0)))
-    if t == "bernoulli":
-        if x == 0.0:
-            return 1.0
-        return law.p if x <= 1.0 else 0.0
-    if t == "exp_tail":
-        return math.exp(-law.b * x**law.gamma)
-    if t == "heavy_tail":
-        return 1.0 if x <= 1.0 else x**-law.exponent
-    return max(0.0, 1.0 - x / law.bound)
-
-
 def log_tail_probability(law: RandomLaw, x: float) -> float:
     """ln P(|chi| >= x) for unbounded laws; stays finite when P underflows."""
     if x < 0:
         raise InvalidParameterError(f"tail threshold must be nonnegative, got {x}")
     t = law.tag
     if t == "gaussian":
+        from scipy.special import log_ndtr
+
         # P = 2 Phi(-x)
         return _LN2 + float(log_ndtr(-x))
     if t == "exp_tail":
@@ -352,22 +327,6 @@ def log_tail_probability(law: RandomLaw, x: float) -> float:
     if t == "heavy_tail":
         return 0.0 if x <= 1.0 else -law.exponent * math.log(x)
     raise InvalidParameterError(f"log tail undefined for bounded law {law.tag!r}")
-
-
-def half_tail_threshold(law: RandomLaw) -> float | None:
-    """The point a with P(|chi| >= a) = 1/2, or None when no such point exists."""
-    t = law.tag
-    if t == "gaussian":
-        return float(ndtri(0.75))
-    if t == "exp_tail":
-        return (_LN2 / law.b) ** (1.0 / law.gamma)
-    if t == "heavy_tail":
-        return 2.0 ** (1.0 / law.exponent)
-    if t == "bounded_uniform":
-        return law.bound / 2.0
-    if t == "bernoulli" and law.p == 0.5:
-        return 1.0
-    return None
 
 
 # ---------------------------------------------------- divergence sequences

@@ -203,46 +203,6 @@ def wiener_brownian(m_terms: int, resolution: int, seed: int) -> SamplePath:
     return SamplePath(resolution, values, provenance)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockEnergySummary:
-    """Dyadic-block l2 norms with the smoothing-condition bookkeeping."""
-
-    values: np.ndarray
-    decreasing: bool
-    l1_partial_sum: float
-
-
-def dyadic_block_energies(coeffs) -> BlockEnergySummary:
-    """Block norms s_j over the modes 2^j <= |n| < 2^{j+1}.
-
-    ``coeffs`` is a centered Fourier coefficient array of odd length 2N+1
-    (mode n at index N+n, complex entries welcome).  Blocks the array only
-    partially covers are summed over what is present, so the l1 figure is a
-    partial sum by construction.
-    """
-    a = np.asarray(coeffs)
-    if a.ndim != 1 or a.size % 2 == 0:
-        raise InvalidParameterError(
-            f"need an odd-length centered coefficient array, got shape {a.shape}"
-        )
-    n_top = a.size // 2
-    energy = np.abs(a).astype(float) ** 2
-    folded = energy[n_top + 1 :] + energy[n_top - 1 :: -1]
-    out = []
-    j = 0
-    while 2**j <= n_top:
-        block = folded[2**j - 1 : min(2 ** (j + 1) - 1, n_top)]
-        out.append(math.sqrt(float(np.sum(block))))
-        j += 1
-    values = np.asarray(out)
-    decreasing = bool(np.all(np.diff(values) <= 0.0)) if values.size else True
-    return BlockEnergySummary(
-        values=values,
-        decreasing=decreasing,
-        l1_partial_sum=float(np.sum(values)),
-    )
-
-
 # ------------------------------------------------------------------ export
 
 def export_path_csv(path_: SamplePath, destination, comment: str | None = None) -> None:

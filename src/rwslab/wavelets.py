@@ -20,9 +20,9 @@ error grow with depth and raise a numerical failure instead of returning a
 quietly wrong table.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
-Mallat pyramid) over the tabulated phi; ``periodized_grid`` and
-``eval_periodized`` evaluate single wavelets directly and serve as
-independent references.
+Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
+periodized wavelet straight from the psi table, an independent check on
+the filter bank.
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ class MotherWaveletTable:
     def grid_x(self) -> np.ndarray:
         return np.arange(self.psi.size) * self.grid_step
 
-    def psi_at(self, t) -> np.ndarray:
-        """Nearest-grid-point value of the mother wavelet at t (vectorized)."""
-        return _lookup(self.psi, t, self.r_psi)
-
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
     """Return the orthonormal filter for the requested family.
@@ -203,33 +199,6 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         negativity_ceiling=-neg_floor,
         refinement_diffs=tuple(diffs),
     )
-
-
-def eval_periodized(table: MotherWaveletTable, j: int, k: int, x) -> np.ndarray | float:
-    """Evaluate the periodized wavelet psi_{j,k} at torus points x.
-
-    The wrap sum has at most ceil(support / 2^j) + 1 live translates; each is
-    a nearest-grid-point table lookup (exact whenever the evaluation points
-    lie on a dyadic grid no finer than 2^-(r_psi + j)).
-    """
-    if j < 0:
-        raise InvalidParameterError(f"scale must be nonnegative, got {j}")
-    if not 0 <= k < 2**j:
-        raise InvalidParameterError(f"position {k} outside [0, 2^{j})")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr >= 1.0):
-        raise InvalidParameterError("evaluation points must lie in [0, 1)")
-    t = 2.0**j * x_arr - k
-    length = table.support_length
-    total = np.zeros_like(t)
-    # Translates t + w 2^j that can land in [0, support]:
-    w_lo = math.ceil(-float(np.max(t)) / 2**j) if t.size else 0
-    w_hi = math.floor((length - float(np.min(t))) / 2**j) if t.size else -1
-    for w in range(w_lo, w_hi + 1):
-        total += table.psi_at(t + w * 2.0**j)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(total)
-    return total
 
 
 def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.ndarray:
@@ -331,15 +300,6 @@ def _haar_tables(r_psi: int):
     psi[size // 2 :] = -1.0
     psi[-1] = 0.0
     return phi, psi, [0.0] * r_psi
-
-
-def _lookup(values: np.ndarray, t, r_psi: int) -> np.ndarray:
-    t_arr = np.asarray(t, dtype=float)
-    idx = np.rint(t_arr * 2.0**r_psi).astype(np.int64)
-    valid = (idx >= 0) & (idx < values.size)
-    out = np.zeros_like(t_arr)
-    out[valid] = values[idx[valid]]
-    return out
 
 
 def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:

@@ -291,11 +291,16 @@ def test_criteria_defaults_manifest_and_verdicts(tmp_path):
 
 
 def test_criteria_gamma_row(tmp_path):
-    assert main(["run", "criteria", "--out", str(tmp_path),
+    assert main(["run", "criteria", "--out", str(tmp_path / "alone"),
                  "--set", "kinds=gamma", "--set", "gamma=2.0"]) == 0
-    lines = (tmp_path / "verdicts.csv").read_text().splitlines()
+    lines = (tmp_path / "alone" / "verdicts.csv").read_text().splitlines()
     assert lines[2].startswith("gamma,")
     assert lines[2].split(",")[2] == "2"
+    # beside kinds with an empty gamma cell, gamma is written the same way
+    assert main(["run", "criteria", "--out", str(tmp_path / "mixed"),
+                 "--set", "kinds=linfty,gamma", "--set", "gamma=2.0"]) == 0
+    lines = (tmp_path / "mixed" / "verdicts.csv").read_text().splitlines()
+    assert lines[2:] == ["linfty,holds,", "gamma,fails,2"]
 
 
 @pytest.mark.parametrize("args", [

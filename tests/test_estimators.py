@@ -30,12 +30,9 @@ from rwslab.estimators import (
     PowerLogModulus,
     SupGrowthProfile,
     analysis_field,
-    empirical_scale_envelope,
-    export_modulus_csv,
     export_profile_csv,
     hmin_estimate,
     modulus_ratio,
-    regular_modulus_check,
     sup_growth,
 )
 from rwslab.fields import (
@@ -50,7 +47,9 @@ from rwslab.fields import (
 )
 from rwslab.laws import gaussian, heavy_tail, rademacher
 from rwslab.synthesis import SamplePath, randomized_envelope, randomized_field, synthesize
-from rwslab.wavelets import build_filter, cascade_evaluate, eval_periodized
+from rwslab.wavelets import build_filter, cascade_evaluate
+
+from wavelet_oracles import eval_periodized
 
 
 def brute_coefficient(path_, table, j, k):
@@ -87,7 +86,7 @@ def test_round_trip_haar_exact(haar_table):
 def test_round_trip_db10_envelope(db10_table):
     f = uniform_decay_field(0.5, 8)
     path = synthesize(f, db10_table, 8, 12)
-    env = empirical_scale_envelope(path, db10_table, 8)
+    env = scale_envelope(analysis_field(path, db10_table, 8))
     for j in range(7):  # j <= J - 2
         assert env.values[j] == pytest.approx(2.0 ** (-0.5 * j), rel=0.02)
 
@@ -124,7 +123,7 @@ def test_constant_path_envelope(db10_table):
         10, np.full(1024, 3.7),
         {"field": "const", "law": "deterministic", "seed": None, "truncation": 0},
     )
-    env = empirical_scale_envelope(path, db10_table, 6)
+    env = scale_envelope(analysis_field(path, db10_table, 6))
     assert float(np.max(env.values)) <= 1e-8
 
 
@@ -132,7 +131,7 @@ def test_single_coefficient_orthogonality(db10_table):
     f = zero_field(6)
     f.levels[3][2] = 5.0
     path = synthesize(f, db10_table, 6, 12)
-    env = empirical_scale_envelope(path, db10_table, 6)
+    env = scale_envelope(analysis_field(path, db10_table, 6))
     assert env.values[3] == pytest.approx(5.0, abs=1e-4)
     others = [env.values[j] for j in range(7) if j != 3]
     assert max(others) <= 1e-4
@@ -141,7 +140,7 @@ def test_single_coefficient_orthogonality(db10_table):
 def test_analysis_resolution_check(db10_table):
     path = synthesize(zero_field(4), db10_table, 4, 10)
     with pytest.raises(InvalidParameterError):
-        empirical_scale_envelope(path, db10_table, 7)  # fewer than 4 spare levels
+        analysis_field(path, db10_table, 7)  # fewer than 4 spare levels
     fine = synthesize(zero_field(4), db10_table, 4, 12)
     coarse_table = cascade_evaluate(build_filter("daubechies", 10), 8)
     with pytest.raises(InvalidParameterError):
@@ -347,31 +346,6 @@ def test_constant_path_zero_ratios():
     assert np.all(np.isfinite(fit.ratios))
 
 
-# --------------------------------------------------------- regular modulus
-
-def test_regular_modulus_powers():
-    assert regular_modulus_check(PowerLogModulus(alpha=0.5), 1, 8) is True
-    assert regular_modulus_check(PowerLogModulus(alpha=0.5, gamma=2.0), 1, 8) is True
-    assert regular_modulus_check(PowerLogModulus(alpha=0.0), 3, 8) is False
-    assert regular_modulus_check(PowerLogModulus(alpha=1.0), 1, 8) is False
-    assert regular_modulus_check(PowerLogModulus(alpha=2.5), 1, 8) is False
-    assert regular_modulus_check(PowerLogModulus(alpha=2.5), 2, 8) is True
-
-
-def test_regular_modulus_probe_scale_inert():
-    theta = PowerLogModulus(alpha=0.5, gamma=2.0)
-    assert all(regular_modulus_check(theta, 1, j) for j in (1, 7, 30))
-
-
-def test_regular_modulus_validation():
-    with pytest.raises(InvalidParameterError):
-        regular_modulus_check("h^2", 1, 8)
-    with pytest.raises(InvalidParameterError):
-        regular_modulus_check(PowerLogModulus(alpha=0.5), -1, 8)
-    with pytest.raises(InvalidParameterError):
-        regular_modulus_check(PowerLogModulus(alpha=0.5), 1, 0)
-
-
 # ------------------------------------------------------------------ export
 
 def test_export_profile_csv(tmp_path, haar_table):
@@ -383,13 +357,3 @@ def test_export_profile_csv(tmp_path, haar_table):
     assert lines[0] == "J,global_sup,interval_id,local_sup"
     assert len(lines) == 1 + 2 * 2
     assert lines[1].startswith("3,")
-
-
-def test_export_modulus_csv(tmp_path):
-    fit = modulus_ratio(tent_path(9), PowerLogModulus(alpha=1.0), 3, 5)
-    dest = tmp_path / "fit.csv"
-    export_modulus_csv(fit, dest, comment="tent")
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "# tent"
-    assert lines[1] == "m,h,sup_increment,theta,ratio"
-    assert len(lines) == 2 + 3

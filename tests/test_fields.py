@@ -1,4 +1,3 @@
-import json
 import math
 import types
 
@@ -7,25 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwslab import InsufficientDataError, InvalidParameterError, build_filter, cascade_evaluate, eval_periodized
+from rwslab import InsufficientDataError, InvalidParameterError, build_filter, cascade_evaluate
 from rwslab.fields import (
     CoefficientField,
     PowerLogRate,
     ScaleEnvelope,
     check_criterion,
     envelope_from_rate,
-    export_envelope_csv,
-    field_from_json_obj,
-    field_to_json_obj,
     holder_fit,
-    load_field_json,
-    save_field_json,
     scale_envelope,
     step_function_coefficients,
     uniform_decay_envelope,
     uniform_decay_field,
     zero_field,
 )
+
+from wavelet_oracles import eval_periodized
 
 
 # ---------------------------------------------------------------- oracles
@@ -392,34 +388,3 @@ def test_step_function_validation(db10_table):
         step_function_coefficients(db10_table, "heaviside", 7)
     with pytest.raises(InvalidParameterError):
         step_function_coefficients(db10_table, "square", 5)
-
-
-# ------------------------------------------------------------ round trips
-
-def test_field_json_round_trip(tmp_path):
-    f = uniform_decay_field(0.4, 6)
-    f.levels[3][2] = -0.123456789012345
-    f = CoefficientField(6, 1.5, f.levels)
-    obj = field_to_json_obj(f)
-    assert obj["J_max"] == 6 and obj["coarse"] == 1.5
-    g = field_from_json_obj(json.loads(json.dumps(obj)))
-    assert g.coarse == f.coarse
-    assert all(np.array_equal(a, b) for a, b in zip(f.levels, g.levels))
-
-    path = tmp_path / "field.json"
-    save_field_json(f, path)
-    h = load_field_json(path)
-    assert all(np.array_equal(a, b) for a, b in zip(f.levels, h.levels))
-
-    with pytest.raises(InvalidParameterError):
-        field_from_json_obj({"J_max": 2, "levels": [[0.0]]})
-
-
-def test_envelope_csv(tmp_path):
-    env = envelope_from_rate(PowerLogRate(s=1.0), 4)
-    path = tmp_path / "env.csv"
-    export_envelope_csv(env, path, comment="manifest_digest=abc")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# manifest_digest=abc"
-    assert lines[1] == "j,omega_j"
-    assert lines[3].split(",") == ["1", "0.5"]

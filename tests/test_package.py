@@ -1,0 +1,57 @@
+"""Package surface: exports, import cost, and the names the bench traces."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rwslab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_all_exports_unique_and_resolve():
+    names = rwslab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(rwslab, n)] == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # A fresh interpreter: this one has scipy loaded already.  scipy comes
+    # in with the first Gaussian draw, and no other law pulls it in.
+    code = """if True:
+        import sys
+        import rwslab, rwslab.cli
+        print("scipy" in sys.modules)
+        rwslab.draw(rwslab.heavy_tail(2.0), 0, ("coef", 3, 1))
+        print("scipy" in sys.modules)
+        rwslab.draw(rwslab.gaussian(), 0, ("coef", 3, 1))
+        print("scipy" in sys.modules)
+    """
+    src = str(Path(rwslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+def test_perfbench_span_targets_exist():
+    # perfbench/spans.py rebinds these names for traced runs; a rename or
+    # deletion in the package would make every traced run fail.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = []
+    for target in spans.TARGETS:
+        module_name, fn_name = target.split(".")
+        module = importlib.import_module(f"rwslab.{module_name}")
+        if not callable(getattr(module, fn_name, None)):
+            missing.append(target)
+    assert missing == []

@@ -8,8 +8,6 @@ Oracles:
     jump by summation by parts.
   * loop_sawtooth and loop_wiener sum the Fourier modes one at a time, the
     direct O(M 2^R) route the folded FFT replaces.
-  * block_energy_oracle recomputes dyadic block norms from explicit index
-    sets with fsum.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from rwslab.laws import (
 from rwslab.synthesis import (
     FOURIER_MODE_STREAM,
     SamplePath,
-    dyadic_block_energies,
     export_path_csv,
     fourier_sawtooth,
     randomized_envelope,
@@ -51,7 +48,8 @@ from rwslab.synthesis import (
     synthesize,
     wiener_brownian,
 )
-from rwslab.wavelets import eval_periodized
+
+from wavelet_oracles import eval_periodized
 
 
 def brute_synthesize(field_, table, j_trunc, resolution):
@@ -93,20 +91,6 @@ def loop_wiener(m_terms, resolution, seed):
 # (M, R): M < 2^(R-1); M >= 2^R, so modes fold onto each other; R in {0, 1, 2}
 FOURIER_CASES = [(5, 6), (100, 10), (600, 12), (64, 6), (100, 5), (1000, 4),
                  (1, 0), (7, 0), (1, 1), (3, 1), (1, 2), (9, 2)]
-
-
-def block_energy_oracle(one_sided):
-    """Block norms of a_1..a_N via explicit index sets."""
-    out = []
-    j = 0
-    while 2**j <= len(one_sided):
-        block = [
-            abs(one_sided[n - 1]) ** 2
-            for n in range(2**j, min(2 ** (j + 1), len(one_sided) + 1))
-        ]
-        out.append(math.sqrt(math.fsum(block)))
-        j += 1
-    return out
 
 
 def random_field(j_max: int, rng) -> CoefficientField:
@@ -378,47 +362,6 @@ def test_wiener_variance_at_half():
     # variance of the linear term alone: (sqrt(2)/2)^2 = 1/2.
     vals = [wiener_brownian(8, 6, seed).values[32] ** 2 for seed in range(200)]
     assert abs(float(np.mean(vals)) - 0.5) <= 0.075
-
-
-# ---------------------------------------------------------- block energies
-
-def test_block_energies_single_mode():
-    a = np.zeros(11)
-    a[5 + 5] = 3.0  # mode n = +5 sits in block 4 <= |n| < 8
-    summary = dyadic_block_energies(a)
-    assert np.array_equal(summary.values, [0.0, 0.0, 3.0])
-    assert summary.l1_partial_sum == 3.0
-    assert summary.decreasing is False
-
-
-def test_block_energies_zero_and_complex():
-    zeros = dyadic_block_energies(np.zeros(9))
-    assert np.all(zeros.values == 0.0)
-    assert zeros.decreasing is True
-    assert zeros.l1_partial_sum == 0.0
-    spin = dyadic_block_energies(np.array([0.0, 0.0, 0.0, 1.0j, 0.0]))
-    assert np.array_equal(spin.values, [1.0, 0.0])
-
-
-def test_block_energies_reciprocal_decay():
-    n_top = 2**10 - 1
-    coeffs = np.zeros(2 * n_top + 1)
-    one_sided = [1.0 / n for n in range(1, n_top + 1)]
-    coeffs[n_top + 1 :] = one_sided
-    summary = dyadic_block_energies(coeffs)
-    oracle = block_energy_oracle(one_sided)
-    assert summary.values == pytest.approx(oracle, rel=1e-12)
-    assert summary.decreasing is True
-    assert summary.l1_partial_sum == pytest.approx(math.fsum(oracle), rel=1e-12)
-    ratios = summary.values[3:] / summary.values[2:-1]
-    assert np.all((0.6 < ratios) & (ratios < 0.75))  # halving blocks: ~2^-1/2
-
-
-def test_block_energies_validation():
-    with pytest.raises(InvalidParameterError):
-        dyadic_block_energies(np.zeros(8))  # even length: no center mode
-    with pytest.raises(InvalidParameterError):
-        dyadic_block_energies(np.zeros((3, 3)))
 
 
 # ------------------------------------------------------------------ export
