@@ -2,12 +2,13 @@
 """Run every named experiment at its defaults into one output root.
 
 Each experiment runs as its own ``python -m rwslab.cli`` child process;
-its exit code, wall time and peak RSS (the child's own ``ru_maxrss``) are
-printed, so every default can be checked against a memory ceiling, and a
-last line gives the total wall time, the largest peak RSS and the worst
-exit code.  The script exits with the worst exit code.  Full-scale
-defaults take about 19 s in total on a shared 2-vCPU VM, 3.5-4 s of it in
-hmin and 2.5-3 s in figure1.  Pass experiment names to run a subset;
+its exit code, wall time, CPU time (user plus system, all threads) and
+peak RSS (the child's own ``ru_maxrss``) are printed, so every default can
+be checked against a memory ceiling and CPU time well above wall time
+shows idle threads spinning, and a last line gives the total wall and CPU
+time, the largest peak RSS and the worst exit code.  The script exits with
+the worst exit code.  Full-scale defaults take 14-18 s in total, 16 s of
+CPU, on a shared 2-vCPU VM, 3.5 s of it in hmin and 2.5 s in figure1.  Pass experiment names to run a subset;
 --seed shifts the base seed of every run.
 """
 
@@ -22,13 +23,14 @@ import rwslab
 from rwslab.experiments import EXPERIMENT_NAMES
 
 
-def run_child(argv: list[str], env: dict) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one child process."""
+def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float]:
+    """Exit code, wall seconds, CPU seconds and peak RSS in MB of one child process."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, time.perf_counter() - t0, usage.ru_maxrss / 1024
+    return (proc.returncode, time.perf_counter() - t0, usage.ru_utime + usage.ru_stime,
+            usage.ru_maxrss / 1024)
 
 
 def main() -> int:
@@ -43,17 +45,19 @@ def main() -> int:
     src = str(Path(rwslab.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    worst, total, peak = 0, 0.0, 0.0
+    worst, total, total_cpu, peak = 0, 0.0, 0.0, 0.0
     for name in args.names or EXPERIMENT_NAMES:
         argv = [sys.executable, "-m", "rwslab.cli", "run", name,
                 "--out", str(args.out / name)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
-        code, wall, rss = run_child(argv, env)
-        print(f"  {name}: exit {code} in {wall:.1f}s, peak RSS {rss:.0f} MB", flush=True)
+        code, wall, cpu, rss = run_child(argv, env)
+        print(f"  {name}: exit {code} in {wall:.1f}s ({cpu:.1f}s CPU), peak RSS {rss:.0f} MB",
+              flush=True)
         worst = max(worst, code if code >= 0 else 128 - code)  # killed: 128 + signal
-        total, peak = total + wall, max(peak, rss)
-    print(f"total: {total:.1f}s, largest peak RSS {peak:.0f} MB, worst exit {worst}")
+        total, total_cpu, peak = total + wall, total_cpu + cpu, max(peak, rss)
+    print(f"total: {total:.1f}s ({total_cpu:.1f}s CPU), largest peak RSS {peak:.0f} MB, "
+          f"worst exit {worst}")
     return worst
 
 

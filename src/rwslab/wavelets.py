@@ -22,7 +22,12 @@ quietly wrong table.
 Grid synthesis and analysis share one periodized filter-bank pair (the
 Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
 periodized wavelet straight from the psi table, an independent check on
-the filter bank.
+the filter bank.  The pair reads each circular window as a strided view of
+a cyclically extended level and runs its matrix products in row blocks
+small enough that BLAS keeps them on the calling thread.  BLAS threads a
+whole-level product, and after each threaded call its idle thread spins on
+the other core for about 0.1 s; some threaded shapes also stall for
+milliseconds where row blocks take a fraction of one.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .daubechies import DAUBECHIES_TAPS
 from .errors import InvalidParameterError, NumericalFailureError
@@ -46,6 +52,9 @@ _WIDEST_LEVEL = -4
 _CONVERGENCE_FLOOR = 1e-12
 
 _BLOCK = 2**15  # output block of the two-scale sum: 256 KiB stay in L2
+# Blocks of the pyramid's products, measured under OpenBLAS's threading cutoffs:
+_GEMM_CELLS = 2**18  # multiply-adds m*n*k of one matrix-matrix block
+_GEMV_ROWS = 256  # rows of one matrix-vector block
 
 
 @dataclass(frozen=True)
@@ -237,8 +246,9 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
 
     The inverse periodized filter bank lifts the scales to scaling
     coefficients at level J+1 = len(levels), which are then evaluated
-    against the tabulated phi in one matrix product.  Needs
-    J + 1 <= resolution <= r_psi.
+    against the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)]
+    for d over the support.  The evaluation runs in row blocks that BLAS
+    keeps on the calling thread.  Needs J + 1 <= resolution <= r_psi.
     """
     p, q = _bank_filters(table.filter)
     a = np.zeros(1)
@@ -249,8 +259,10 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
             nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
         a = nxt
     phi = _phi_rows(table, 2**resolution // a.size)
-    shifted = a[(np.arange(a.size)[:, None] - np.arange(phi.shape[0])) % a.size]
-    return float(coarse) + (shifted @ phi).ravel()
+    support = phi.shape[0]
+    ext = np.resize(np.roll(a, support - 1), a.size + support - 1)
+    window = sliding_window_view(ext, support)[:, ::-1]
+    return float(coarse) + _blocked_matmul(window, phi).ravel()
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
@@ -258,21 +270,59 @@ def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
     """Grid quadratures 2^(j-R) sum_m values[m] psi_{j,k}(m 2^-R) for j = 0..j_hi.
 
     The transpose of ``pyramid_synthesis``: one phi-quadrature at level
-    j_hi + 1, then the forward filter bank with weights p/2 and q/2.
-    Needs j_hi + 1 <= R <= r_psi for the 2^R samples.
+    j_hi + 1, then the forward filter bank with weights p/2 and q/2 over
+    the windows a[2k + n mod 2^(j+1)].  Every product runs in row blocks
+    that BLAS keeps on the calling thread.  Needs j_hi + 1 <= R <= r_psi
+    for the 2^R samples.
     """
     p, q = _bank_filters(table.filter)
     size = 2 ** (j_hi + 1)
     phi = _phi_rows(table, values.size // size)
-    g = (values.reshape(size, -1) @ phi.T) * (size / values.size)
+    g = _blocked_matmul(values.reshape(size, -1), phi.T) * (size / values.size)
     a = sum(np.roll(g[:, d], -d) for d in range(phi.shape[0]))
     levels = []
     while size > 1:
         size //= 2
-        window = a[(2 * np.arange(size)[:, None] + np.arange(p.size)) % a.size]
-        levels.append(window @ (0.5 * q))
-        a = window @ (0.5 * p)
+        window = sliding_window_view(np.resize(a, a.size + p.size - 1), p.size)[::2]
+        levels.append(_blocked_matmul(window, 0.5 * q))
+        a = _blocked_matmul(window, 0.5 * p)
     return levels[::-1]
+
+
+def _blocked_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat in blocks that BLAS runs on the calling thread.
+
+    A block is a contiguous copy of a power of two rows, at least 4 or all
+    of them: pyramid levels are powers of two, so blocks divide them, and
+    BLAS takes 1-3 rows down other kernels.  It holds at most
+    ``_GEMV_ROWS`` rows when mat is one column, else at most ``_GEMM_CELLS``
+    multiply-adds, splitting the columns in powers of two where 4 rows hold
+    more.  Every output entry is then the whole-level product's dot product
+    wherever the kernel BLAS picks for a block agrees with the one it picks
+    for the whole level.  On OpenBLAS 0.3.31 they differ in the last bit
+    for analysis cells of 256 samples and more, and for synthesis cells of
+    2 or 4 samples at 2^13 rows and more: shapes no experiment or benchmark
+    runs.
+    """
+    m, k = rows.shape
+    out = np.empty((m,) + mat.shape[1:])
+    mat2, out2 = mat.reshape(k, -1), out.reshape(m, -1)  # a vector as one column
+    cols = mat2.shape[1]
+    if cols == 1:
+        step, width = _GEMV_ROWS, 1
+    else:
+        step = min(m, max(4, _floor_pow2(_GEMM_CELLS // mat.size)))
+        width = cols if step * mat.size <= _GEMM_CELLS else _floor_pow2(_GEMM_CELLS // (step * k))
+    for lo in range(0, m, step):
+        block = np.ascontiguousarray(rows[lo : lo + step])
+        for c in range(0, cols, width):
+            np.matmul(block, mat2[:, c : c + width], out=out2[lo : lo + step, c : c + width])
+    return out
+
+
+def _floor_pow2(n: int) -> int:
+    """Largest power of two <= n, and 1 for n < 1."""
+    return 1 << max(0, n.bit_length() - 1)
 
 
 def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
@@ -287,9 +337,13 @@ def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
-    """phi(d + r / cell) for d in 0..support-1 (rows) and r in 0..cell-1."""
+    """phi(d + r / cell) for d in 0..support-1 (rows) and r in 0..cell-1.
+
+    A contiguous copy, made once here instead of by matmul for every block.
+    """
     top = table.support_length * 2**table.r_psi
-    return table.phi[: top : 2**table.r_psi // cell].reshape(table.support_length, cell)
+    rows = table.phi[: top : 2**table.r_psi // cell].reshape(table.support_length, cell)
+    return np.ascontiguousarray(rows)
 
 
 def _haar_tables(r_psi: int):

@@ -14,8 +14,6 @@ Oracles:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,7 @@ from rwslab.constructions import (
 )
 from rwslab.errors import InsufficientDataError, InvalidParameterError
 from rwslab.estimators import (
-    ModulusFit,
     PowerLogModulus,
-    SupGrowthProfile,
     analysis_field,
     export_profile_csv,
     hmin_estimate,
@@ -45,7 +41,7 @@ from rwslab.fields import (
     uniform_decay_field,
     zero_field,
 )
-from rwslab.laws import gaussian, heavy_tail, rademacher
+from rwslab.laws import gaussian, rademacher
 from rwslab.synthesis import SamplePath, randomized_envelope, randomized_field, synthesize
 from rwslab.wavelets import build_filter, cascade_evaluate
 

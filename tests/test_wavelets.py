@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,14 +15,19 @@ from rwslab import (
 )
 from rwslab.wavelets import (
     _BLOCK,
+    _GEMM_CELLS,
+    _GEMV_ROWS,
     DyadicInterval,
+    _blocked_matmul,
     _integer_values,
     _refine,
     _signed_intervals,
     periodized_grid,
+    pyramid_analysis,
+    pyramid_synthesis,
 )
 
-from wavelet_oracles import eval_periodized, psi_at
+from wavelet_oracles import eval_periodized, gather_analysis, gather_synthesis, psi_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -250,6 +256,76 @@ def test_refine_kernel_matches_per_tap_oracle(size, r):
     values[::7] = 0.0
     values[3::11] = -0.0
     assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
+
+
+@functools.lru_cache(maxsize=2)  # tables at r_psi 17 take tens of MB each
+def deep_table(n, r_psi):
+    return cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), r_psi)
+
+
+@pytest.mark.parametrize("n, r_psi, j, resolution", [
+    (1, 17, 13, 17), (2, 17, 13, 17), (4, 17, 13, 17), (10, 17, 13, 17),  # roundtrip sizes
+    (20, 15, 11, 15),
+    (10, 15, 0, 4),  # a level of 2 scaling coefficients, shorter than the support
+    (10, 15, 0, 15),  # 4 rows would exceed the block: blocks split the columns
+    (10, 15, 11, 12),  # one-sample cells: matrix-vector blocks
+])
+def test_pyramid_matches_gather_oracle(n, r_psi, j, resolution):
+    # Strided windows and row-blocked products against %-gathers and
+    # whole-level products, bit for bit.
+    table = deep_table(n, r_psi)
+    rng = np.random.default_rng(n + j)
+    levels = [rng.standard_normal(2**i) for i in range(j + 1)]
+    assert same_bits(pyramid_synthesis(0.25, levels, table, resolution),
+                     gather_synthesis(0.25, levels, table, resolution))
+    values = rng.standard_normal(2**resolution)
+    got, want = pyramid_analysis(values, table, j), gather_analysis(values, table, j)
+    assert len(got) == len(want) == j + 1
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("m, k, cols", [(1003, 19, 64), (1003, 20, None), (1003, 19, 1), (3, 19, 8192)])
+def test_blocked_matmul_matches_whole_product(m, k, cols):
+    # Pyramid levels are powers of two, so their blocks divide them; a row
+    # count off any block size still gives the whole product's bits.
+    rng = np.random.default_rng(m + k)
+    rows = rng.standard_normal((m, k))
+    mat = rng.standard_normal(k if cols is None else (k, cols))
+    assert same_bits(_blocked_matmul(rows, mat), rows @ mat)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_pyramid_products_stay_below_threading_cutoff(monkeypatch, n):
+    # Every product of one synthesis and one analysis at roundtrip sizes
+    # goes through np.matmul in blocks that BLAS runs on one thread, and
+    # the blocks cover every output entry.
+    table = deep_table(n, 17)
+    j, resolution = 13, 17
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    rng = np.random.default_rng(n)
+    pyramid_synthesis(0.0, [rng.standard_normal(2**i) for i in range(j + 1)], table, resolution)
+    synthesis_shapes, shapes[:] = list(shapes), []
+    pyramid_analysis(rng.standard_normal(2**resolution), table, j)
+    monkeypatch.undo()
+
+    def entries(recorded):
+        return sum(a[0] * (b[1] if len(b) == 2 else 1) for a, b in recorded)
+
+    assert entries(synthesis_shapes) == 2**resolution
+    support = table.support_length
+    assert entries(shapes) == 2 ** (j + 1) * support + 2 * (2 ** (j + 1) - 1)
+    for a, b in synthesis_shapes + shapes:
+        if len(b) == 1 or b[1] == 1:
+            assert a[0] <= _GEMV_ROWS
+        else:
+            assert a[0] * a[1] * b[1] <= _GEMM_CELLS
 
 
 def test_cascade_rejects_shallow_depth():

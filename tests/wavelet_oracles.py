@@ -1,8 +1,12 @@
-"""Pointwise evaluation of periodized wavelets straight from the psi table.
+"""Reference routes to the values that the filter bank produces.
 
-An independent route to the values that the filter bank produces: every
-live translate of the wrap sum is a nearest-grid-point table lookup, with
-no two-scale recursion in between.  Test modules import it as a reference.
+Pointwise evaluation of periodized wavelets straight from the psi table:
+every live translate of the wrap sum is a nearest-grid-point table lookup,
+with no two-scale recursion in between.  Beside it, the filter-bank pair
+in its gather form: every circular window is a %-indexed fancy gather and
+every product one whole-level matrix product, the arithmetic that the
+blocked pair must reproduce bit for bit.  Test modules import them as
+references.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import numpy as np
 
 from rwslab.errors import InvalidParameterError
+from rwslab.wavelets import _bank_filters, _phi_rows
 
 
 def psi_at(table, t) -> np.ndarray:
@@ -50,3 +55,34 @@ def eval_periodized(table, j: int, k: int, x) -> np.ndarray | float:
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(total)
     return total
+
+
+def gather_synthesis(coarse, levels, table, resolution) -> np.ndarray:
+    """``pyramid_synthesis`` with a gathered window and one whole-level product."""
+    p, q = _bank_filters(table.filter)
+    a = np.zeros(1)
+    for c in levels:
+        nxt = np.zeros(2 * a.size)
+        evens = 2 * np.arange(a.size)
+        for n in range(p.size):
+            nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
+        a = nxt
+    phi = _phi_rows(table, 2**resolution // a.size)
+    shifted = a[(np.arange(a.size)[:, None] - np.arange(phi.shape[0])) % a.size]
+    return float(coarse) + (shifted @ phi).ravel()
+
+
+def gather_analysis(values, table, j_hi) -> list[np.ndarray]:
+    """``pyramid_analysis`` with gathered windows and whole-level products."""
+    p, q = _bank_filters(table.filter)
+    size = 2 ** (j_hi + 1)
+    phi = _phi_rows(table, values.size // size)
+    g = (values.reshape(size, -1) @ phi.T) * (size / values.size)
+    a = sum(np.roll(g[:, d], -d) for d in range(phi.shape[0]))
+    levels = []
+    while size > 1:
+        size //= 2
+        window = a[(2 * np.arange(size)[:, None] + np.arange(p.size)) % a.size]
+        levels.append(window @ (0.5 * q))
+        a = window @ (0.5 * p)
+    return levels[::-1]
