@@ -45,9 +45,6 @@ ROOT_WINDOW = (Fraction(1, 8), Fraction(3, 8))
 # Independent sign stream used by the block-witness process.
 WITNESS_SIGN_STREAM = "witness-sign"
 
-# Levels are stored densely; 2^j entries past this are not materializable.
-_LEVEL_CAP = 25
-
 
 @dataclass(frozen=True)
 class NestedPlacement:
@@ -61,11 +58,6 @@ class NestedPlacement:
     scales: tuple[int, ...]
     positions: tuple[int, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def point(self) -> float:
-        """A point common to every window (midpoint of the deepest one)."""
-        lo, hi = self.intervals[-1]
-        return float((lo + hi) / 2)
 
 
 def _interval_fractions(interval) -> tuple[Fraction, Fraction]:
@@ -115,7 +107,7 @@ def divergent_subsequence(env: ScaleEnvelope) -> list[int]:
         raise InvalidPreconditionError(
             "subsequence selection needs a symbolic rate; raw envelopes "
             "cannot certify a divergent sum")
-    if check_criterion(env, "l1").verdict != "fails":
+    if check_criterion(env, "l1") != "fails":
         raise InvalidPreconditionError(
             "envelope sum converges; every subsequence sum is finite")
     weights = env.values
@@ -189,17 +181,14 @@ def thin_to_feasible(table: MotherWaveletTable, scales) -> list[int]:
     return kept
 
 
-def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement,
-                           off_scale: Fraction = Fraction(3, 4)) -> CoefficientField:
+def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement) -> CoefficientField:
     """One coefficient per scale at the full envelope value.
 
     Scales in the placement carry their nested position; every other scale
-    parks its coefficient at the translate covering the fixed off point
-    (3/4 by default), far from the concentration window.  The per-scale
-    sup is therefore exactly the envelope.
+    parks its coefficient at the translate covering 3/4, far from the
+    concentration window.  The per-scale sup is therefore exactly the
+    envelope.
     """
-    if not 0 <= off_scale < 1:
-        raise InvalidParameterError("off-scale anchor must lie in [0, 1)")
     if placement.scales[-1] > env.j_max:
         raise InvalidParameterError(
             f"placement reaches scale {placement.scales[-1]} but the "
@@ -207,36 +196,8 @@ def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement,
     out = zero_field(env.j_max)
     nested = dict(zip(placement.scales, placement.positions))
     for j in range(env.j_max + 1):
-        k = nested.get(j, math.floor(off_scale * 2**j))
+        k = nested.get(j, 3 * 2**j // 4)
         out.levels[j][k] = env.values[j]
-    return out
-
-
-def dense_unbounded_field(env: ScaleEnvelope, placement: NestedPlacement) -> CoefficientField:
-    """Translated copies of the concentration tails at every dyadic center.
-
-    The tail past placement index l is re-anchored from its own window to
-    each center k 2^-l with k odd, turning the single divergence point
-    into one inside every dyadic interval.  In coefficient space the copy
-    shifts scale j_n translates by k 2^{j_n - l} - k_l 2^{j_n - j_l};
-    colliding copies add.
-    """
-    if placement.scales[-1] > env.j_max:
-        raise InvalidParameterError(
-            f"placement reaches scale {placement.scales[-1]} but the "
-            f"envelope stops at {env.j_max}")
-    out = zero_field(env.j_max)
-    scales, anchors = placement.scales, placement.positions
-    for l in range(len(scales)):
-        centers = np.arange(1, max(2**l, 2), 2, dtype=np.int64)
-        for n in range(l + 1, len(scales)):
-            j, k, value = scales[n], anchors[n], env.values[scales[n]]
-            if value == 0.0:
-                continue
-            size = 2**j
-            shift = (k - anchors[l] * 2 ** (j - scales[l])
-                     + centers * 2 ** (j - l)) % size
-            np.add.at(out.levels[j], shift, value)
     return out
 
 
@@ -338,57 +299,6 @@ def block_witness_process(field: CoefficientField, law: RandomLaw, seed: int) ->
     }
 
 
-def two_sign_tree_field(env: ScaleEnvelope, table: MotherWaveletTable) -> CoefficientField:
-    """Binary tree of envelope-valued coefficients alternating into the
-    positive and negative windows of each parent.
-
-    Candidate scales come from the divergent subsequence of the envelope;
-    a scale is kept only if every current leaf admits children in both of
-    its half-windows, so each kept scale doubles the leaf count.  Any
-    sign pattern then leaves half the leaves reinforcing, which is what
-    makes symmetric randomizations of this field blow up.
-    """
-    if table.positivity_floor <= 0.0 or table.negativity_ceiling >= 0.0:
-        raise InvalidPreconditionError(
-            "table lacks a signed window pair; cannot alternate placements")
-    candidates = divergent_subsequence(env)
-    pos_base = _interval_fractions(table.positivity_interval)
-    neg_base = _interval_fractions(table.negativity_interval)
-    out = zero_field(env.j_max)
-    leaves: list[tuple[int, int]] = []
-    for j in candidates:
-        if j > env.j_max:
-            break
-        if not leaves:
-            k = _leftmost_inside(pos_base, j, *ROOT_WINDOW)
-            if k is None:
-                continue
-            leaves = [(j, k)]
-            out.levels[j][k % 2**j] = env.values[j]
-            continue
-        children: list[tuple[int, int]] = []
-        for parent_j, parent_k in leaves:
-            for base in (pos_base, neg_base):
-                lo, hi = _half(_scaled(base, parent_j, parent_k))
-                k = _leftmost_inside(pos_base, j, lo, hi)
-                if k is None:
-                    children = []
-                    break
-                children.append((j, k))
-            if not children:
-                break
-        if not children:
-            continue
-        for _, k in children:
-            out.levels[j][k % 2**j] = env.values[j]
-        leaves = children
-    if not leaves:
-        raise PlacementInfeasibleError(
-            "no candidate scale admits a root window inside "
-            f"[{ROOT_WINDOW[0]}, {ROOT_WINDOW[1]})", n=1)
-    return out
-
-
 def geometric_scale_ratio() -> int:
     """Smallest integer ratio making geometric scale growth beat the
     per-scale failure bounds: the exceedance mass e^{-j/4} per translate
@@ -401,27 +311,3 @@ def sparse_loglog_rate() -> PowerLogRate:
     iterated-log weight but not against sqrt(j)."""
     return PowerLogRate(0.0, a=-0.5, b=-1.0, c=-1.0,
                         support="geometric", ratio=geometric_scale_ratio())
-
-
-def support_spacing(table: MotherWaveletTable) -> int:
-    """Minimal translate spacing with disjoint (half-open) supports."""
-    return table.support_length
-
-
-def sparse_loglog_field(table: MotherWaveletTable, n_max: int) -> CoefficientField:
-    """Envelope-valued coefficients at every support-disjoint position of
-    the geometric scales q, q^2, ..., q^{n_max}."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise InvalidParameterError("n_max must be a positive integer")
-    ratio = geometric_scale_ratio()
-    top = ratio**n_max
-    if top > _LEVEL_CAP:
-        raise InvalidParameterError(
-            f"scale {top} needs 2^{top} dense entries; the cap is 2^{_LEVEL_CAP}")
-    rate = sparse_loglog_rate()
-    spacing = support_spacing(table)
-    out = zero_field(top)
-    for n in range(1, n_max + 1):
-        j = ratio**n
-        out.levels[j][::spacing] = rate.value(j)
-    return out

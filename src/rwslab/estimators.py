@@ -29,7 +29,7 @@ from .fields import CoefficientField, ScaleEnvelope, holder_fit
 from .laws import RandomLaw, law_string
 from .synthesis import SamplePath, randomized_field
 from .util import write_csv
-from .wavelets import MotherWaveletTable, pyramid_analysis, pyramid_synthesis
+from .wavelets import MotherWaveletTable, check_grid, pyramid_analysis, pyramid_synthesis
 
 # ---------------------------------------------------------------- analysis
 
@@ -40,13 +40,7 @@ def analysis_field(path_: SamplePath, table: MotherWaveletTable,
     The coarse part is the grid mean (the wavelet sums cancel it out
     exactly on dyadic grids).
     """
-    if j_hi < 0 or j_hi > path_.resolution - 4:
-        raise InvalidParameterError(
-            f"analysis to scale {j_hi} needs resolution {j_hi + 4}, "
-            f"got {path_.resolution}")
-    if path_.resolution > table.r_psi:
-        raise InvalidParameterError(
-            f"path resolution {path_.resolution} exceeds the table depth {table.r_psi}")
+    check_grid(table, j_hi, path_.resolution)
     levels = pyramid_analysis(path_.values, table, j_hi)
     return CoefficientField(j_hi, float(np.mean(path_.values)), levels)
 
@@ -87,10 +81,7 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     if cuts[0] < 0 or cuts[-1] > field_.j_max:
         raise InvalidParameterError(
             f"truncations must lie in 0..{field_.j_max}, got {cuts}")
-    if cuts[-1] > table.r_psi - 4:
-        raise InvalidParameterError(
-            f"truncation {cuts[-1]} needs table resolution {cuts[-1] + 4}, "
-            f"got {table.r_psi}")
+    check_grid(table, cuts[-1], table.r_psi)
     if not 0 <= depth <= table.r_psi:
         raise InvalidParameterError(f"cell depth must lie in 0..{table.r_psi}")
     if (law is None) != (seed is None):

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .constructions import (
-    _LEVEL_CAP,
     block_witness_process,
     coefficient_exceedances,
     divergence_scale_field,
@@ -135,6 +134,14 @@ def _run_figure1(config, out, comment):
 def _run_prop22(config, out, comment):
     table = _table(config)
     res = table.r_psi
+    env = envelope_from_rate(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])
+    scales = thin_to_feasible(table, divergent_subsequence(env))
+    levels = config["witness_levels"]
+    if len(scales) < levels:
+        raise InvalidParameterError(
+            f"only {len(scales)} feasible witness scales up to "
+            f"j = {config['witness_j_max']}, need {levels}")
+    scales = scales[:levels]
     j_lo, j_hi = config["j_lo"], config["j_hi"]
     level_factor = table.support_length * table.sup_norm
     law = bounded_uniform(1.0)
@@ -154,14 +161,6 @@ def _run_prop22(config, out, comment):
               [("trial", trials), ("sup_diff", diffs),
                ("tail_bound", bounds), ("within", within)], comment=comment)
 
-    env = envelope_from_rate(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])
-    scales = thin_to_feasible(table, divergent_subsequence(env))
-    levels = config["witness_levels"]
-    if len(scales) < levels:
-        raise InvalidParameterError(
-            f"only {len(scales)} feasible witness scales up to "
-            f"j = {config['witness_j_max']}, need {levels}")
-    scales = scales[:levels]
     placement = nested_placement(table, scales)
     field = unbounded_series_field(env, placement)
     rows = []
@@ -318,9 +317,9 @@ def _write_verdicts(env, kinds, gamma, out, comment):
     ``write_csv``'s float rule whatever the other rows hold."""
     rows, flags = [], {}
     for kind in kinds:
-        decision = check_criterion(env, kind, gamma if kind == "gamma" else None)
-        rows.append((kind, decision.verdict, "%.15g" % gamma if kind == "gamma" else ""))
-        flags[kind] = decision.verdict
+        verdict = check_criterion(env, kind, gamma if kind == "gamma" else None)
+        rows.append((kind, verdict, "%.15g" % gamma if kind == "gamma" else ""))
+        flags[kind] = verdict
     _write_rows(out / "verdicts.csv", ("kind", "verdict", "gamma"), rows, comment)
     return flags
 
@@ -483,6 +482,9 @@ def _parse_override(text: str):
     except json.JSONDecodeError:
         return text
 
+
+# Levels are stored densely; 2^j entries past this are not materializable.
+_LEVEL_CAP = 25
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
 # keep its geometric scales within int64, j_max levels are dense,

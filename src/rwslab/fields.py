@@ -76,9 +76,8 @@ def uniform_decay_field(alpha: float, j_max: int) -> CoefficientField:
 class PowerLogRate:
     """omega_j = 2^{-s j} * j^a * (log j)^b * (log log j)^c.
 
-    support: "all" scales (where the factors are defined), "geometric"
-    (only j_n = ratio^n, zero elsewhere), or "finite" (an explicit scale
-    list, zero elsewhere).
+    support: "all" scales (where the factors are defined) or "geometric"
+    (only j_n = ratio^n, zero elsewhere).
     """
 
     s: float
@@ -87,15 +86,12 @@ class PowerLogRate:
     c: float = 0.0
     support: str = "all"
     ratio: int | None = None
-    scales: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.support not in ("all", "geometric", "finite"):
+        if self.support not in ("all", "geometric"):
             raise InvalidParameterError(f"unknown rate support {self.support!r}")
         if self.support == "geometric" and (self.ratio is None or self.ratio < 2):
             raise InvalidParameterError("geometric support needs an integer ratio >= 2")
-        if self.support == "finite" and not self.scales:
-            raise InvalidParameterError("finite support needs a scale list")
 
     @property
     def first_scale(self) -> int:
@@ -119,14 +115,12 @@ class PowerLogRate:
     def supported_scales(self, j_max: int) -> list[int]:
         if self.support == "all":
             return list(range(self.first_scale, j_max + 1))
-        if self.support == "geometric":
-            out, jn = [], self.ratio
-            while jn <= j_max:
-                if jn >= self.first_scale:
-                    out.append(jn)
-                jn *= self.ratio
-            return out
-        return [j for j in self.scales if j <= j_max]
+        out, jn = [], self.ratio
+        while jn <= j_max:
+            if jn >= self.first_scale:
+                out.append(jn)
+            jn *= self.ratio
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +170,6 @@ def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
 
 # ---------------------------------------------------------------- criteria
 
-@dataclass(frozen=True, eq=False)
-class CriterionDecision:
-    kind: str
-    verdict: str  # holds | fails | undecidable-numeric
-    evidence: np.ndarray
-    gamma: float | None = None
-
-
 def _lex_negative(a: float, b: float, c: float) -> bool:
     """(a, b, c) < (0, 0, 0) lexicographically: the power-log product -> 0."""
     if a != 0.0:
@@ -211,22 +197,9 @@ def _geometric_series_converges(a: float, b: float, c: float) -> bool:
     return c < -1.0
 
 
-def _weight_values(kind: str, gamma: float | None, j_max: int) -> np.ndarray:
-    j = np.arange(j_max + 1, dtype=float)
-    if kind == "l1":
-        return np.ones(j_max + 1)
-    if kind == "sqrtj":
-        return np.sqrt(j)
-    if kind == "gamma":
-        with np.errstate(divide="ignore"):
-            return np.where(j > 0, j ** (1.0 / gamma), 0.0)
-    # loglog weight sqrt(j)/log(log(j)) is defined (and positive) from j = 3
-    w = np.zeros(j_max + 1)
-    w[3:] = np.sqrt(j[3:]) / np.log(np.log(j[3:]))
-    return w
-
-
-def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -> CriterionDecision:
+def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -> str:
+    """Verdict of criterion ``kind`` on the envelope: "holds", "fails", or
+    "undecidable-numeric" when no symbolic rate is attached."""
     if kind not in CRITERION_KINDS:
         raise InvalidParameterError(f"unknown criterion {kind!r}; expected one of {CRITERION_KINDS}")
     if kind == "gamma":
@@ -235,41 +208,22 @@ def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -
     elif gamma is not None:
         raise InvalidParameterError(f"criterion {kind!r} takes no gamma")
 
-    if kind in ("linfty", "c0"):
-        evidence = np.maximum.accumulate(env.values)
-    else:
-        evidence = np.cumsum(_weight_values(kind, gamma, env.j_max) * env.values)
-
     rate = env.rate
     if rate is None:
-        return CriterionDecision(kind, "undecidable-numeric", evidence, gamma)
-
-    if kind in ("linfty", "c0"):
-        if rate.support == "finite":
-            verdict = "holds"
-        elif rate.s != 0.0:
-            verdict = "holds" if rate.s > 0.0 else "fails"
-        else:
-            vanishes = _lex_negative(rate.a, rate.b, rate.c)
-            constant = rate.a == rate.b == rate.c == 0.0
-            if kind == "linfty":
-                verdict = "holds" if (vanishes or constant) else "fails"
-            else:
-                verdict = "holds" if vanishes else "fails"
-        return CriterionDecision(kind, verdict, evidence, gamma)
-
-    if rate.support == "finite":
-        return CriterionDecision(kind, "holds", evidence, gamma)
+        return "undecidable-numeric"
     if rate.s != 0.0:
-        verdict = "holds" if rate.s > 0.0 else "fails"
-        return CriterionDecision(kind, verdict, evidence, gamma)
+        return "holds" if rate.s > 0.0 else "fails"
+    if kind in ("linfty", "c0"):
+        vanishes = _lex_negative(rate.a, rate.b, rate.c)
+        constant = rate.a == rate.b == rate.c == 0.0
+        return "holds" if vanishes or (kind == "linfty" and constant) else "fails"
     da, db, dc = _WEIGHT_SHIFT[kind] if kind != "gamma" else (1.0 / gamma, 0.0, 0.0)
     a, b, c = rate.a + da, rate.b + db, rate.c + dc
     if rate.support == "all":
         converges = _full_series_converges(a, b, c)
     else:
         converges = _geometric_series_converges(a, b, c)
-    return CriterionDecision(kind, "holds" if converges else "fails", evidence, gamma)
+    return "holds" if converges else "fails"
 
 
 # -------------------------------------------------------------- Hoelder fit

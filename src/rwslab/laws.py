@@ -4,9 +4,12 @@ Draws are counter-based: a value is a pure function of (law, seed, stream
 tag, j, k), so any slice of any stream can be generated independently, in
 any order, on any number of workers, with identical bits.  The generator is
 the SplitMix64 output function applied to a keyed counter; uniforms take 53
-bits plus a half-ulp offset so they land strictly inside (0, 1), and the
-low bit of the same word supplies an independent sign where a law needs
-one.
+bits plus a half-ulp offset, and the low bit of the same word supplies an
+independent sign where a law needs one.  The offset keeps u strictly inside
+(0, 1) except at the top mantissa m = 2^53 - 1: from m = 2^52 up, m + 0.5
+is not representable and rounds to even, so that word gives u = 1.0 and a
+Gaussian draw of +inf.  The fix changes draw bits, so it is left to the
+scipy-free Gaussian transform (ROADMAP item 2).
 
 Reductions stream: ``_word_blocks`` yields any k-range of a stream in
 fixed blocks of ``BLOCK`` words, which are the very words behind the

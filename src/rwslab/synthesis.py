@@ -2,9 +2,10 @@
 
 Wavelet synthesis runs the inverse periodized filter bank (the Mallat
 pyramid) from scale 0 up to J+1 and evaluates the resulting scaling
-coefficients against the tabulated phi in one matrix product; R <= r_psi
-keeps every table lookup on a grid point.  The summation order is fixed, so
-the floating-point result is a pure function of the field and the grid.
+coefficients against the tabulated phi in matrix products over row blocks;
+R <= r_psi keeps every table lookup on a grid point.  The summation order is
+fixed, so the floating-point result is a pure function of the field and the
+grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) folds mode m onto m mod 2^R, which is exact on the grid, and
@@ -30,7 +31,7 @@ from .laws import (
     law_string,
 )
 from .util import canonical_json, write_csv
-from .wavelets import MotherWaveletTable, pyramid_synthesis
+from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
@@ -70,27 +71,18 @@ class SamplePath:
         return np.arange(self.values.size) * 2.0**-self.resolution
 
 
-def _check_resolutions(field_: CoefficientField, table: MotherWaveletTable,
-                       j_trunc: int, resolution: int) -> None:
+def _check_truncation(field_: CoefficientField, j_trunc: int) -> None:
     if not 0 <= j_trunc <= field_.j_max:
         raise InvalidParameterError(
             f"truncation scale {j_trunc} outside 0..{field_.j_max}"
-        )
-    if j_trunc > resolution - 4:
-        raise InvalidParameterError(
-            f"resolution {resolution} too coarse for truncation {j_trunc} "
-            f"(needs at least {j_trunc + 4})"
-        )
-    if resolution > table.r_psi:
-        raise InvalidParameterError(
-            f"resolution {resolution} exceeds the table depth {table.r_psi}"
         )
 
 
 def synthesize(field_: CoefficientField, table: MotherWaveletTable,
                j_trunc: int, resolution: int) -> SamplePath:
     """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid."""
-    _check_resolutions(field_, table, j_trunc, resolution)
+    _check_truncation(field_, j_trunc)
+    check_grid(table, j_trunc, resolution)
     values = pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table, resolution)
     provenance = {
         "field": field_digest(field_),
@@ -133,7 +125,8 @@ def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,
     The provenance records the digest of the deterministic input field, so
     (field, law, seed, truncation) identifies the output exactly.
     """
-    _check_resolutions(field_, table, j_trunc, resolution)
+    _check_truncation(field_, j_trunc)
+    check_grid(table, j_trunc, resolution)
     kept = CoefficientField(j_trunc, field_.coarse, field_.levels[: j_trunc + 1])
     values = pyramid_synthesis(field_.coarse, randomized_field(kept, law, seed).levels,
                                table, resolution)

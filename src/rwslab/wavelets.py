@@ -83,18 +83,6 @@ class DyadicInterval:
     index: int
     level: int
 
-    @property
-    def left(self) -> float:
-        return self.index * 2.0 ** -self.level
-
-    @property
-    def right(self) -> float:
-        return (self.index + 1) * 2.0 ** -self.level
-
-    @property
-    def width(self) -> float:
-        return 2.0 ** -self.level
-
 
 @dataclass(frozen=True, eq=False)
 class MotherWaveletTable:
@@ -118,9 +106,6 @@ class MotherWaveletTable:
     @property
     def grid_step(self) -> float:
         return 2.0 ** -self.r_psi
-
-    def grid_x(self) -> np.ndarray:
-        return np.arange(self.psi.size) * self.grid_step
 
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
@@ -238,6 +223,20 @@ def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.nd
             mask = idx <= length * 2**table.r_psi
             out[mask] += table.psi[idx[mask]]
     return out
+
+
+def check_grid(table: MotherWaveletTable, j: int, resolution: int) -> None:
+    """Reject scales 0..j on the grid of step 2^-resolution unless
+    0 <= j and j + 4 <= resolution <= r_psi.
+
+    The four spare levels keep the quadrature leakage of analysis at the
+    percent scale, and resolution <= r_psi keeps every phi lookup on a table
+    point.  Synthesis uses the same rule, so what it writes analysis can read.
+    """
+    if not 0 <= j <= resolution - 4 or resolution > table.r_psi:
+        raise InvalidParameterError(
+            f"scales 0..{j} on a grid of 2^{resolution} points need "
+            f"0 <= J and J + 4 <= R <= r_psi = {table.r_psi}")
 
 
 def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,

@@ -456,6 +456,20 @@ def test_tail_bounds_synthesize_once_per_trial(tmp_path, monkeypatch, name, args
     assert len(made) == calls
 
 
+def test_prop22_rejects_witness_levels_before_trials(tmp_path, monkeypatch):
+    made = []
+
+    def counting(field_, table, j_trunc, resolution):
+        made.append(j_trunc)
+        return synthesize(field_, table, j_trunc, resolution)
+
+    monkeypatch.setattr("rwslab.experiments.synthesize", counting)
+    assert main(["run", "prop22", "--out", str(tmp_path), "--set", "trials=2",
+                 "--set", "witness_levels=50"]) == 2
+    assert made == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prop31_unbounded_regime(tmp_path):
     assert main(["run", "prop31", "--out", str(tmp_path),
                  "--set", "seeds=3", "--set", "exceedance_j_max=6"]) == 0

@@ -42,7 +42,13 @@ from rwslab.fields import (
     zero_field,
 )
 from rwslab.laws import gaussian, rademacher
-from rwslab.synthesis import SamplePath, randomized_envelope, randomized_field, synthesize
+from rwslab.synthesis import (
+    SamplePath,
+    randomized_envelope,
+    randomized_field,
+    randomized_synthesize,
+    synthesize,
+)
 from rwslab.wavelets import build_filter, cascade_evaluate
 
 from wavelet_oracles import eval_periodized
@@ -177,7 +183,8 @@ def test_sup_growth_nested_interval_witness(haar_table):
     placement = nested_placement(haar_table, scales)
     f = unbounded_series_field(env, placement)
     profile = sup_growth(f, haar_table, None, None, scales, 3)
-    point = placement.point()
+    deepest_lo, deepest_hi = placement.intervals[-1]
+    point = float((deepest_lo + deepest_hi) / 2)
     for l, j_trunc in enumerate(scales):
         expected = sum(1.0 / j for j in scales[: l + 1])
         path = synthesize(f, haar_table, j_trunc, haar_table.r_psi)
@@ -227,6 +234,40 @@ def test_sup_growth_validation(haar_table):
         sup_growth(f, haar_table, None, None, [2, 4], -1)
     with pytest.raises(InvalidParameterError):
         sup_growth(f, haar_table, gaussian(), None, [2, 4], 2)  # law without seed
+
+
+# --------------------------------------------------------------- grid rule
+
+def _on_grid(name, table, j, resolution):
+    """Call ``name`` on scales 0..j over the grid of 2^resolution points."""
+    if name == "synthesize":
+        return synthesize(zero_field(j), table, j, resolution)
+    if name == "randomized_synthesize":
+        return randomized_synthesize(zero_field(j), table, rademacher(), 0, j, resolution)
+    if name == "analysis_field":
+        path_ = SamplePath(resolution, np.zeros(2**resolution),
+                           {"field": "zero", "law": "deterministic", "seed": None,
+                            "truncation": j})
+        return analysis_field(path_, table, j)
+    assert resolution == table.r_psi  # sup profiles always sample the table grid
+    return sup_growth(zero_field(j), table, None, None, [0, j], 0)
+
+
+@pytest.mark.parametrize("name", ["synthesize", "randomized_synthesize",
+                                  "analysis_field", "sup_growth"])
+def test_grid_rule(haar_table, name):
+    # one rule, one message: 0 <= J and J + 4 <= R <= r_psi
+    r_psi = haar_table.r_psi
+    rejects = [(r_psi - 3, r_psi)]  # three spare levels
+    if name != "sup_growth":  # sup profiles take no resolution: R = r_psi
+        rejects.append((r_psi - 3, r_psi + 1))  # four spare levels, finer than the table
+    for j, resolution in rejects:
+        with pytest.raises(InvalidParameterError) as err:
+            _on_grid(name, haar_table, j, resolution)
+        assert str(err.value) == (
+            f"scales 0..{j} on a grid of 2^{resolution} points need "
+            f"0 <= J and J + 4 <= R <= r_psi = {r_psi}")
+    _on_grid(name, haar_table, r_psi - 4, r_psi)
 
 
 # -------------------------------------------------------------------- hmin

@@ -147,10 +147,6 @@ def test_rate_values_and_envelope():
     assert env.values[25] > 0
     assert np.count_nonzero(env.values) == 2
 
-    fin = PowerLogRate(0.0, scales=(3, 9), support="finite")
-    env = envelope_from_rate(fin, 10)
-    assert np.flatnonzero(env.values).tolist() == [3, 9]
-
 
 def test_rate_mismatch_rejected():
     values = np.ones(5)
@@ -162,15 +158,13 @@ def test_rate_validation():
     with pytest.raises(InvalidParameterError):
         PowerLogRate(0.0, support="geometric")
     with pytest.raises(InvalidParameterError):
-        PowerLogRate(0.0, support="finite")
-    with pytest.raises(InvalidParameterError):
         PowerLogRate(0.0, support="sometimes")
 
 
 # ---------------------------------------------------------------- criteria
 
 def crit(rate, kind, gamma=None, j_max=24):
-    return check_criterion(envelope_from_rate(rate, j_max), kind, gamma).verdict
+    return check_criterion(envelope_from_rate(rate, j_max), kind, gamma)
 
 
 def test_criterion_examples():
@@ -197,9 +191,6 @@ def test_criterion_boundary_cases():
     assert crit(PowerLogRate(0.0, a=-1.0, b=-1.0), "l1") == "fails"
     assert crit(PowerLogRate(0.0, a=-1.0, b=-2.0), "l1") == "holds"
     assert crit(PowerLogRate(0.0, a=-1.0, b=-1.0, c=-2.0), "l1") == "holds"
-    fin = PowerLogRate(0.0, a=3.0, support="finite", scales=(2, 4))
-    for kind in ("linfty", "c0", "l1", "sqrtj", "loglog"):
-        assert crit(fin, kind) == "holds"
 
 
 def test_criterion_gamma():
@@ -218,11 +209,7 @@ def test_criterion_gamma():
 
 def test_numeric_envelope_undecidable():
     env = scale_envelope(uniform_decay_field(0.5, 10))
-    d = check_criterion(env, "l1")
-    assert d.verdict == "undecidable-numeric"
-    assert d.evidence.shape == (11,)
-    assert np.all(np.diff(d.evidence) >= 0)
-    assert d.evidence[-1] == pytest.approx(sum(2.0 ** (-0.5 * j) for j in range(11)))
+    assert check_criterion(env, "l1") == "undecidable-numeric"
 
 
 @pytest.mark.parametrize("rate", RATE_GRID)
@@ -260,9 +247,8 @@ def test_geometric_series_vs_partial_sum_sanity():
     # least keep growing where the symbolic verdict says "fails"
     rate = PowerLogRate(0.0, a=-0.5, b=-1.0, c=-1.0, support="geometric", ratio=5)
     env = envelope_from_rate(rate, 5**4)
-    d = check_criterion(env, "sqrtj")
-    assert d.verdict == "fails"
-    sums = d.evidence
+    assert check_criterion(env, "sqrtj") == "fails"
+    sums = np.cumsum(np.sqrt(np.arange(env.j_max + 1)) * env.values)
     assert sums[5**4] > sums[5**3] > sums[5**2] > 0
 
 

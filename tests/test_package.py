@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -55,3 +56,14 @@ def test_perfbench_span_targets_exist():
         if not callable(getattr(module, fn_name, None)):
             missing.append(target)
     assert missing == []
+
+
+def test_perfbench_roundtrip_library_calls_exist():
+    # perfbench/jobs.py runs the roundtrip workload through ``lib.<name>``
+    # with lib = rwslab; a deletion here would fail every roundtrip job.
+    tree = ast.parse((ROOT / "perfbench" / "jobs.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "lib"}
+    assert names
+    assert sorted(n for n in names if not callable(getattr(rwslab, n, None))) == []
