@@ -3,13 +3,15 @@
 
 Each experiment runs as its own ``python -m rwslab.cli`` child process;
 its exit code, wall time, CPU time (user plus system, all threads) and
-peak RSS (the child's own ``ru_maxrss``) are printed, so every default can
-be checked against a memory ceiling and CPU time well above wall time
-shows idle threads spinning, and a last line gives the total wall and CPU
-time, the largest peak RSS and the worst exit code.  The script exits with
-the worst exit code.  Full-scale defaults take 14-18 s in total, 16 s of
-CPU, on a shared 2-vCPU VM, 3.5 s of it in hmin and 2.5 s in figure1.  Pass experiment names to run a subset;
---seed shifts the base seed of every run.
+peak RSS (the child's own ``ru_maxrss``) are printed, so CPU time well
+above wall time shows idle threads spinning.  A last line gives the total
+wall and CPU time, the largest peak RSS and the worst exit code, and names
+every experiment whose peak RSS is above the 300 MB memory ceiling.  The
+script exits with the worst exit code, or with 1 if every child exited 0
+but one crossed the ceiling.  Full-scale defaults take 12-14 s in total,
+about as much CPU, on a shared 2-vCPU VM, 3.0-3.5 s of it in hmin and
+1.6-1.7 s in figure1, whose 251 MB is the largest peak.  Pass experiment
+names to run a subset; --seed shifts the base seed of every run.
 """
 
 import argparse
@@ -21,6 +23,8 @@ from pathlib import Path
 
 import rwslab
 from rwslab.experiments import EXPERIMENT_NAMES
+
+RSS_CEILING_MB = 300
 
 
 def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float]:
@@ -45,7 +49,7 @@ def main() -> int:
     src = str(Path(rwslab.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    worst, total, total_cpu, peak = 0, 0.0, 0.0, 0.0
+    worst, total, total_cpu, peak, over = 0, 0.0, 0.0, 0.0, []
     for name in args.names or EXPERIMENT_NAMES:
         argv = [sys.executable, "-m", "rwslab.cli", "run", name,
                 "--out", str(args.out / name)]
@@ -56,9 +60,12 @@ def main() -> int:
               flush=True)
         worst = max(worst, code if code >= 0 else 128 - code)  # killed: 128 + signal
         total, total_cpu, peak = total + wall, total_cpu + cpu, max(peak, rss)
+        if rss > RSS_CEILING_MB:
+            over.append(f"{name} ({rss:.0f} MB)")
+    ceiling = f", above the {RSS_CEILING_MB} MB ceiling: {', '.join(over)}" if over else ""
     print(f"total: {total:.1f}s ({total_cpu:.1f}s CPU), largest peak RSS {peak:.0f} MB, "
-          f"worst exit {worst}")
-    return worst
+          f"worst exit {worst}{ceiling}")
+    return worst or int(bool(over))
 
 
 if __name__ == "__main__":

@@ -8,16 +8,21 @@ every dilate keeps the same height, so coefficient magnitudes compare
 directly with function values; the matching analysis integral carries the
 2^j weight instead: c_{j,k} = 2^j * integral_0^1 f psi_{j,k} dx.
 
-Mother scaling functions and wavelets are tabulated on the dyadic grid
+Mother scaling functions and wavelets are tabulated on dyadic grids up to
 2^{-r_psi} by exact two-scale refinement: values at the integers come from
 the unit eigenvector of the downsampled filter matrix, and each refinement
 level fills in the odd dyadics from the previous level's odd dyadics alone
 (past the first level every shift k 2^r is even), in cache-sized blocks
-that keep the rounding of one whole-array pass per tap.  For a valid
-orthonormal filter the refinement reproduces the coarse values identically,
-which is monitored (not assumed): corrupted taps make the reproduction
-error grow with depth and raise a numerical failure instead of returning a
-quietly wrong table.
+that keep the rounding of one whole-array pass per tap.  Refinement keeps
+the coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
+sample of the full table, and a table refines phi only as deep as
+something reads it: the pyramid reads the level of its grid cell, psi is
+refined from level r_psi - 1 on first read, and ``sup_norm`` and the
+sign intervals come from psi on first read.  For a valid orthonormal
+filter the refinement reproduces the coarse values identically, which is
+monitored (not assumed) by an eager full-depth probe: corrupted taps make
+the reproduction error grow with depth and raise a numerical failure
+instead of returning a quietly wrong table.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
 Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,18 +92,17 @@ class DyadicInterval:
 
 @dataclass(frozen=True, eq=False)
 class MotherWaveletTable:
-    """Scaling function and mother wavelet tabulated at step 2^-r_psi."""
+    """Scaling function and mother wavelet tabulated at step 2^-r_psi.
+
+    ``cascade_evaluate`` fills in ``refinement_diffs`` and phi at the
+    integers; finer phi levels, psi, ``sup_norm`` and the sign intervals
+    are computed on first read and kept.
+    """
 
     filter: ScalingFilter
     r_psi: int
-    phi: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
-    sup_norm: float
-    positivity_interval: DyadicInterval
-    positivity_floor: float
-    negativity_interval: DyadicInterval
-    negativity_ceiling: float
     refinement_diffs: tuple[float, ...] = field(repr=False)
+    _deepest: np.ndarray = field(repr=False)  # phi at the deepest level refined so far
 
     @property
     def support_length(self) -> int:
@@ -106,6 +111,58 @@ class MotherWaveletTable:
     @property
     def grid_step(self) -> float:
         return 2.0 ** -self.r_psi
+
+    def phi_level(self, level: int) -> np.ndarray:
+        """phi at every point of step 2^-level over [0, support], 0 <= level <= r_psi.
+
+        A strided view of the deepest level refined so far, refined deeper
+        first if that level is coarser.
+        """
+        if not 0 <= level <= self.r_psi:
+            raise InvalidParameterError(f"phi levels run from 0 to r_psi = {self.r_psi}, got {level}")
+        depth = ((self._deepest.size - 1) // self.support_length).bit_length() - 1
+        if level > depth:
+            if _is_box(self.filter):
+                deeper = _box_phi(self.support_length * 2**level)
+            else:
+                deeper = _refine_phi(self._deepest, np.asarray(self.filter.taps), depth, level)
+            object.__setattr__(self, "_deepest", deeper)
+            depth = level
+        return self._deepest[:: 2 ** (depth - level)]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.phi_level(self.r_psi)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        if _is_box(self.filter):
+            psi = _box_phi(2**self.r_psi)
+            psi[2**self.r_psi // 2 : -1] = -1.0
+            return psi
+        # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
+        r = self.r_psi - 1
+        return _refine(self.phi_level(r), np.asarray(self.filter.highpass_taps()), r)
+
+    @cached_property
+    def sup_norm(self) -> float:
+        return float(abs(max(self.psi.max(), -self.psi.min())))  # no |psi| temporary
+
+    @cached_property
+    def _signed(self) -> tuple[DyadicInterval, float, DyadicInterval, float]:
+        (pos, pos_floor), (neg, neg_floor) = _signed_intervals(
+            self.psi, self.support_length, self.r_psi)
+        if pos is None or neg is None:
+            raise NumericalFailureError(
+                "no dyadic interval at the search granularity has a one-signed wavelet"
+            )
+        return pos, pos_floor, neg, -neg_floor
+
+    # psi's best one-signed dyadic intervals and their bounds, one search on first read
+    positivity_interval = property(lambda self: self._signed[0])
+    positivity_floor = property(lambda self: self._signed[1])
+    negativity_interval = property(lambda self: self._signed[2])
+    negativity_ceiling = property(lambda self: self._signed[3])
 
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
@@ -129,10 +186,16 @@ def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
 
 
 def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable:
-    """Tabulate phi and psi on the grid of step 2^-r_psi over [0, 2N-1].
+    """A table of phi and psi on the grid of step 2^-r_psi over [0, 2N-1].
 
-    Raises a numerical failure if the refinement reproduction error grows
-    over the last three levels instead of staying at rounding level.
+    Eager: the argument checks, phi at the integers (a numerical failure
+    if the refinement matrix has no usable unit eigenvector) and the
+    full-depth convergence probe behind ``refinement_diffs``, which raises
+    a numerical failure if the refinement reproduction error grows over
+    the last three levels instead of staying at rounding level.  Refined
+    on first read: phi at each level, psi, ``sup_norm`` and the sign
+    intervals; the first read of an interval field raises a numerical
+    failure if no dyadic interval has a one-signed wavelet.
     """
     if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
         raise InvalidParameterError(
@@ -141,58 +204,31 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
     taps = np.asarray(filt.taps)
     length = filt.support_length
 
-    if filt.taps == DAUBECHIES_TAPS[1]:
-        # Unit box: closed form, exact on every grid point (the generic
+    if _is_box(filt):
+        # Unit box: closed forms, exact on every grid point (the generic
         # refinement would smear sqrt(2)*h rounding across levels).
-        phi, psi, diffs = _haar_tables(r_psi)
+        diffs = [0.0] * r_psi
     else:
         # Convergence diagnostic: iterate the two-scale operator from a box
         # start and watch the common-grid sup-differences between successive
-        # levels.  The production table below starts from the exact integer
-        # eigenvector instead, which is self-consistent by construction and
-        # therefore blind to bad taps; the box iteration is not.
+        # levels.  The table's phi starts from the exact integer eigenvector
+        # instead, which is self-consistent by construction and therefore
+        # blind to bad taps; the box iteration is not.
         diffs = []
         probe = np.zeros(length + 1)
         probe[0] = 1.0
         for r in range(r_psi):
             nxt = _refine(probe, taps, r)
-            diffs.append(float(np.max(np.abs(nxt[::2] - probe))))
+            diff = nxt[::2] - probe
+            diffs.append(float(np.max(np.abs(diff, out=diff))))
             probe = nxt
         if diffs[-1] > _CONVERGENCE_FLOOR and diffs[-1] >= diffs[-2] >= diffs[-3]:
             raise NumericalFailureError(
                 "two-scale refinement is not converging: common-grid differences were "
                 f"{diffs[-3]:.3e}, {diffs[-2]:.3e}, {diffs[-1]:.3e} over the last three levels"
             )
-        phi = _integer_values(taps, length)
-        for r in range(r_psi):
-            nxt = np.empty(2 * phi.size - 1)
-            # past r = 0 every shift k 2^r is even: odd points need odd points only
-            nxt[1::2] = _refine(phi[1::2], taps, r - 1) if r else _refine(phi, taps, 0)[1::2]
-            nxt[::2] = phi  # keep the exact coarse values
-            phi = nxt
-        # The table's peak comes with psi; freeing the probe earlier, before
-        # the phi loop, made that loop fault in fresh pages.
-        del probe
-        # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
-        psi = _refine(phi[::2], np.asarray(filt.highpass_taps()), r_psi - 1)
-
-    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, length, r_psi)
-    if pos is None or neg is None:
-        raise NumericalFailureError(
-            "no dyadic interval at the search granularity has a one-signed wavelet"
-        )
-    return MotherWaveletTable(
-        filter=filt,
-        r_psi=r_psi,
-        phi=phi,
-        psi=psi,
-        sup_norm=float(abs(max(psi.max(), -psi.min()))),  # no |psi| temporary
-        positivity_interval=pos,
-        positivity_floor=pos_floor,
-        negativity_interval=neg,
-        negativity_ceiling=-neg_floor,
-        refinement_diffs=tuple(diffs),
-    )
+    return MotherWaveletTable(filter=filt, r_psi=r_psi, refinement_diffs=tuple(diffs),
+                              _deepest=_integer_values(taps, length))
 
 
 def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.ndarray:
@@ -338,21 +374,22 @@ def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
 def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
     """phi(d + r / cell) for d in 0..support-1 (rows) and r in 0..cell-1.
 
-    A contiguous copy, made once here instead of by matmul for every block.
+    Reads phi at level log2(cell).  A contiguous copy, made once here
+    instead of by matmul for every block.
     """
-    top = table.support_length * 2**table.r_psi
-    rows = table.phi[: top : 2**table.r_psi // cell].reshape(table.support_length, cell)
+    rows = table.phi_level(cell.bit_length() - 1)[:-1].reshape(table.support_length, cell)
     return np.ascontiguousarray(rows)
 
 
-def _haar_tables(r_psi: int):
-    size = 2**r_psi
+def _is_box(filt: ScalingFilter) -> bool:
+    return filt.taps == DAUBECHIES_TAPS[1]
+
+
+def _box_phi(size: int) -> np.ndarray:
+    """The unit box at size + 1 points of [0, 1], right-continuous at both jumps."""
     phi = np.ones(size + 1)
     phi[-1] = 0.0
-    psi = np.ones(size + 1)
-    psi[size // 2 :] = -1.0
-    psi[-1] = 0.0
-    return phi, psi, [0.0] * r_psi
+    return phi
 
 
 def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:
@@ -397,6 +434,24 @@ def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
             if lo < hi:
                 out[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
     return out
+
+
+def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> np.ndarray:
+    """phi at level ``target`` from phi at ``level``, one level at a time.
+
+    Each level keeps the coarse values exactly and fills in the odd points.
+    Past r = 0 every shift k 2^r is even, so the odd points of level r+1
+    come from the odd points of level r alone; they carry into the next
+    level as one contiguous array.
+    """
+    odd = phi[1::2]
+    for r in range(level, target):
+        odd = _refine(odd, taps, r - 1) if r else _refine(phi, taps, 0)[1::2]
+        nxt = np.empty(2 * phi.size - 1)
+        nxt[1::2] = odd
+        nxt[::2] = phi  # keep the exact coarse values
+        phi = nxt
+    return phi
 
 
 def _signed_intervals(psi: np.ndarray, length: int, r_psi: int):

@@ -20,6 +20,7 @@ from rwslab.wavelets import (
     DyadicInterval,
     _blocked_matmul,
     _integer_values,
+    _phi_rows,
     _refine,
     _signed_intervals,
     periodized_grid,
@@ -258,7 +259,88 @@ def test_refine_kernel_matches_per_tap_oracle(size, r):
     assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
 
 
-@functools.lru_cache(maxsize=2)  # tables at r_psi 17 take tens of MB each
+def reference_cascade(filt, r_psi):
+    """(phi, psi, diffs) of ``per_tap_cascade``; the unit box in closed form."""
+    if filt.support_length > 1:
+        return per_tap_cascade(filt, r_psi)
+    g = np.arange(2**r_psi + 1) / 2**r_psi
+    return (np.where(g < 1.0, 1.0, 0.0), np.where(g < 0.5, 1.0, np.where(g < 1.0, -1.0, 0.0)),
+            [0.0] * r_psi)
+
+
+def deepest_level(table):
+    return ((table._deepest.size - 1) // table.support_length).bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10, 20])
+@pytest.mark.parametrize("reads", [
+    ("coarse rows", "psi", "phi"),
+    ("psi", "coarse rows", "phi"),
+    ("phi", "psi", "coarse rows"),
+])
+def test_levels_read_in_any_order_match_full_table(n, reads):
+    # A table refines phi only as deep as it is read: the pyramid's rows
+    # read the level of their cell, psi reads level r_psi - 1 (the unit
+    # box needs none) and phi the last.  Whatever the order, every level
+    # refined so far is the subsample of the full table, and every field
+    # has the bits of full per-tap refinement.
+    r_psi = 10
+    filt = build_filter("haar" if n == 1 else "daubechies", n)
+    table = cascade_evaluate(filt, r_psi)
+    phi, psi, diffs = reference_cascade(filt, r_psi)
+    reads_level = {"coarse rows": 3, "psi": 0 if n == 1 else r_psi - 1, "phi": r_psi}
+    depth = 0
+    for read in reads:
+        if read == "coarse rows":
+            for cell in (1, 2, 8):
+                _phi_rows(table, cell)
+        else:
+            getattr(table, read)
+        depth = max(depth, reads_level[read])
+        assert deepest_level(table) == depth
+        for level in range(depth + 1):
+            assert same_bits(table.phi_level(level), phi[:: 2 ** (r_psi - level)])
+    assert same_bits(table.phi, phi)
+    assert same_bits(table.psi, psi)
+    assert table.refinement_diffs == tuple(diffs)
+    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, filt.support_length, r_psi)
+    assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
+    assert (table.negativity_interval, table.negativity_ceiling) == (neg, -neg_floor)
+    assert table.sup_norm == float(np.max(np.abs(psi)))
+
+
+def test_phi_level_rejects_levels_off_the_table(db4_table):
+    for level in (-1, db4_table.r_psi + 1):
+        with pytest.raises(InvalidParameterError, match="r_psi = 12"):
+            db4_table.phi_level(level)
+
+
+def test_pyramid_refines_only_the_cell_level(monkeypatch):
+    # One synthesis and one analysis at roundtrip sizes read phi at the
+    # level of their 8-sample cell: no deeper phi and no psi is refined,
+    # while the eager probe still ran to full depth.
+    table = cascade_evaluate(build_filter("daubechies", 10), 17)
+    j, resolution = 13, 17
+    sizes = []
+    refine = _refine
+
+    def recording(values, taps, r):
+        out = refine(values, taps, r)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr("rwslab.wavelets._refine", recording)
+    rng = np.random.default_rng(3)
+    pyramid_synthesis(0.0, [rng.standard_normal(2**i) for i in range(j + 1)], table, resolution)
+    pyramid_analysis(rng.standard_normal(2**resolution), table, j)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= table.support_length * 2**3 + 1
+    assert deepest_level(table) == 3
+    assert "psi" not in vars(table)
+    assert len(table.refinement_diffs) == table.r_psi
+
+
+@functools.lru_cache(maxsize=2)  # phi only to the deepest level read (14 at most): a few MB each
 def deep_table(n, r_psi):
     return cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), r_psi)
 
@@ -347,6 +429,18 @@ def test_cascade_detects_corrupt_taps():
     wild = ScalingFilter("daubechies", 2, (2.0, -1.0, r2 - 2.0, r2 + 1.0))
     with pytest.raises(NumericalFailureError, match="not converging"):
         cascade_evaluate(wild, 12)
+
+
+def test_sign_interval_failure_raises_on_first_interval_read(monkeypatch):
+    # The interval search runs on the first read of an interval field, so
+    # a psi without a one-signed interval fails there, not in cascade_evaluate.
+    monkeypatch.setattr("rwslab.wavelets._signed_intervals",
+                        lambda psi, length, r_psi: ((None, 0.0), (None, 0.0)))
+    table = cascade_evaluate(build_filter("daubechies", 2), 8)
+    assert table.sup_norm > 0.0
+    for name in ("positivity_interval", "negativity_ceiling"):
+        with pytest.raises(NumericalFailureError, match="one-signed"):
+            getattr(table, name)
 
 
 # ---------------------------------------------------------------- periodization
