@@ -6,11 +6,11 @@ its exit code, wall time, CPU time (user plus system, all threads) and
 peak RSS (the child's own ``ru_maxrss``) are printed, so CPU time well
 above wall time shows idle threads spinning.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
-every experiment whose peak RSS is above the 300 MB memory ceiling.  The
+every experiment whose peak RSS is above the 250 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
-but one crossed the ceiling.  Full-scale defaults take 12-14 s in total,
-about as much CPU, on a shared 2-vCPU VM, 3.0-3.5 s of it in hmin and
-1.6-1.7 s in figure1, whose 251 MB is the largest peak.  Pass experiment
+but one crossed the ceiling.  Full-scale defaults take 12-15 s in total,
+about as much CPU, on a shared 2-vCPU VM, 3.1-3.6 s of it in hmin and
+1.5-1.8 s in figure1, whose 192 MB is the largest peak.  Pass experiment
 names to run a subset; --seed shifts the base seed of every run.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 import rwslab
 from rwslab.experiments import EXPERIMENT_NAMES
 
-RSS_CEILING_MB = 300
+RSS_CEILING_MB = 250
 
 
 def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float]:

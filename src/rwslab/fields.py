@@ -11,8 +11,9 @@ so numeric-only envelopes never get a holds/fails verdict.
 Step-function coefficients are computed by quadrature in the rescaled
 variable u = 2^j x - k on the wavelet's own table grid, which makes the
 quadrature error uniform in j (the integrand never sharpens as j grows).
-For the sawtooth it reduces to moments and suffix sums of the psi table,
-one term per wrap point instead of a pass over the table per coefficient.
+For the sawtooth it reduces to the first moment of the psi table and its
+suffix sums at the integers, one term per wrap point instead of a pass
+over the table per coefficient.
 """
 
 from __future__ import annotations
@@ -317,11 +318,16 @@ def step_function_coefficients(
     # psi.  A wrap-crossing translate is that line less a unit step at each
     # wrap point inside the support, where the grid point takes the
     # midpoint value 0 (sign(0) = 0 on the heaviside side): suffix sums
-    # S_p, which also give the mass S_0 and the first moment, as
-    # sum_i i psi_i = sum_{p >= 1} S_p.
-    suffix = np.cumsum(psi[::-1])[::-1]
+    # S_p = sum_{i >= p} psi_i.  Wrap points are integers, so S_p is needed
+    # only at p = c 2^r_psi: reverse cumulative sums of the per-unit sums,
+    # with the mass at c = 0.  The first moment sum_i i psi_i is summed one
+    # unit at a time, elementwise (no BLAS dot, whose threads spin).
+    unit = 2**table.r_psi
+    suffix = np.cumsum(np.add.reduceat(psi, np.arange(0, psi.size, unit))[::-1])[::-1]
     mass = float(suffix[0])
-    moment = step * float(np.sum(suffix[1:]))
+    moment = step * math.fsum(
+        float(np.sum(np.multiply(np.arange(lo, lo + unit, dtype=float), psi[lo : lo + unit])))
+        for lo in range(0, psi.size, unit))
     for j in range(j_max + 1):
         size = 2**j
         scale = 2.0**-j
@@ -332,9 +338,9 @@ def step_function_coefficients(
         if ks.size and ks[0] == 0:
             jumps[0] = 0.5 * psi[0]  # k = 0 starts on the wrap: midpoint only
         for w in range(1, (length + size - 1) // size + 1):
-            pos = (w * size - ks) * 2**table.r_psi
-            inside = pos < psi.size
-            jumps[inside] += 0.5 * psi[pos[inside]] - suffix[pos[inside]]
+            cells = w * size - ks  # wrap point w, in units past each translate's start
+            inside = cells < length
+            jumps[inside] += 0.5 * psi[cells[inside] * unit] - suffix[cells[inside]]
         lv[ks] = step * (scale * (moment + ks * mass) - 0.5 * mass + jumps)
     return out
 

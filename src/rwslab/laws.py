@@ -5,11 +5,11 @@ tag, j, k), so any slice of any stream can be generated independently, in
 any order, on any number of workers, with identical bits.  The generator is
 the SplitMix64 output function applied to a keyed counter; uniforms take 53
 bits plus a half-ulp offset, and the low bit of the same word supplies an
-independent sign where a law needs one.  The offset keeps u strictly inside
-(0, 1) except at the top mantissa m = 2^53 - 1: from m = 2^52 up, m + 0.5
-is not representable and rounds to even, so that word gives u = 1.0 and a
-Gaussian draw of +inf.  The fix changes draw bits, so it is left to the
-scipy-free Gaussian transform (ROADMAP item 2).
+independent sign where a law needs one.  From m = 2^52 up, m + 0.5 is not
+representable and rounds to even, so adjacent mantissas share one u and the
+top mantissa m = 2^53 - 1 would give u = 1.0 and a Gaussian draw of +inf.
+Clamping u to 1 - 2^-53 keeps it strictly inside (0, 1), so every draw is
+finite, and keeps u non-decreasing in m.
 
 Reductions stream: ``_word_blocks`` yields any k-range of a stream in
 fixed blocks of ``BLOCK`` words, which are the very words behind the
@@ -17,9 +17,9 @@ draws ``draw_array`` returns at those k, so a max or a count never
 materializes a whole level.  The blocks share one reused buffer.  The
 reductions decide in word space.  For every law in ``LAW_TAGS``, |chi|
 is a monotone function of the uniform u (non-increasing for bernoulli,
-exp_tail and heavy_tail, constant for rademacher) or
-V-shaped about u = 1/2 (``V_SHAPED_TAGS``), and u increases with the
-word's top 53 bits, the mantissa m.  So the largest |chi| over a range is
+exp_tail and heavy_tail, constant for rademacher) or V-shaped about
+u = 1/2 (``V_SHAPED_TAGS``), and u never decreases as the word's top 53
+bits, the mantissa m, increase.  So the largest |chi| over a range is
 attained at the word with the smallest or the largest mantissa: ``abs_max``
 transforms only those two words, and for rademacher, where |chi| = 1,
 none at all.  Likewise |chi| >= x holds on a prefix m < a of the mantissas,
@@ -186,6 +186,7 @@ def _words(key: int, k) -> np.ndarray:
 def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     """The law's transform: draws from SplitMix64 output words."""
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)  # the top mantissa rounds to u = 1.0
     sign = np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)
     t = law.tag
     if t == "rademacher":

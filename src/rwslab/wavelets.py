@@ -22,7 +22,10 @@ sign intervals come from psi on first read.  For a valid orthonormal
 filter the refinement reproduces the coarse values identically, which is
 monitored (not assumed) by an eager full-depth probe: corrupted taps make
 the reproduction error grow with depth and raise a numerical failure
-instead of returning a quietly wrong table.
+instead of returning a quietly wrong table.  The probe holds at most one
+and a half levels at a time: it diffs each level in place of the level
+before, and its last level, read only at the even points, is streamed in
+blocks from the even points of the level before and never stored.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
 Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
@@ -192,7 +195,9 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
     if the refinement matrix has no usable unit eigenvector) and the
     full-depth convergence probe behind ``refinement_diffs``, which raises
     a numerical failure if the refinement reproduction error grows over
-    the last three levels instead of staying at rounding level.  Refined
+    the last three levels instead of staying at rounding level.  The probe
+    holds at most level r_psi - 1 and the level before it: the last level
+    is read only at its even points, which it streams in blocks.  Refined
     on first read: phi at each level, psi, ``sup_norm`` and the sign
     intervals; the first read of an interval field raises a numerical
     failure if no dyadic interval has a one-signed wavelet.
@@ -217,11 +222,12 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
         diffs = []
         probe = np.zeros(length + 1)
         probe[0] = 1.0
-        for r in range(r_psi):
+        for r in range(r_psi - 1):
             nxt = _refine(probe, taps, r)
-            diff = nxt[::2] - probe
-            diffs.append(float(np.max(np.abs(diff, out=diff))))
+            np.subtract(nxt[::2], probe, out=probe)  # the old level is dropped next
+            diffs.append(float(np.max(np.abs(probe, out=probe))))
             probe = nxt
+        diffs.append(_even_diff_max(probe, taps, r_psi - 1))
         if diffs[-1] > _CONVERGENCE_FLOOR and diffs[-1] >= diffs[-2] >= diffs[-3]:
             raise NumericalFailureError(
                 "two-scale refinement is not converging: common-grid differences were "
@@ -428,12 +434,40 @@ def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
     out = np.zeros(values.size + (taps.size - 1) * 2**r)
     tmp = np.empty(min(_BLOCK, out.size))
     for start in range(0, out.size, _BLOCK):
-        for k, c in enumerate(SQRT2 * taps):
-            off = k * 2**r
-            lo, hi = max(start, off), min(start + _BLOCK, off + values.size)
-            if lo < hi:
-                out[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
+        _refine_block(values, taps, r, start, out[start : start + _BLOCK], tmp)
     return out
+
+
+def _refine_block(values: np.ndarray, taps: np.ndarray, r: int, start: int,
+                  out: np.ndarray, tmp: np.ndarray) -> None:
+    """Add the two-scale sum at the points start .. start + out.size - 1 into out.
+
+    Taps in ascending k, each product formed in tmp (at least out.size long).
+    """
+    for k, c in enumerate(SQRT2 * taps):
+        off = k * 2**r - start
+        lo, hi = max(0, off), min(out.size, off + values.size)
+        if lo < hi:
+            out[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
+
+
+def _even_diff_max(values: np.ndarray, taps: np.ndarray, r: int) -> float:
+    """max |_refine(values, taps, r)[::2] - values| for r >= 1, without the refined level.
+
+    Every shift k 2^r is even, so the even points come from values[::2]
+    alone, one ``_BLOCK`` at a time with the rounding of ``_refine``.
+    """
+    evens = values[::2]
+    out = np.empty(min(_BLOCK, values.size))
+    tmp = np.empty_like(out)
+    maxima = []
+    for start in range(0, values.size, _BLOCK):
+        block = out[: min(_BLOCK, values.size - start)]
+        block.fill(0.0)
+        _refine_block(evens, taps, r - 1, start, block, tmp)
+        np.subtract(block, values[start : start + block.size], out=block)
+        maxima.append(np.max(np.abs(block, out=block)))
+    return float(np.max(maxima))  # a NaN in any block propagates
 
 
 def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -353,6 +354,21 @@ def test_sawtooth_closed_form_on_arbitrary_table():
     f = step_function_coefficients(table, "sawtooth", 4)
     for j, want in enumerate(sawtooth_quadrature_oracle(table, 4)):
         assert np.max(np.abs(f.levels[j] - want)) <= 1e-12, j
+
+
+def test_sawtooth_makes_no_table_sized_array():
+    # Suffix sums are taken at the integers only and the first moment one
+    # unit at a time, so no array spans the whole psi table.
+    table = cascade_evaluate(build_filter("daubechies", 10), 15)
+    psi = table.psi  # refined first: only the coefficients are traced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_function_coefficients(table, "sawtooth", 9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.nbytes / 4
 
 
 def test_sawtooth_against_xspace_oracle(db10_table):

@@ -28,7 +28,7 @@ from rwslab.laws import (
     parse_law,
     rademacher,
 )
-from rwslab.laws import _from_words, _word_blocks
+from rwslab.laws import _cut, _from_words, _word_blocks
 
 mp.mp.dps = 50
 
@@ -363,6 +363,22 @@ def test_draw_blocks_equal_draw_array(tag):
         streamed = np.concatenate([_from_words(law, w) for _, w in blocks])
         assert np.array_equal(streamed, dense)
     assert list(_word_blocks(0, "coef", 3, 4, 4)) == []
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+def test_extreme_mantissas_draw_finite_values(tag):
+    # m = 2^53 - 1 rounds to u = 1.0 unless clamped, and the Gaussian
+    # quantile of 1.0 is +inf; both low bits, so both signs
+    top = (2**53 - 1) << 11
+    chi = _from_words(STREAM_LAWS[tag], np.array([0, 1, top, top | 1], dtype=np.uint64))
+    assert np.all(np.isfinite(chi))
+
+
+def test_gaussian_top_mantissas_stay_monotone():
+    ms = np.arange(2**53 - 4, 2**53, dtype=np.uint64)
+    chi = _from_words(gaussian(), ms << np.uint64(11))
+    assert np.all(np.diff(chi) >= 0.0) and 8.2 < chi[-1] < 8.3
+    assert _cut(gaussian(), 1e6, 2**52, 2**53, True) == 2**53  # no mantissa reaches it
 
 
 @pytest.mark.parametrize("tag", LAW_TAGS)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rwslab.wavelets import (
     _GEMV_ROWS,
     DyadicInterval,
     _blocked_matmul,
+    _even_diff_max,
     _integer_values,
     _phi_rows,
     _refine,
@@ -257,6 +259,37 @@ def test_refine_kernel_matches_per_tap_oracle(size, r):
     values[::7] = 0.0
     values[3::11] = -0.0
     assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
+
+
+@pytest.mark.parametrize("n, r, size", [(2, 1, 7), (6, 12, 11 * 2**12 + 1), (6, 12, 11 * 2**12),
+                                     (2, 17, 3 * 2**17 + 1)])
+def test_even_diff_max_matches_per_tap_oracle(n, r, size):
+    # The probe's last level, streamed, against the stored level: sizes that
+    # end in a partial block, and at r = 17 shifts 2^16 wider than a block
+    # of even points.  One NaN must come out as NaN, as the whole-array max.
+    taps = np.asarray(build_filter("daubechies", n).taps)
+    values = np.random.default_rng(size + r).standard_normal(size)
+    values[::7] = 0.0
+    values[3::11] = -0.0
+    for nan_at in (None, size // 3):
+        if nan_at is not None:
+            values[nan_at] = np.nan
+        want = np.max(np.abs(per_tap_refine(values, taps, r)[::2] - values))
+        got = _even_diff_max(values, taps, r)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_cascade_probe_holds_under_two_levels():
+    # The probe keeps 1.5 levels at a time and never stores its last one;
+    # the last level it stores is level 14.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cascade_evaluate(build_filter("daubechies", 10), 15)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (19 * 2**14 + 1) * 8
 
 
 def reference_cascade(filt, r_psi):
