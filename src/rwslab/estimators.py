@@ -28,7 +28,7 @@ from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope, holder_fit
 from .laws import RandomLaw, law_string
 from .synthesis import SamplePath, randomized_field
-from .util import write_csv
+from .util import sup_abs, write_csv
 from .wavelets import MotherWaveletTable, check_grid, pyramid_analysis, pyramid_synthesis
 
 # ---------------------------------------------------------------- analysis
@@ -95,21 +95,25 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
 
     resolution = table.r_psi
     cells = 2**depth
-    global_sups, local_sups = [], []
-    for j_trunc in cuts:
-        values = pyramid_synthesis(src.coarse, src.levels[: j_trunc + 1], table, resolution)
-        magnitudes = np.abs(values)
-        global_sups.append(float(magnitudes.max()))
-        local_sups.append(magnitudes.reshape(cells, -1).max(axis=1))
+    local_sups = np.vstack([
+        _cell_sups(pyramid_synthesis(src.coarse, src.levels[: j_trunc + 1], table, resolution),
+                   cells)
+        for j_trunc in cuts])
     return SupGrowthProfile(
         truncations=tuple(cuts),
-        global_sups=np.asarray(global_sups),
-        local_sups=np.vstack(local_sups),
+        global_sups=local_sups.max(axis=1),
+        local_sups=local_sups,
         depth=depth,
         resolution=resolution,
         law="deterministic" if law is None else law_string(law),
         seed=None if seed is None else int(seed),
     )
+
+
+def _cell_sups(values: np.ndarray, cells: int) -> np.ndarray:
+    """max |values| over each of ``cells`` equal cells, without an |values| array."""
+    rows = values.reshape(cells, -1)
+    return np.abs(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
 
 
 # -------------------------------------------------------------- slope fits
@@ -178,12 +182,16 @@ def modulus_ratio(path_: SamplePath, theta: PowerLogModulus,
             f"{path_.resolution - 1}, got ({m_lo}, {m_hi})")
     ms = tuple(range(m_lo, m_hi + 1))
     v = path_.values
-    sups = np.asarray([np.max(np.abs(np.roll(v, -2 ** (path_.resolution - m)) - v))
-                       for m in ms])
+    sups = np.asarray([_wrapped_increment_sup(v, 2 ** (path_.resolution - m)) for m in ms])
     lags = 2.0 ** -np.asarray(ms, dtype=float)
     thetas = np.asarray([theta.value(h) for h in lags])
     return ModulusFit(lags_m=ms, lags=lags, sup_increments=sups,
                       theta_values=thetas, ratios=sups / thetas)
+
+
+def _wrapped_increment_sup(v: np.ndarray, s: int) -> float:
+    """max_i |v[(i + s) mod n] - v[i]|, from the two unwrapped slice differences."""
+    return max(sup_abs(v[s:] - v[:-s]), sup_abs(v[:s] - v[-s:]))
 
 
 # ------------------------------------------------------------------ export

@@ -76,7 +76,7 @@ from .synthesis import (
     synthesize,
     wiener_brownian,
 )
-from .util import canonical_json, sha256_file, sha256_hex, write_csv
+from .util import canonical_json, sha256_file, sha256_hex, sup_abs, write_csv
 from .wavelets import build_filter, cascade_evaluate
 
 
@@ -153,9 +153,8 @@ def _run_prop22(config, out, comment):
             tail.levels[j][:] = 2.0**-j * draw_array(
                 law, config["seed"], f"l1-trial-{trial}", j, np.arange(2**j))
         trials.append(trial)
-        diffs.append(float(np.max(np.abs(synthesize(tail, table, j_hi, res).values))))
-        bounds.append(level_factor * sum(
-            float(np.max(np.abs(lv))) for lv in tail.levels[j_lo + 1 :]))
+        diffs.append(sup_abs(synthesize(tail, table, j_hi, res).values))
+        bounds.append(level_factor * sum(sup_abs(lv) for lv in tail.levels[j_lo + 1 :]))
     within = [int(d <= b) for d, b in zip(diffs, bounds)]
     write_csv(out / "tail_bounds.csv",
               [("trial", trials), ("sup_diff", diffs),
@@ -165,10 +164,10 @@ def _run_prop22(config, out, comment):
     field = unbounded_series_field(env, placement)
     rows = []
     for l, j_trunc in enumerate(scales):
-        path_ = synthesize(field, table, j_trunc, res)
         lo_f, hi_f = placement.intervals[l]
         a, b = int(lo_f * 2**res), int(hi_f * 2**res)
-        average = float(path_.values[a:b].mean())
+        # no path kept in a local: it would stay alive through the next synthesis
+        average = float(synthesize(field, table, j_trunc, res).values[a:b].mean())
         target = 0.8 * table.positivity_floor * sum(
             env.values[j] for j in scales[: l + 1])
         rows.append((l + 1, j_trunc, float(lo_f), float(hi_f), average, target))
@@ -250,7 +249,7 @@ def _run_prop43(config, out, comment):
     seeds_col, diffs, within = [], [], []
     for s in range(config["seeds"]):
         rf = randomized_field(tail, config["law"], config["seed"] + s)
-        diff = float(np.max(np.abs(synthesize(rf, table, j_hi, table.r_psi).values)))
+        diff = sup_abs(synthesize(rf, table, j_hi, table.r_psi).values)
         seeds_col.append(config["seed"] + s)
         diffs.append(diff)
         within.append(int(diff <= bound))

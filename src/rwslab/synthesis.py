@@ -3,9 +3,10 @@
 Wavelet synthesis runs the inverse periodized filter bank (the Mallat
 pyramid) from scale 0 up to J+1 and evaluates the resulting scaling
 coefficients against the tabulated phi in matrix products over row blocks;
-R <= r_psi keeps every table lookup on a grid point.  The summation order is
-fixed, so the floating-point result is a pure function of the field and the
-grid.
+for Haar, whose phi is 1 on its cell, the evaluation is a repeat of each
+coefficient plus the coarse value, with no product.  R <= r_psi keeps every
+table lookup on a grid point.  The summation order is fixed, so the
+floating-point result is a pure function of the field and the grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) folds mode m onto m mod 2^R, which is exact on the grid, and

@@ -1,4 +1,4 @@
-"""Small shared helpers: CSV and canonical JSON output, SHA-256 digests."""
+"""Small shared helpers: CSV and canonical JSON output, SHA-256 digests, sup norms."""
 
 from __future__ import annotations
 
@@ -37,6 +37,11 @@ def write_csv(path, columns, digits: int = 15, comment: str | None = None) -> No
                       for v in a[lo : lo + _CHUNK_ROWS]]
                      for p, a in zip(plain, arrays)]
             fh.write("".join([template % row for row in zip(*cells)]))
+
+
+def sup_abs(values: np.ndarray) -> float:
+    """max |values| without an |values| temporary."""
+    return float(abs(max(values.max(), -values.min())))
 
 
 def canonical_json(obj) -> str:

@@ -18,9 +18,12 @@ the coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it: the pyramid reads the level of its grid cell, psi is
 refined from level r_psi - 1 on first read, and ``sup_norm`` and the
-sign intervals come from psi on first read.  For a valid orthonormal
-filter the refinement reproduces the coarse values identically, which is
-monitored (not assumed) by an eager full-depth probe: corrupted taps make
+sign intervals come from psi on first read.  The unit box (Haar) has
+closed forms instead, and its sup and sign intervals come from psi at
+level ``INTERVAL_GRANULARITY``, one sample per search bin, so reading
+them builds no table-sized psi.  For a valid orthonormal filter the
+refinement reproduces the coarse values identically, which is monitored
+(not assumed) by an eager full-depth probe: corrupted taps make
 the reproduction error grow with depth and raise a numerical failure
 instead of returning a quietly wrong table.  The probe holds at most one
 and a half levels at a time: it diffs each level in place of the level
@@ -35,7 +38,9 @@ a cyclically extended level and runs its matrix products in row blocks
 small enough that BLAS keeps them on the calling thread.  BLAS threads a
 whole-level product, and after each threaded call its idle thread spins on
 the other core for about 0.1 s; some threaded shapes also stall for
-milliseconds where row blocks take a fraction of one.
+milliseconds where row blocks take a fraction of one.  Haar synthesis makes
+no product at all: phi is 1 on the whole cell, so each scaling coefficient
+plus the coarse value is repeated over its cell.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .daubechies import DAUBECHIES_TAPS
 from .errors import InvalidParameterError, NumericalFailureError
+from .util import sup_abs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,7 +105,9 @@ class MotherWaveletTable:
 
     ``cascade_evaluate`` fills in ``refinement_diffs`` and phi at the
     integers; finer phi levels, psi, ``sup_norm`` and the sign intervals
-    are computed on first read and kept.
+    are computed on first read and kept.  For the box, ``sup_norm`` and
+    the sign intervals are read off psi at level ``INTERVAL_GRANULARITY``,
+    so they leave psi itself unbuilt.
     """
 
     filter: ScalingFilter
@@ -140,21 +148,31 @@ class MotherWaveletTable:
     @cached_property
     def psi(self) -> np.ndarray:
         if _is_box(self.filter):
-            psi = _box_phi(2**self.r_psi)
-            psi[2**self.r_psi // 2 : -1] = -1.0
-            return psi
+            return _box_psi(2**self.r_psi)
         # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
         r = self.r_psi - 1
         return _refine(self.phi_level(r), np.asarray(self.filter.highpass_taps()), r)
 
+    @property
+    def _search_psi(self) -> tuple[np.ndarray, int]:
+        """psi and its level for ``sup_norm`` and the sign intervals.
+
+        The box is constant on every search bin, so its level
+        ``INTERVAL_GRANULARITY`` (one sample a bin) gives what the full
+        table gives; other filters search the full table.
+        """
+        if _is_box(self.filter):
+            return _box_psi(2**INTERVAL_GRANULARITY), INTERVAL_GRANULARITY
+        return self.psi, self.r_psi
+
     @cached_property
     def sup_norm(self) -> float:
-        return float(abs(max(self.psi.max(), -self.psi.min())))  # no |psi| temporary
+        return sup_abs(self._search_psi[0])
 
     @cached_property
     def _signed(self) -> tuple[DyadicInterval, float, DyadicInterval, float]:
-        (pos, pos_floor), (neg, neg_floor) = _signed_intervals(
-            self.psi, self.support_length, self.r_psi)
+        psi, level = self._search_psi
+        (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, self.support_length, level)
         if pos is None or neg is None:
             raise NumericalFailureError(
                 "no dyadic interval at the search granularity has a one-signed wavelet"
@@ -289,7 +307,10 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
     coefficients at level J+1 = len(levels), which are then evaluated
     against the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)]
     for d over the support.  The evaluation runs in row blocks that BLAS
-    keeps on the calling thread.  Needs J + 1 <= resolution <= r_psi.
+    keeps on the calling thread, and the coarse value is added in place
+    (the sum commutes bit for bit).  The box needs no product: phi is 1 on
+    the cell, so coarse + a[k] is repeated over cell k.  Needs
+    J + 1 <= resolution <= r_psi.
     """
     p, q = _bank_filters(table.filter)
     a = np.zeros(1)
@@ -299,11 +320,16 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
         for n in range(p.size):
             nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
         a = nxt
-    phi = _phi_rows(table, 2**resolution // a.size)
+    cell = 2**resolution // a.size
+    if _is_box(table.filter):
+        return np.repeat(float(coarse) + a, cell)  # phi is 1 on the whole cell
+    phi = _phi_rows(table, cell)
     support = phi.shape[0]
     ext = np.resize(np.roll(a, support - 1), a.size + support - 1)
     window = sliding_window_view(ext, support)[:, ::-1]
-    return float(coarse) + _blocked_matmul(window, phi).ravel()
+    values = _blocked_matmul(window, phi).ravel()
+    values += float(coarse)
+    return values
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
@@ -396,6 +422,13 @@ def _box_phi(size: int) -> np.ndarray:
     phi = np.ones(size + 1)
     phi[-1] = 0.0
     return phi
+
+
+def _box_psi(size: int) -> np.ndarray:
+    """The Haar wavelet at size + 1 points of [0, 1]: 1, then -1 from 1/2, 0 at 1."""
+    psi = _box_phi(size)
+    psi[size // 2 : -1] = -1.0
+    return psi
 
 
 def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:

@@ -164,6 +164,21 @@ def test_sup_growth_matches_synthesize(haar_table, db10_table):
         assert np.array_equal(profile.local_sups.max(axis=1), profile.global_sups)
 
 
+@pytest.mark.parametrize("coarse", [None, -0.0])
+def test_sup_growth_has_the_bits_of_the_abs_reduction(haar_table, db10_table, coarse):
+    # Cell sups are max(max, -min) per cell: the bits of the reduction of
+    # |values|, a zero field included, at figure1's cell depth.
+    rng = np.random.default_rng(8)
+    f = random_field(6, rng) if coarse is None else zero_field(6, coarse=coarse)
+    for table in (haar_table, db10_table):
+        profile = sup_growth(f, table, None, None, [2, 4, 6], 6)
+        mags = [np.abs(synthesize(f, table, j, table.r_psi).values) for j in (2, 4, 6)]
+        want_global = np.asarray([float(m.max()) for m in mags])
+        want_local = np.vstack([m.reshape(64, -1).max(axis=1) for m in mags])
+        assert profile.global_sups.tobytes() == want_global.tobytes()
+        assert profile.local_sups.tobytes() == want_local.tobytes()
+
+
 def test_sup_growth_randomized_determinism(haar_table):
     f = uniform_decay_field(0.7, 6)
     a = sup_growth(f, haar_table, gaussian(), 11, [3, 6], 2)
@@ -356,6 +371,17 @@ def test_modulus_ratio_spread_and_log_detection(db10_table):
             rising += 1
     assert float(np.median(spreads)) <= 10.0
     assert rising >= 4
+
+
+def test_modulus_ratio_matches_rolled_differences(db10_table):
+    # The wrapped increment is read as two slice differences, with the
+    # bits of the rolled-copy reduction.
+    f = uniform_decay_field(0.5, 8)
+    path = synthesize(randomized_field(f, gaussian(), 4), db10_table, 8, 12)
+    fit = modulus_ratio(path, PowerLogModulus(alpha=0.5), 2, 11)
+    v = path.values
+    want = [np.max(np.abs(np.roll(v, -2 ** (12 - m)) - v)) for m in fit.lags_m]
+    assert fit.sup_increments.tobytes() == np.asarray(want).tobytes()
 
 
 def test_modulus_ratio_validation(db10_table):

@@ -14,6 +14,8 @@ from rwslab import (
     build_filter,
     cascade_evaluate,
 )
+from rwslab.fields import uniform_decay_field
+from rwslab.synthesis import synthesize
 from rwslab.wavelets import (
     _BLOCK,
     _GEMM_CELLS,
@@ -172,6 +174,18 @@ def test_haar_signed_intervals(haar_table):
     assert haar_table.positivity_floor == 1.0
     assert haar_table.negativity_interval == DyadicInterval(index=1, level=1)
     assert haar_table.negativity_ceiling == -1.0
+
+
+def test_haar_sup_and_intervals_leave_psi_unbuilt():
+    # The box's sup and sign intervals come from psi at the search
+    # granularity, one sample a bin, and agree with the search over the
+    # full r_psi = 20 table that prop22 and prop43 read.
+    table = cascade_evaluate(build_filter("haar", 1), 20)
+    got = (table.sup_norm, table.positivity_interval, table.positivity_floor,
+           table.negativity_interval, table.negativity_ceiling)
+    assert "psi" not in vars(table)
+    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(table.psi, 1, 20)
+    assert got == (float(np.max(np.abs(table.psi))), pos, pos_floor, neg, -neg_floor)
 
 
 def test_db10_quadrature_invariants(db10_table):
@@ -380,6 +394,7 @@ def deep_table(n, r_psi):
 
 @pytest.mark.parametrize("n, r_psi, j, resolution", [
     (1, 17, 13, 17), (2, 17, 13, 17), (4, 17, 13, 17), (10, 17, 13, 17),  # roundtrip sizes
+    (1, 20, 16, 20),  # prop22 and prop43
     (20, 15, 11, 15),
     (10, 15, 0, 4),  # a level of 2 scaling coefficients, shorter than the support
     (10, 15, 0, 15),  # 4 rows would exceed the block: blocks split the columns
@@ -397,6 +412,33 @@ def test_pyramid_matches_gather_oracle(n, r_psi, j, resolution):
     got, want = pyramid_analysis(values, table, j), gather_analysis(values, table, j)
     assert len(got) == len(want) == j + 1
     assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("coarse", [0.0, -0.0])
+def test_pyramid_zero_field_keeps_the_sign_of_zero(n, coarse):
+    # The coarse value is added last (Haar: to each coefficient before the
+    # repeat; others: in place into the product), as the oracle adds it.
+    table = deep_table(n, 17)
+    levels = [np.zeros(2**i) for i in range(5)]
+    want = gather_synthesis(coarse, levels, table, 10)
+    assert same_bits(pyramid_synthesis(coarse, levels, table, 10), want)
+    assert not np.signbit(want).any()
+
+
+def test_haar_synthesis_holds_under_one_and_a_half_grids():
+    # The box evaluates as a repeat of the top level: the grid itself plus
+    # level-sized bank arrays, no product or coarse-shifted copy of the grid.
+    table = cascade_evaluate(build_filter("haar", 1), 20)
+    field = uniform_decay_field(0.5, 16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        synthesize(field, table, 16, 20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20 * 8
 
 
 @pytest.mark.parametrize("m, k, cols", [(1003, 19, 64), (1003, 20, None), (1003, 19, 1), (3, 19, 8192)])
@@ -433,7 +475,10 @@ def test_pyramid_products_stay_below_threading_cutoff(monkeypatch, n):
     def entries(recorded):
         return sum(a[0] * (b[1] if len(b) == 2 else 1) for a, b in recorded)
 
-    assert entries(synthesis_shapes) == 2**resolution
+    if n == 1:
+        assert synthesis_shapes == []  # the box repeats its coefficients: no product
+    else:
+        assert entries(synthesis_shapes) == 2**resolution
     support = table.support_length
     assert entries(shapes) == 2 ** (j + 1) * support + 2 * (2 ** (j + 1) - 1)
     for a, b in synthesis_shapes + shapes:
