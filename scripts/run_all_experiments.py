@@ -8,10 +8,11 @@ above wall time shows idle threads spinning.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
 every experiment whose peak RSS is above the 250 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
-but one crossed the ceiling.  Full-scale defaults take 8-12 s in total,
-about as much CPU, on a shared 2-vCPU VM, 2.4-3.2 s of it in hmin and
-1.1-1.5 s in figure1, whose 183 MB is the largest peak.  Pass experiment
-names to run a subset; --seed shifts the base seed of every run.
+but one crossed the ceiling.  Full-scale defaults take 10-12 s in total,
+about as much CPU, on a shared 2-vCPU VM (15 s under other load), 3.0-3.6 s
+of it in hmin and 1.3-1.7 s in figure1, whose 181 MB is the largest peak.
+Pass experiment names to run a subset; --seed shifts the base seed of
+every run.
 """
 
 import argparse

@@ -34,7 +34,3 @@ class NoDivergenceSequenceError(RwsLabError):
 
 class PlacementInfeasibleError(RwsLabError):
     tag = "placement-infeasible"
-
-    def __init__(self, message: str, n: int | None = None):
-        super().__init__(message)
-        self.n = n

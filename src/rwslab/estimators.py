@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .fields import CoefficientField, ScaleEnvelope, holder_fit
-from .laws import RandomLaw, law_string
+from .fields import CoefficientField, ScaleEnvelope
+from .laws import RandomLaw
 from .synthesis import SamplePath, randomized_field
 from .util import sup_abs, write_csv
 from .wavelets import MotherWaveletTable, check_grid, pyramid_analysis, pyramid_synthesis
@@ -60,10 +60,7 @@ class SupGrowthProfile:
     truncations: tuple[int, ...]
     global_sups: np.ndarray
     local_sups: np.ndarray
-    depth: int
     resolution: int
-    law: str
-    seed: int | None
 
 
 def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
@@ -103,10 +100,7 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
         truncations=tuple(cuts),
         global_sups=local_sups.max(axis=1),
         local_sups=local_sups,
-        depth=depth,
         resolution=resolution,
-        law="deterministic" if law is None else law_string(law),
-        seed=None if seed is None else int(seed),
     )
 
 
@@ -123,11 +117,16 @@ def hmin_estimate(env: ScaleEnvelope, j_lo: int, j_hi: int) -> float:
 
     Minus the least-squares slope of log2 omega_j against j over
     [j_lo, j_hi]; the span must cover at least four scale steps for the
-    slope to mean anything.
+    slope to mean anything, and every omega_j in it must be positive.
     """
+    if j_lo < 0 or j_hi > env.j_max:
+        raise InvalidParameterError(f"bad fit range [{j_lo}, {j_hi}] for j_max {env.j_max}")
     if j_hi - j_lo < 4:
         raise InsufficientDataError("slope fit needs a scale span of at least 4")
-    return holder_fit(env, j_lo, j_hi).alpha
+    omegas = env.values[j_lo : j_hi + 1]
+    if not np.all(omegas > 0.0):
+        raise InsufficientDataError(f"the envelope vanishes at some scale in [{j_lo}, {j_hi}]")
+    return float(-np.polyfit(np.arange(j_lo, j_hi + 1, dtype=float), np.log2(omegas), 1)[0])
 
 
 # ------------------------------------------------------------ modulus fits

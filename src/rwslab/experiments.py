@@ -114,16 +114,17 @@ def _table(config):
 
 def _run_figure1(config, out, comment):
     table = _table(config)
-    saw = fourier_sawtooth(config["fourier_terms"], config["resolution"])
-    export_path_csv(saw, out / "sawtooth.csv", comment=comment)
-    wie = wiener_brownian(config["fourier_terms"], config["resolution"],
-                          config["seed"])
-    export_path_csv(wie, out / "wiener.csv", comment=comment)
+    terms, res, seed = config["fourier_terms"], config["resolution"], config["seed"]
+    export_path_csv(fourier_sawtooth(terms, res), out / "sawtooth.csv",
+                    {"field": "fourier-sawtooth", "law": "deterministic", "seed": None,
+                     "truncation": terms}, comment=comment)
+    export_path_csv(wiener_brownian(terms, res, seed), out / "wiener.csv",
+                    {"field": "wiener-brownian", "law": "gaussian", "seed": seed,
+                     "truncation": terms}, comment=comment)
 
     coeffs = step_function_coefficients(table, "sawtooth", config["j_hi"])
     truncations = list(range(config["j_lo"], config["j_hi"] + 1))
-    profile = sup_growth(coeffs, table, config["law"], config["seed"],
-                         truncations, config["depth"])
+    profile = sup_growth(coeffs, table, config["law"], seed, truncations, config["depth"])
     export_profile_csv(profile, out / "randomized_sawtooth.csv", comment=comment)
     flags = {"profile_resolution": int(profile.resolution),
              "max_global_sup": float(profile.global_sups.max())}

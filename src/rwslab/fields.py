@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InvalidParameterError
+from .util import sup_abs
 from .wavelets import MotherWaveletTable
 
 CRITERION_KINDS = ("linfty", "c0", "l1", "sqrtj", "gamma", "loglog")
@@ -163,10 +164,7 @@ def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:
 
 
 def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
-    # max |c| without an |level| temporary; abs turns an all -0.0 level into +0.0
-    values = np.array([abs(max(lv.max(), -lv.min())) if lv.size else 0.0
-                       for lv in field_.levels])
-    return ScaleEnvelope(values=values, rate=None)
+    return ScaleEnvelope(values=np.array([sup_abs(lv) for lv in field_.levels]), rate=None)
 
 
 # ---------------------------------------------------------------- criteria
@@ -225,54 +223,6 @@ def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -
     else:
         converges = _geometric_series_converges(a, b, c)
     return "holds" if converges else "fails"
-
-
-# -------------------------------------------------------------- Hoelder fit
-
-@dataclass(frozen=True)
-class HolderFit:
-    alpha: float
-    C: float
-    scales: tuple[int, ...]
-
-
-def holder_fit(env: ScaleEnvelope, j_lo: int = 4, j_hi: int | None = None) -> HolderFit:
-    """Fit log2 omega_j = log2 C - alpha j over the largest block of
-    non-zero envelope entries in [j_lo, j_hi].
-
-    A "block" is a maximal run of non-zero scales whose consecutive gaps all
-    equal the smallest gap present, so an every-other-scale envelope fits on
-    its own subsequence instead of being split into singletons.  Ties go to
-    the deepest block.
-    """
-    if j_hi is None:
-        j_hi = env.j_max
-    if not 0 <= j_lo <= j_hi <= env.j_max:
-        raise InvalidParameterError(f"bad fit range [{j_lo}, {j_hi}] for j_max {env.j_max}")
-    idx = [j for j in range(j_lo, j_hi + 1) if env.values[j] > 0.0]
-    if len(idx) < 4:
-        raise InsufficientDataError(
-            f"need at least 4 non-zero envelope values in [{j_lo}, {j_hi}], found {len(idx)}"
-        )
-    gaps = [b - a for a, b in zip(idx, idx[1:])]
-    min_gap = min(gaps)
-    blocks, current = [], [idx[0]]
-    for g, j in zip(gaps, idx[1:]):
-        if g == min_gap:
-            current.append(j)
-        else:
-            blocks.append(current)
-            current = [j]
-    blocks.append(current)
-    best = max(blocks, key=lambda blk: (len(blk), blk[-1]))
-    if len(best) < 4:
-        raise InsufficientDataError(
-            f"largest equally-spaced block has {len(best)} points, need 4"
-        )
-    js = np.asarray(best, dtype=float)
-    logs = np.log2(env.values[best])
-    slope, intercept = np.polyfit(js, logs, 1)
-    return HolderFit(alpha=float(-slope), C=float(2.0**intercept), scales=tuple(best))
 
 
 # ------------------------------------------------------- step functions

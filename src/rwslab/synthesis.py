@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fields import CoefficientField, ScaleEnvelope, field_digest
+from .fields import CoefficientField, ScaleEnvelope
 from .laws import (
     COEFFICIENT_STREAM,
     RandomLaw,
     abs_max,
     draw_array,
     gaussian,
-    law_string,
 )
 from .util import canonical_json, write_csv
 from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
@@ -37,21 +36,13 @@ from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
 
-_PROVENANCE_KEYS = ("field", "law", "seed", "truncation")
-
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Grid samples values[m] ~ f(m 2^-resolution) with their provenance.
-
-    Provenance names the generating field (content digest or series name),
-    the law actually applied ("deterministic" when none), the seed, and the
-    truncation index: enough to regenerate the path bit for bit.
-    """
+    """Grid samples values[m] ~ f(m 2^-resolution)."""
 
     resolution: int
     values: np.ndarray = field(repr=False)
-    provenance: dict
 
     def __post_init__(self):
         if self.resolution < 0:
@@ -64,9 +55,6 @@ class SamplePath:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("sample path contains non-finite values")
-        missing = [key for key in _PROVENANCE_KEYS if key not in self.provenance]
-        if missing:
-            raise InvalidParameterError(f"provenance is missing {missing}")
 
     def grid_x(self) -> np.ndarray:
         return np.arange(self.values.size) * 2.0**-self.resolution
@@ -85,13 +73,7 @@ def synthesize(field_: CoefficientField, table: MotherWaveletTable,
     _check_truncation(field_, j_trunc)
     check_grid(table, j_trunc, resolution)
     values = pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table, resolution)
-    provenance = {
-        "field": field_digest(field_),
-        "law": "deterministic",
-        "seed": None,
-        "truncation": int(j_trunc),
-    }
-    return SamplePath(resolution, values, provenance)
+    return SamplePath(resolution, values)
 
 
 def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> CoefficientField:
@@ -121,23 +103,13 @@ def randomized_envelope(env: ScaleEnvelope, law: RandomLaw, seed: int) -> ScaleE
 def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,
                           law: RandomLaw, seed: int,
                           j_trunc: int, resolution: int) -> SamplePath:
-    """Synthesis of the field with coefficients multiplied by law draws.
-
-    The provenance records the digest of the deterministic input field, so
-    (field, law, seed, truncation) identifies the output exactly.
-    """
+    """Synthesis of the field with coefficients multiplied by law draws."""
     _check_truncation(field_, j_trunc)
     check_grid(table, j_trunc, resolution)
     kept = CoefficientField(j_trunc, field_.coarse, field_.levels[: j_trunc + 1])
     values = pyramid_synthesis(field_.coarse, randomized_field(kept, law, seed).levels,
                                table, resolution)
-    provenance = {
-        "field": field_digest(field_),
-        "law": law_string(law),
-        "seed": int(seed),
-        "truncation": int(j_trunc),
-    }
-    return SamplePath(resolution, values, provenance)
+    return SamplePath(resolution, values)
 
 
 # -------------------------------------------------------------- Fourier side
@@ -164,13 +136,7 @@ def fourier_sawtooth(m_terms: int, resolution: int) -> SamplePath:
     if resolution < 0:
         raise InvalidParameterError(f"resolution must be nonnegative, got {resolution}")
     values = _sine_grid(-1.0 / (math.pi * np.arange(1, m_terms + 1)), resolution)
-    provenance = {
-        "field": "fourier-sawtooth",
-        "law": "deterministic",
-        "seed": None,
-        "truncation": int(m_terms),
-    }
-    return SamplePath(resolution, values, provenance)
+    return SamplePath(resolution, values)
 
 
 def wiener_brownian(m_terms: int, resolution: int, seed: int) -> SamplePath:
@@ -188,23 +154,19 @@ def wiener_brownian(m_terms: int, resolution: int, seed: int) -> SamplePath:
     chi = draw_array(gaussian(), seed, FOURIER_MODE_STREAM, 0, np.arange(m_terms + 1))
     modes = chi[1:] / (math.pi * np.arange(1, m_terms + 1))
     values = (math.sqrt(2.0) * chi[0]) * xs + _sine_grid(modes, resolution)
-    provenance = {
-        "field": "wiener-brownian",
-        "law": "gaussian",
-        "seed": int(seed),
-        "truncation": int(m_terms),
-    }
-    return SamplePath(resolution, values, provenance)
+    return SamplePath(resolution, values)
 
 
 # ------------------------------------------------------------------ export
 
-def export_path_csv(path_: SamplePath, destination, comment: str | None = None) -> None:
-    """Write (x, value) rows at 12 digits plus a provenance sidecar JSON."""
+def export_path_csv(path_: SamplePath, destination, provenance: dict,
+                    comment: str | None = None) -> None:
+    """Write (x, value) rows at 12 digits plus a sidecar JSON of the
+    resolution and the caller's ``provenance`` record."""
     write_csv(destination, [("x", path_.grid_x()), ("value", path_.values)],
               digits=12, comment=comment)
     base, _ = os.path.splitext(str(destination))
     with open(base + ".json", "w", encoding="utf-8") as fh:
         fh.write(canonical_json({"resolution": path_.resolution,
-                                 "provenance": path_.provenance}))
+                                 "provenance": provenance}))
         fh.write("\n")

@@ -18,8 +18,8 @@ the coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it: the pyramid reads the level of its grid cell, psi is
 refined from level r_psi - 1 on first read, and ``sup_norm`` and the
-sign intervals come from psi on first read.  The unit box (Haar) has
-closed forms instead, and its sup and sign intervals come from psi at
+positivity interval come from psi on first read.  The unit box (Haar) has
+closed forms instead, and its sup and positivity interval come from psi at
 level ``INTERVAL_GRANULARITY``, one sample per search bin, so reading
 them builds no table-sized psi.  For a valid orthonormal filter the
 refinement reproduces the coarse values identically, which is monitored
@@ -58,8 +58,8 @@ from .util import sup_abs
 
 SQRT2 = math.sqrt(2.0)
 
-# Finest granularity (as a dyadic level) for the positivity/negativity
-# interval search, and the widest dyadic width considered.
+# Finest granularity (as a dyadic level) for the positivity interval
+# search, and the widest dyadic width considered.
 INTERVAL_GRANULARITY = 6
 _WIDEST_LEVEL = -4
 
@@ -104,9 +104,9 @@ class MotherWaveletTable:
     """Scaling function and mother wavelet tabulated at step 2^-r_psi.
 
     ``cascade_evaluate`` fills in ``refinement_diffs`` and phi at the
-    integers; finer phi levels, psi, ``sup_norm`` and the sign intervals
-    are computed on first read and kept.  For the box, ``sup_norm`` and
-    the sign intervals are read off psi at level ``INTERVAL_GRANULARITY``,
+    integers; finer phi levels, psi, ``sup_norm`` and the positivity
+    interval are computed on first read and kept.  For the box, ``sup_norm``
+    and the positivity interval are read off psi at level ``INTERVAL_GRANULARITY``,
     so they leave psi itself unbuilt.
     """
 
@@ -155,7 +155,7 @@ class MotherWaveletTable:
 
     @property
     def _search_psi(self) -> tuple[np.ndarray, int]:
-        """psi and its level for ``sup_norm`` and the sign intervals.
+        """psi and its level for ``sup_norm`` and the positivity interval.
 
         The box is constant on every search bin, so its level
         ``INTERVAL_GRANULARITY`` (one sample a bin) gives what the full
@@ -170,20 +170,17 @@ class MotherWaveletTable:
         return sup_abs(self._search_psi[0])
 
     @cached_property
-    def _signed(self) -> tuple[DyadicInterval, float, DyadicInterval, float]:
-        psi, level = self._search_psi
-        (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, self.support_length, level)
-        if pos is None or neg is None:
+    def _positivity(self) -> tuple[DyadicInterval, float]:
+        interval, floor = _positivity_search(*self._search_psi, self.support_length)
+        if interval is None:
             raise NumericalFailureError(
-                "no dyadic interval at the search granularity has a one-signed wavelet"
+                "no dyadic interval at the search granularity has a positive wavelet"
             )
-        return pos, pos_floor, neg, -neg_floor
+        return interval, floor
 
-    # psi's best one-signed dyadic intervals and their bounds, one search on first read
-    positivity_interval = property(lambda self: self._signed[0])
-    positivity_floor = property(lambda self: self._signed[1])
-    negativity_interval = property(lambda self: self._signed[2])
-    negativity_ceiling = property(lambda self: self._signed[3])
+    # psi's best positive dyadic interval and its floor, one search on first read
+    positivity_interval = property(lambda self: self._positivity[0])
+    positivity_floor = property(lambda self: self._positivity[1])
 
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
@@ -206,7 +203,7 @@ def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
     return ScalingFilter(family=family, vanishing_moments=int(n), taps=DAUBECHIES_TAPS[n])
 
 
-def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable:
+def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
     """A table of phi and psi on the grid of step 2^-r_psi over [0, 2N-1].
 
     Eager: the argument checks, phi at the integers (a numerical failure
@@ -216,9 +213,10 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int = 12) -> MotherWaveletTable
     the last three levels instead of staying at rounding level.  The probe
     holds at most level r_psi - 1 and the level before it: the last level
     is read only at its even points, which it streams in blocks.  Refined
-    on first read: phi at each level, psi, ``sup_norm`` and the sign
-    intervals; the first read of an interval field raises a numerical
-    failure if no dyadic interval has a one-signed wavelet.
+    on first read: phi at each level, psi, ``sup_norm`` and the positivity
+    interval; the first read of ``positivity_interval`` or
+    ``positivity_floor`` raises a numerical failure if psi is positive on
+    no dyadic interval.
     """
     if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
         raise InvalidParameterError(
@@ -521,26 +519,19 @@ def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> n
     return phi
 
 
-def _signed_intervals(psi: np.ndarray, length: int, r_psi: int):
-    """``(interval, floor)`` of the best dyadic interval for psi, then for -psi.
+def _positivity_search(psi: np.ndarray, sample_level: int, length: int):
+    """``(interval, floor)``: the widest dyadic interval maximizing min psi over it.
 
-    Both searches start from per-bin extrema at the search granularity;
-    -psi's bin minima are psi's negated bin maxima, so no negated copy of
-    the table is made.
+    psi is sampled at step 2^-sample_level over [0, length].  The search starts
+    from per-bin minima at the search granularity; candidates are
+    half-open dyadic intervals no finer than that, and selection is
+    lexicographic (largest floor, then widest, then leftmost) so the
+    result is reproducible for a given table.  ``(None, 0.0)`` when psi is
+    positive on no candidate.
     """
-    per_bin = 2 ** (r_psi - INTERVAL_GRANULARITY)
+    per_bin = 2 ** (sample_level - INTERVAL_GRANULARITY)
     n_bins = length * 2**INTERVAL_GRANULARITY
-    bins = psi[: n_bins * per_bin].reshape(n_bins, per_bin)
-    return _best_floor_interval(bins.min(axis=1)), _best_floor_interval(-bins.max(axis=1))
-
-
-def _best_floor_interval(mins: np.ndarray):
-    """Widest dyadic interval maximizing the floor, from per-bin minima.
-
-    Candidates are half-open dyadic intervals no finer than the search
-    granularity; selection is lexicographic (largest floor, then widest,
-    then leftmost) so the result is reproducible for a given table.
-    """
+    mins = psi[: n_bins * per_bin].reshape(n_bins, per_bin).min(axis=1)
     best = None  # (floor, -level, -index)
     best_iv = None
     level = INTERVAL_GRANULARITY

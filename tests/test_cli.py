@@ -420,6 +420,24 @@ def test_figure1_outputs(tmp_path):
     assert set(profile[:, 0]) == {4.0, 5.0, 6.0}
 
 
+def test_figure1_path_sidecars(tmp_path):
+    # each Fourier path's sidecar holds its grid and the record of the
+    # series it sums: name, law, seed and mode count
+    assert main(["run", "figure1", "--out", str(tmp_path), "--seed", "3",
+                 "--set", "fourier_terms=64", "--set", "resolution=10",
+                 "--set", "table_resolution=12", "--set", "j_lo=4",
+                 "--set", "j_hi=6", "--set", "depth=3"]) == 0
+    records = {
+        "sawtooth.json": {"field": "fourier-sawtooth", "law": "deterministic",
+                          "seed": None, "truncation": 64},
+        "wiener.json": {"field": "wiener-brownian", "law": "gaussian",
+                        "seed": 3, "truncation": 64},
+    }
+    for name, record in records.items():
+        want = canonical_json({"resolution": 10, "provenance": record}) + "\n"
+        assert (tmp_path / name).read_text(encoding="utf-8") == want
+
+
 def test_prop22_tail_bounds_and_witness(tmp_path):
     assert main(["run", "prop22", "--out", str(tmp_path),
                  "--set", "trials=3", "--set", "j_lo=5", "--set", "j_hi=8",

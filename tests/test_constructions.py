@@ -191,7 +191,6 @@ def test_nested_placement_db10(db10_table):
 def test_nested_placement_gap_too_small(haar_table):
     with pytest.raises(PlacementInfeasibleError) as err:
         nested_placement(haar_table, [2, 3])
-    assert err.value.n == 2
     assert "scale 3" in str(err.value)
 
 
@@ -326,13 +325,13 @@ def test_coefficient_exceedances_errors():
 
 def test_block_witness_zero_field():
     rec = block_witness_process(zero_field(10), heavy_tail(1.0), seed=5)
-    assert rec["law"] == "heavy_tail:1"
     for row in rec["per_scale"]:
         # |±1/n^2 + 0| meets the threshold exactly: every block witnesses
         assert row["witness_blocks"] == row["blocks"]
         assert row["blocks"] == 2 ** row["j"] // (2 * row["j"])
         assert row["product_exceedances"] >= row["chi_exceedances"]
-    assert rec["scales_with_product_exceedance"] == len(rec["exceedance_ns"])
+    assert rec["scales_with_product_exceedance"] == sum(
+        row["product_exceedances"] > 0 for row in rec["per_scale"])
 
 
 def test_block_witness_exact_cancellation():

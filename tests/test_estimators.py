@@ -121,10 +121,7 @@ def test_analysis_matches_brute_force_db4(db4_table):
 
 
 def test_constant_path_envelope(db10_table):
-    path = SamplePath(
-        10, np.full(1024, 3.7),
-        {"field": "const", "law": "deterministic", "seed": None, "truncation": 0},
-    )
+    path = SamplePath(10, np.full(1024, 3.7))
     env = scale_envelope(analysis_field(path, db10_table, 6))
     assert float(np.max(env.values)) <= 1e-8
 
@@ -185,7 +182,6 @@ def test_sup_growth_randomized_determinism(haar_table):
     b = sup_growth(f, haar_table, gaussian(), 11, [3, 6], 2)
     assert np.array_equal(a.global_sups, b.global_sups)
     assert np.array_equal(a.local_sups, b.local_sups)
-    assert a.law == "gaussian" and a.seed == 11
 
 
 def test_sup_growth_nested_interval_witness(haar_table):
@@ -260,9 +256,7 @@ def _on_grid(name, table, j, resolution):
     if name == "randomized_synthesize":
         return randomized_synthesize(zero_field(j), table, rademacher(), 0, j, resolution)
     if name == "analysis_field":
-        path_ = SamplePath(resolution, np.zeros(2**resolution),
-                           {"field": "zero", "law": "deterministic", "seed": None,
-                            "truncation": j})
+        path_ = SamplePath(resolution, np.zeros(2**resolution))
         return analysis_field(path_, table, j)
     assert resolution == table.r_psi  # sup profiles always sample the table grid
     return sup_growth(zero_field(j), table, None, None, [0, j], 0)
@@ -312,13 +306,21 @@ def test_hmin_rademacher_exact_invariance():
     assert twisted == det
 
 
-def test_hmin_scale_deletion_refit():
-    env = envelope_from_rate(PowerLogRate(0.3), 16)
-    values = env.values.copy()
-    values[7] = 0.0
+@pytest.mark.parametrize("law", [gaussian(), rademacher()])
+def test_hmin_is_the_direct_polyfit(law):
+    # minus the least-squares slope of log2 omega_j over [j_lo, j_hi], bit for bit
+    env = randomized_envelope(uniform_decay_envelope(0.4, 14), law, 3)
+    js = np.arange(6, 15)
+    want = -np.polyfit(js.astype(float), np.log2(env.values[js]), 1)[0]
+    assert hmin_estimate(env, 6, 14) == want
+
+
+def test_hmin_rejects_a_vanishing_scale_in_range():
+    values = envelope_from_rate(PowerLogRate(0.3), 16).values.copy()
     values[11] = 0.0
-    refit = hmin_estimate(ScaleEnvelope(values=values), 4, 16)
-    assert refit == pytest.approx(0.3, abs=1e-10)
+    with pytest.raises(InsufficientDataError):
+        hmin_estimate(ScaleEnvelope(values=values), 4, 16)
+    assert hmin_estimate(ScaleEnvelope(values=values), 12, 16) == pytest.approx(0.3, abs=1e-10)
 
 
 def test_hmin_validation():
@@ -327,16 +329,15 @@ def test_hmin_validation():
         hmin_estimate(env, 5, 8)  # span below 4
     with pytest.raises(InsufficientDataError):
         hmin_estimate(ScaleEnvelope(values=np.zeros(13)), 4, 12)
+    with pytest.raises(InvalidParameterError):
+        hmin_estimate(env, 4, 13)  # past j_max
 
 
 # ----------------------------------------------------------- modulus ratio
 
 def tent_path(resolution: int) -> SamplePath:
     xs = np.arange(2**resolution) * 2.0**-resolution
-    return SamplePath(
-        resolution, 1.0 - np.abs(2.0 * xs - 1.0),
-        {"field": "tent", "law": "deterministic", "seed": None, "truncation": 0},
-    )
+    return SamplePath(resolution, 1.0 - np.abs(2.0 * xs - 1.0))
 
 
 def test_modulus_ratio_tent_constant():
@@ -349,7 +350,7 @@ def test_modulus_ratio_tent_constant():
 def test_modulus_ratio_shift_invariance(db10_table):
     f = uniform_decay_field(0.5, 7)
     path = synthesize(randomized_field(f, gaussian(), 2), db10_table, 7, 12)
-    rolled = SamplePath(12, np.roll(path.values, 517), path.provenance)
+    rolled = SamplePath(12, np.roll(path.values, 517))
     theta = PowerLogModulus(alpha=0.5, gamma=2.0)
     a = modulus_ratio(path, theta, 4, 7)
     b = modulus_ratio(rolled, theta, 4, 7)
@@ -400,10 +401,7 @@ def test_modulus_ratio_validation(db10_table):
 
 
 def test_constant_path_zero_ratios():
-    path = SamplePath(
-        8, np.full(256, 4.0),
-        {"field": "const", "law": "deterministic", "seed": None, "truncation": 0},
-    )
+    path = SamplePath(8, np.full(256, 4.0))
     fit = modulus_ratio(path, PowerLogModulus(alpha=0.5, gamma=2.0), 3, 6)
     assert np.all(fit.ratios == 0.0)
     assert np.all(np.isfinite(fit.ratios))

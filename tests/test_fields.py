@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwslab import InsufficientDataError, InvalidParameterError, build_filter, cascade_evaluate
+from rwslab import InvalidParameterError, build_filter, cascade_evaluate
 from rwslab.fields import (
     CoefficientField,
     PowerLogRate,
     ScaleEnvelope,
     check_criterion,
     envelope_from_rate,
-    holder_fit,
+    field_digest,
     scale_envelope,
     step_function_coefficients,
     uniform_decay_envelope,
@@ -253,45 +253,6 @@ def test_geometric_series_vs_partial_sum_sanity():
     assert sums[5**4] > sums[5**3] > sums[5**2] > 0
 
 
-# ---------------------------------------------------------------- fits
-
-def test_holder_fit_exact():
-    env = envelope_from_rate(PowerLogRate(s=0.3), 16)
-    fit = holder_fit(env)
-    assert fit.alpha == pytest.approx(0.3, abs=1e-10)
-    assert fit.C == pytest.approx(1.0, rel=1e-9)
-
-
-def test_holder_fit_even_subsequence():
-    values = np.zeros(17)
-    for j in range(0, 17, 2):
-        values[j] = 2.0 ** (-0.3 * j)
-    fit = holder_fit(ScaleEnvelope(values=values))
-    assert fit.alpha == pytest.approx(0.3, abs=1e-10)
-    assert fit.scales == tuple(range(4, 17, 2))
-
-
-def test_holder_fit_picks_largest_block():
-    values = np.zeros(21)
-    for j in range(4, 11):
-        values[j] = 2.0 ** (-0.5 * j)
-    values[20] = 1.0  # far outlier separated by a big gap
-    fit = holder_fit(ScaleEnvelope(values=values))
-    assert fit.scales == tuple(range(4, 11))
-    assert fit.alpha == pytest.approx(0.5, abs=1e-10)
-
-
-def test_holder_fit_errors():
-    with pytest.raises(InsufficientDataError):
-        holder_fit(ScaleEnvelope(values=np.zeros(12)))
-    values = np.zeros(12)
-    values[5] = values[6] = values[7] = 0.5
-    with pytest.raises(InsufficientDataError):
-        holder_fit(ScaleEnvelope(values=values))
-    with pytest.raises(InvalidParameterError):
-        holder_fit(ScaleEnvelope(values=np.ones(8)), j_lo=5, j_hi=12)
-
-
 # ------------------------------------------------------- step functions
 
 def test_haar_heaviside_all_vanish(haar_table):
@@ -390,3 +351,13 @@ def test_step_function_validation(db10_table):
         step_function_coefficients(db10_table, "heaviside", 7)
     with pytest.raises(InvalidParameterError):
         step_function_coefficients(db10_table, "square", 5)
+
+
+# ------------------------------------------------------------------ digest
+
+def test_field_digest_sees_every_coefficient():
+    digest = field_digest(uniform_decay_field(0.5, 6))
+    assert len(digest) == 12 and digest == field_digest(uniform_decay_field(0.5, 6))
+    flipped = uniform_decay_field(0.5, 6)
+    flipped.levels[6][63] = -flipped.levels[6][63]
+    assert field_digest(flipped) != digest

@@ -22,7 +22,6 @@ from rwslab.constructions import divergence_scale_field
 from rwslab.errors import InvalidParameterError
 from rwslab.fields import (
     CoefficientField,
-    field_digest,
     scale_envelope,
     uniform_decay_field,
     zero_field,
@@ -139,8 +138,6 @@ def test_haar_single_coefficient_indicator(haar_table):
 def test_zero_field_constant_path(db10_table):
     path = synthesize(zero_field(4, coarse=2.5), db10_table, 4, 10)
     assert np.array_equal(path.values, np.full(1024, 2.5))
-    assert path.provenance["law"] == "deterministic"
-    assert path.provenance["seed"] is None
 
 
 def test_linearity(db10_table):
@@ -191,14 +188,11 @@ def test_resolution_preconditions(db10_table):
 
 
 def test_sample_path_validation():
-    good = {"field": "x", "law": "deterministic", "seed": None, "truncation": 0}
-    SamplePath(3, np.zeros(8), good)
+    SamplePath(3, np.zeros(8))
     with pytest.raises(InvalidParameterError):
-        SamplePath(3, np.zeros(7), good)
+        SamplePath(3, np.zeros(7))
     with pytest.raises(InvalidParameterError):
-        SamplePath(2, np.array([1.0, np.inf, 0.0, 0.0]), good)
-    with pytest.raises(InvalidParameterError):
-        SamplePath(2, np.zeros(4), {"field": "x", "law": "deterministic"})
+        SamplePath(2, np.array([1.0, np.inf, 0.0, 0.0]))
 
 
 # ---------------------------------------------------- randomized synthesis
@@ -211,18 +205,16 @@ def test_rademacher_preserves_envelope():
 
 
 def test_randomized_determinism_and_provenance(db10_table):
+    # (field, law, seed, truncation) identifies the path: the record a
+    # caller keeps beside it is enough to regenerate it bit for bit
     f = uniform_decay_field(0.5, 6)
     a = randomized_synthesize(f, db10_table, gaussian(), 42, 6, 11)
     b = randomized_synthesize(f, db10_table, gaussian(), 42, 6, 11)
     c = randomized_synthesize(f, db10_table, gaussian(), 43, 6, 11)
+    d = randomized_synthesize(f, db10_table, gaussian(), 42, 5, 11)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.provenance == {
-        "field": field_digest(f),
-        "law": "gaussian",
-        "seed": 42,
-        "truncation": 6,
-    }
+    assert not np.array_equal(a.values, d.values)
 
 
 def test_bounded_randomization_sup_bound(db10_table):
@@ -306,13 +298,10 @@ def test_sawtooth_sup_error_away_from_jump():
 
 
 def test_sawtooth_provenance_and_validation():
-    path = fourier_sawtooth(3, 5)
-    assert path.provenance == {
-        "field": "fourier-sawtooth",
-        "law": "deterministic",
-        "seed": None,
-        "truncation": 3,
-    }
+    # the mode count and the grid identify the deterministic partial sum
+    a, b = fourier_sawtooth(3, 5), fourier_sawtooth(3, 5)
+    assert a.values.shape == (32,) and np.array_equal(a.values, b.values)
+    assert not np.array_equal(a.values, fourier_sawtooth(4, 5).values)
     with pytest.raises(InvalidParameterError):
         fourier_sawtooth(0, 5)
 
@@ -343,12 +332,6 @@ def test_wiener_origin_and_determinism():
     b = wiener_brownian(128, 9, 5)
     assert a.values[0] == 0.0
     assert np.array_equal(a.values, b.values)
-    assert a.provenance == {
-        "field": "wiener-brownian",
-        "law": "gaussian",
-        "seed": 5,
-        "truncation": 128,
-    }
 
 
 def test_wiener_no_modes_is_linear():
@@ -371,10 +354,11 @@ def test_export_path_csv(tmp_path, haar_table):
     f.levels[1][0] = -0.5
     path_obj = synthesize(f, haar_table, 2, 7)
     dest = tmp_path / "path.csv"
-    export_path_csv(path_obj, dest)
+    record = {"field": "test", "law": "deterministic", "seed": None, "truncation": 2}
+    export_path_csv(path_obj, dest, record)
     lines = dest.read_text().splitlines()
     assert lines[0] == "x,value"
     assert lines[1] == "0,0.5"
     assert len(lines) == 1 + 128
     sidecar = json.loads((tmp_path / "path.json").read_text())
-    assert sidecar == {"resolution": 7, "provenance": path_obj.provenance}
+    assert sidecar == {"resolution": 7, "provenance": record}

@@ -25,8 +25,8 @@ from rwslab.wavelets import (
     _even_diff_max,
     _integer_values,
     _phi_rows,
+    _positivity_search,
     _refine,
-    _signed_intervals,
     periodized_grid,
     pyramid_analysis,
     pyramid_synthesis,
@@ -172,20 +172,17 @@ def test_haar_table_exact_closed_form(haar_table):
 def test_haar_signed_intervals(haar_table):
     assert haar_table.positivity_interval == DyadicInterval(index=0, level=1)
     assert haar_table.positivity_floor == 1.0
-    assert haar_table.negativity_interval == DyadicInterval(index=1, level=1)
-    assert haar_table.negativity_ceiling == -1.0
 
 
 def test_haar_sup_and_intervals_leave_psi_unbuilt():
-    # The box's sup and sign intervals come from psi at the search
+    # The box's sup and positivity interval come from psi at the search
     # granularity, one sample a bin, and agree with the search over the
     # full r_psi = 20 table that prop22 and prop43 read.
     table = cascade_evaluate(build_filter("haar", 1), 20)
-    got = (table.sup_norm, table.positivity_interval, table.positivity_floor,
-           table.negativity_interval, table.negativity_ceiling)
+    got = (table.sup_norm, table.positivity_interval, table.positivity_floor)
     assert "psi" not in vars(table)
-    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(table.psi, 1, 20)
-    assert got == (float(np.max(np.abs(table.psi))), pos, pos_floor, neg, -neg_floor)
+    pos, pos_floor = _positivity_search(table.psi, 20, 1)
+    assert got == (float(np.max(np.abs(table.psi))), pos, pos_floor)
 
 
 def test_db10_quadrature_invariants(db10_table):
@@ -218,25 +215,11 @@ def test_refinement_diffs_decrease(db10_table):
 
 def test_signed_intervals_bound_psi(db10_table):
     t = db10_table
-    for iv, check in [
-        (t.positivity_interval, lambda v: np.all(v >= t.positivity_floor)),
-        (t.negativity_interval, lambda v: np.all(v <= t.negativity_ceiling)),
-    ]:
-        lo = iv.index * 2 ** (t.r_psi - iv.level)
-        hi = (iv.index + 1) * 2 ** (t.r_psi - iv.level)
-        assert check(t.psi[lo:hi])
+    iv = t.positivity_interval
+    lo = iv.index * 2 ** (t.r_psi - iv.level)
+    hi = (iv.index + 1) * 2 ** (t.r_psi - iv.level)
+    assert np.all(t.psi[lo:hi] >= t.positivity_floor)
     assert t.positivity_floor > 0
-    assert t.negativity_ceiling < 0
-
-
-def test_signed_intervals_swap_under_negation(db10_table):
-    # -psi's search reads psi's negated bin maxima: negating psi swaps the
-    # two results exactly; sup_norm is max |psi| without the |psi| array.
-    t = db10_table
-    pos, neg = _signed_intervals(-t.psi, t.support_length, t.r_psi)
-    assert pos == (t.negativity_interval, -t.negativity_ceiling)
-    assert neg == (t.positivity_interval, t.positivity_floor)
-    assert t.sup_norm == float(np.max(np.abs(t.psi)))
 
 
 def test_interval_search_deterministic():
@@ -257,9 +240,8 @@ def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
     assert same_bits(table.phi, phi)
     assert same_bits(table.psi, psi)
     assert table.refinement_diffs == tuple(diffs)
-    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, filt.support_length, r_psi)
+    pos, pos_floor = _positivity_search(psi, r_psi, filt.support_length)
     assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
-    assert (table.negativity_interval, table.negativity_ceiling) == (neg, -neg_floor)
     assert table.sup_norm == float(np.max(np.abs(psi)))
 
 
@@ -350,9 +332,8 @@ def test_levels_read_in_any_order_match_full_table(n, reads):
     assert same_bits(table.phi, phi)
     assert same_bits(table.psi, psi)
     assert table.refinement_diffs == tuple(diffs)
-    (pos, pos_floor), (neg, neg_floor) = _signed_intervals(psi, filt.support_length, r_psi)
+    pos, pos_floor = _positivity_search(psi, r_psi, filt.support_length)
     assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
-    assert (table.negativity_interval, table.negativity_ceiling) == (neg, -neg_floor)
     assert table.sup_norm == float(np.max(np.abs(psi)))
 
 
@@ -511,13 +492,13 @@ def test_cascade_detects_corrupt_taps():
 
 def test_sign_interval_failure_raises_on_first_interval_read(monkeypatch):
     # The interval search runs on the first read of an interval field, so
-    # a psi without a one-signed interval fails there, not in cascade_evaluate.
-    monkeypatch.setattr("rwslab.wavelets._signed_intervals",
-                        lambda psi, length, r_psi: ((None, 0.0), (None, 0.0)))
+    # a psi positive on no interval fails there, not in cascade_evaluate.
+    monkeypatch.setattr("rwslab.wavelets._positivity_search",
+                        lambda psi, sample_level, length: (None, 0.0))
     table = cascade_evaluate(build_filter("daubechies", 2), 8)
     assert table.sup_norm > 0.0
-    for name in ("positivity_interval", "negativity_ceiling"):
-        with pytest.raises(NumericalFailureError, match="one-signed"):
+    for name in ("positivity_interval", "positivity_floor"):
+        with pytest.raises(NumericalFailureError, match="positive wavelet"):
             getattr(table, name)
 
 
