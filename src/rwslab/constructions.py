@@ -25,6 +25,7 @@ from .fields import (
     PowerLogRate,
     ScaleEnvelope,
     check_criterion,
+    envelope_from_rate,
     zero_field,
 )
 from .laws import (
@@ -93,24 +94,20 @@ def _check_scales(scales) -> list[int]:
     return out
 
 
-def divergent_subsequence(env: ScaleEnvelope) -> list[int]:
-    """Scales whose envelope values sum past every bound, with growing gaps.
+def divergent_subsequence(rate: PowerLogRate, j_max: int) -> list[int]:
+    """Scales up to ``j_max`` whose rate values sum past every bound, with
+    growing gaps.
 
     Works in blocks of constant gap: among the gap-g arithmetic
     progressions compatible with non-decreasing gaps, take the one with
     the largest remaining envelope sum, walk it until the block has
-    accumulated one unit of mass, then widen the gap.  On the finite
-    horizon the selected sum grows by at least 1 per completed block.
+    accumulated one unit of mass, then widen the gap.  Up to ``j_max``
+    the selected sum grows by at least 1 per completed block.
     """
-    if env.rate is None:
-        raise InvalidPreconditionError(
-            "subsequence selection needs a symbolic rate; raw envelopes "
-            "cannot certify a divergent sum")
-    if check_criterion(env, "l1") != "fails":
+    if check_criterion(rate, "l1") != "fails":
         raise InvalidPreconditionError(
             "envelope sum converges; every subsequence sum is finite")
-    weights = env.values
-    horizon = env.j_max
+    weights = envelope_from_rate(rate, j_max).values
     out: list[int] = []
     gap = 2
     while True:
@@ -124,12 +121,12 @@ def divergent_subsequence(env: ScaleEnvelope) -> list[int]:
             # gap-1 was the previous block's spacing, so either start
             # keeps the realized gaps non-decreasing
             starts = [out[-1] + gap - 1, out[-1] + gap]
-        starts = [s for s in starts if s <= horizon]
+        starts = [s for s in starts if s <= j_max]
         if not starts:
             return out
         start = max(starts, key=lambda s: (float(np.sum(weights[s::gap])), -s))
         total = 0.0
-        while start <= horizon:
+        while start <= j_max:
             out.append(start)
             total += float(weights[start])
             if total >= 1.0:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope
-from .laws import RandomLaw
-from .synthesis import SamplePath, randomized_field
+from .synthesis import SamplePath
 from .util import sup_abs, write_csv
 from .wavelets import MotherWaveletTable, check_grid, pyramid_analysis, pyramid_synthesis
 
@@ -64,9 +63,9 @@ class SupGrowthProfile:
 
 
 def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
-               law: RandomLaw | None, seed: int | None,
                truncations, depth: int) -> SupGrowthProfile:
-    """Sup profile of the (optionally randomized) series on the table grid.
+    """Sup profile of the series on the table grid; a randomized series is
+    profiled by passing ``randomized_field(...)``.
 
     Truncations are deduplicated and sorted; each snapshot is synthesized
     by the same filter bank as synthesize(..., J, R), so the two agree
@@ -81,19 +80,12 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     check_grid(table, cuts[-1], table.r_psi)
     if not 0 <= depth <= table.r_psi:
         raise InvalidParameterError(f"cell depth must lie in 0..{table.r_psi}")
-    if (law is None) != (seed is None):
-        raise InvalidParameterError("law and seed go together")
-
-    src = field_
-    if law is not None:
-        kept = CoefficientField(cuts[-1], field_.coarse,
-                                field_.levels[: cuts[-1] + 1])
-        src = randomized_field(kept, law, seed)
 
     resolution = table.r_psi
     cells = 2**depth
     local_sups = np.vstack([
-        _cell_sups(pyramid_synthesis(src.coarse, src.levels[: j_trunc + 1], table, resolution),
+        _cell_sups(pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table,
+                                     resolution),
                    cells)
         for j_trunc in cuts])
     return SupGrowthProfile(

@@ -124,7 +124,8 @@ def _run_figure1(config, out, comment):
 
     coeffs = step_function_coefficients(table, "sawtooth", config["j_hi"])
     truncations = list(range(config["j_lo"], config["j_hi"] + 1))
-    profile = sup_growth(coeffs, table, config["law"], seed, truncations, config["depth"])
+    profile = sup_growth(randomized_field(coeffs, config["law"], seed), table, truncations,
+                         config["depth"])
     export_profile_csv(profile, out / "randomized_sawtooth.csv", comment=comment)
     flags = {"profile_resolution": int(profile.resolution),
              "max_global_sup": float(profile.global_sups.max())}
@@ -135,8 +136,9 @@ def _run_figure1(config, out, comment):
 def _run_prop22(config, out, comment):
     table = _table(config)
     res = table.r_psi
-    env = envelope_from_rate(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])
-    scales = thin_to_feasible(table, divergent_subsequence(env))
+    rate = PowerLogRate(0.0, a=-1.0)
+    env = envelope_from_rate(rate, config["witness_j_max"])
+    scales = thin_to_feasible(table, divergent_subsequence(rate, env.j_max))
     levels = config["witness_levels"]
     if len(scales) < levels:
         raise InvalidParameterError(
@@ -192,8 +194,8 @@ def _run_prop31(config, out, comment):
         truncations = list(range(config["field_j_max"], config["j_max"] + 1))
         rows, variations = [], []
         for s in range(seeds):
-            profile = sup_growth(field, table, law, base + s, truncations,
-                                 config["depth"])
+            profile = sup_growth(randomized_field(field, law, base + s), table,
+                                 truncations, config["depth"])
             sups = profile.global_sups
             variations.append(float(sups.max() - sups.min()))
             rows.extend((base + s, j, float(g))
@@ -276,8 +278,7 @@ def _run_prop46(config, out, comment):
                ("loglog_term", np.sqrt(jf) / np.log(np.log(jf)) * omega),
                ("l1_partial_sum", np.cumsum(omega))], comment=comment)
 
-    env = envelope_from_rate(rate, config["horizon"])
-    flags = _write_verdicts(env, ("l1", "sqrtj", "loglog"), None, out, comment)
+    flags = _write_verdicts(rate, ("l1", "sqrtj", "loglog"), None, out, comment)
     return ["construction.csv", "verdicts.csv"], {"scale_ratio": ratio, **flags}
 
 
@@ -311,13 +312,13 @@ def _parse_kinds(text: str) -> list[str]:
     return kinds
 
 
-def _write_verdicts(env, kinds, gamma, out, comment):
+def _write_verdicts(rate, kinds, gamma, out, comment):
     """verdicts.csv with one row per criterion kind; returns kind -> verdict.
     ``gamma`` applies to the "gamma" kind only, and its cell is written by
     ``write_csv``'s float rule whatever the other rows hold."""
     rows, flags = [], {}
     for kind in kinds:
-        verdict = check_criterion(env, kind, gamma if kind == "gamma" else None)
+        verdict = check_criterion(rate, kind, gamma if kind == "gamma" else None)
         rows.append((kind, verdict, "%.15g" % gamma if kind == "gamma" else ""))
         flags[kind] = verdict
     _write_rows(out / "verdicts.csv", ("kind", "verdict", "gamma"), rows, comment)
@@ -332,14 +333,14 @@ def _check_criteria_gamma(config):
 
 
 def _run_criteria(config, out, comment):
-    env = envelope_from_rate(config["rate"], config["horizon"])
-    return ["verdicts.csv"], _write_verdicts(env, config["kinds"], config["gamma"], out, comment)
+    return ["verdicts.csv"], _write_verdicts(config["rate"], config["kinds"], config["gamma"],
+                                             out, comment)
 
 
 def _run_modulus(config, out, comment):
     table = _table(config)
     alpha, gamma = config["alpha"], config["gamma"]
-    theta = PowerLogModulus(alpha, gamma if gamma > 0 else None)
+    theta = PowerLogModulus(alpha, gamma or None)  # gamma = 0 drops the log factor
     plain = PowerLogModulus(alpha, None)
     field = uniform_decay_field(alpha, config["j_max"])
     rows, spreads = [], []
@@ -420,7 +421,8 @@ EXPERIMENTS: dict[str, Experiment] = {
     "figure1": Experiment(dict(
         fourier_terms=2**14, resolution=17, wavelet="daubechies",
         vanishing_moments=10, table_resolution=19, j_lo=8, j_hi=13,
-        law="gaussian", depth=6, seed=0), _run_figure1),
+        law="gaussian", depth=6, seed=0), _run_figure1,
+        orderings=("0 <= j_lo <= j_hi",)),
     "prop22": Experiment(dict(
         trials=100, j_lo=10, j_hi=16, wavelet="haar", vanishing_moments=1,
         table_resolution=20, witness_levels=4, witness_j_max=12, seed=0),
@@ -437,12 +439,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         seeds=100, seed=0, j_lo=12, j_hi=16, rate_power=-2.0, law="gaussian",
         wavelet="haar", vanishing_moments=1, table_resolution=20), _run_prop43,
         orderings=("0 < j_lo < j_hi",)),
-    "prop46": Experiment(dict(terms=20, horizon=4096, seed=0), _run_prop46),
+    "prop46": Experiment(dict(terms=20, seed=0), _run_prop46),
     "modulus": Experiment(dict(
         alpha=0.5, gamma=2.0, j_max=13, resolution=17, m_lo=4, m_hi=12,
         seeds=20, seed=0, law="gaussian", wavelet="daubechies",
         vanishing_moments=10, table_resolution=17), _run_modulus,
-        orderings=("2 <= m_lo < m_hi < resolution <= table_resolution",)),
+        orderings=("2 <= m_lo < m_hi < resolution <= table_resolution", "0 <= gamma")),
     "hmin": Experiment(dict(
         alpha=0.4, j_max=24, j_lo=16, j_hi=24, seeds=20, seed=0), _run_hmin,
         orderings=("0 <= j_lo < j_hi <= j_max",)),
@@ -451,7 +453,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         m_hi=10), _run_wiener, orderings=("1 <= m_lo <= m_hi <= resolution",)),
     "criteria": Experiment(dict(
         rate="loglog-prop46", kinds="linfty,c0,l1,sqrtj,loglog", gamma=0.0,
-        horizon=4096, seed=0), _run_criteria, checks=(_check_criteria_gamma,)),
+        seed=0), _run_criteria, checks=(_check_criteria_gamma,)),
 }
 
 EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
@@ -487,12 +489,11 @@ def _parse_override(text: str):
 _LEVEL_CAP = 25
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
-# keep its geometric scales within int64, j_max levels are dense,
-# exceedance_j_max levels are scanned word by word and a horizon is a last
-# scale
+# keep its geometric scales within int64, j_max levels are dense and
+# exceedance_j_max levels are scanned word by word
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
                "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1),
-               "exceedance_j_max": (0, _LEVEL_CAP + 1), "horizon": (0, math.inf)}
+               "exceedance_j_max": (0, _LEVEL_CAP + 1)}
 
 # String-valued keys and their parsers; ``run_experiment`` hands the runner
 # the parsed values.

@@ -2,18 +2,18 @@
 
 A field stores dense per-scale wavelet coefficients c_{j,k} (2^j of them at
 scale j) plus the coarse constant term.  The envelope omega_j = max_k
-|c_{j,k}| is the central statistic; criteria on envelopes (bounded,
-vanishing, summable, sqrt(j)-weighted, gamma-weighted, log-log-weighted)
-are decided exactly when a symbolic rate is attached and reported as
-undecidable otherwise: convergence of a series is not finitely observable,
-so numeric-only envelopes never get a holds/fails verdict.
+|c_{j,k}| is the central statistic.  The criteria (bounded, vanishing,
+summable, sqrt(j)-weighted, gamma-weighted, log-log-weighted) are
+conditions on the decay rate of omega_j and are decided exactly from a
+symbolic ``PowerLogRate``: convergence of a series is not finitely
+observable, so a tabulated envelope never gets a holds/fails verdict.
 
 Step-function coefficients are computed by quadrature in the rescaled
 variable u = 2^j x - k on the wavelet's own table grid, which makes the
 quadrature error uniform in j (the integrand never sharpens as j grows).
-For the sawtooth it reduces to the first moment of the psi table and its
-suffix sums at the integers, one term per wrap point instead of a pass
-over the table per coefficient.
+Both step functions reduce to suffix sums of the psi table at the
+integers, the sawtooth also to its first moment: one term per jump or
+wrap point instead of a pass over the table per coefficient.
 """
 
 from __future__ import annotations
@@ -127,10 +127,9 @@ class PowerLogRate:
 
 @dataclass(frozen=True, eq=False)
 class ScaleEnvelope:
-    """omega_0..omega_{j_max} with an optional symbolic rate."""
+    """omega_0..omega_{j_max}."""
 
     values: np.ndarray
-    rate: PowerLogRate | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -139,12 +138,6 @@ class ScaleEnvelope:
             raise InvalidParameterError("envelope needs a one-dimensional value array")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise InvalidParameterError("envelope values must be finite and nonnegative")
-        if self.rate is not None:
-            for j in self.rate.supported_scales(v.size - 1):
-                if abs(v[j] - self.rate.value(j)) > 1e-12 * max(1.0, abs(v[j])):
-                    raise InvalidParameterError(
-                        f"envelope value at j={j} does not match the declared rate"
-                    )
 
     @property
     def j_max(self) -> int:
@@ -155,7 +148,7 @@ def envelope_from_rate(rate: PowerLogRate, j_max: int) -> ScaleEnvelope:
     values = np.zeros(j_max + 1)
     for j in rate.supported_scales(j_max):
         values[j] = rate.value(j)
-    return ScaleEnvelope(values=values, rate=rate)
+    return ScaleEnvelope(values=values)
 
 
 def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:
@@ -164,7 +157,7 @@ def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:
 
 
 def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
-    return ScaleEnvelope(values=np.array([sup_abs(lv) for lv in field_.levels]), rate=None)
+    return ScaleEnvelope(values=np.array([sup_abs(lv) for lv in field_.levels]))
 
 
 # ---------------------------------------------------------------- criteria
@@ -196,9 +189,9 @@ def _geometric_series_converges(a: float, b: float, c: float) -> bool:
     return c < -1.0
 
 
-def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -> str:
-    """Verdict of criterion ``kind`` on the envelope: "holds", "fails", or
-    "undecidable-numeric" when no symbolic rate is attached."""
+def check_criterion(rate: PowerLogRate, kind: str, gamma: float | None = None) -> str:
+    """Verdict of criterion ``kind`` on envelopes decaying at ``rate``:
+    "holds" or "fails"."""
     if kind not in CRITERION_KINDS:
         raise InvalidParameterError(f"unknown criterion {kind!r}; expected one of {CRITERION_KINDS}")
     if kind == "gamma":
@@ -207,9 +200,6 @@ def check_criterion(env: ScaleEnvelope, kind: str, gamma: float | None = None) -
     elif gamma is not None:
         raise InvalidParameterError(f"criterion {kind!r} takes no gamma")
 
-    rate = env.rate
-    if rate is None:
-        return "undecidable-numeric"
     if rate.s != 0.0:
         return "holds" if rate.s > 0.0 else "fails"
     if kind in ("linfty", "c0"):
@@ -251,30 +241,28 @@ def step_function_coefficients(
     step = table.grid_step
     psi = table.psi[:-1]
     out = zero_field(j_max)
+    # Jumps and wraps sit at integers u = c, where the left-endpoint grid
+    # point takes the midpoint value 0 (sign(0) = 0): both step functions
+    # need the suffix sums S_p = sum_{i >= p} psi_i only at p = c 2^r_psi,
+    # the reverse cumulative sums of the per-unit sums, with the mass at c = 0.
+    unit = 2**table.r_psi
+    suffix = np.cumsum(np.add.reduceat(psi, np.arange(0, psi.size, unit))[::-1])[::-1]
+    mass = float(suffix[0])
 
     if kind == "heaviside":
-        # left-endpoint u grid over the support, matching the table
-        u = np.arange(length * 2**table.r_psi) * step
-        # T(k) = integral of sign(u + k) Psi(u) du, independent of j; the
-        # grid point exactly on the jump contributes sign(0) = 0
-        for k in range(-(length - 1), 0):
-            value = float(np.sum(np.sign(u + k) * psi) * step)
+        # T(k) = integral of sign(u + k) Psi(u) du, independent of j: the
+        # psi past the jump c = -k less the psi before it
+        for c in range(length - 1, 0, -1):
+            value = step * (2.0 * float(suffix[c]) - float(psi[c * unit]) - mass)
             for j in range(j_max + 1):
-                out.levels[j][k % 2**j] += value
+                out.levels[j][-c % 2**j] += value
         return out
 
     # sawtooth: x - 1/2 is linear wherever the support does not cross the
     # wrap, so those coefficients reduce to 2^-j times the first moment of
     # psi.  A wrap-crossing translate is that line less a unit step at each
-    # wrap point inside the support, where the grid point takes the
-    # midpoint value 0 (sign(0) = 0 on the heaviside side): suffix sums
-    # S_p = sum_{i >= p} psi_i.  Wrap points are integers, so S_p is needed
-    # only at p = c 2^r_psi: reverse cumulative sums of the per-unit sums,
-    # with the mass at c = 0.  The first moment sum_i i psi_i is summed one
-    # unit at a time, elementwise (no BLAS dot, whose threads spin).
-    unit = 2**table.r_psi
-    suffix = np.cumsum(np.add.reduceat(psi, np.arange(0, psi.size, unit))[::-1])[::-1]
-    mass = float(suffix[0])
+    # wrap point inside the support.  The first moment sum_i i psi_i is
+    # summed one unit at a time, elementwise (no BLAS dot, whose threads spin).
     moment = step * math.fsum(
         float(np.sum(np.multiply(np.arange(lo, lo + unit, dtype=float), psi[lo : lo + unit])))
         for lo in range(0, psi.size, unit))

@@ -97,7 +97,7 @@ def randomized_envelope(env: ScaleEnvelope, law: RandomLaw, seed: int) -> ScaleE
     """
     values = [float(w) * abs_max(law, seed, COEFFICIENT_STREAM, j, 0, 2**j)
               for j, w in enumerate(env.values)]
-    return ScaleEnvelope(values=np.array(values), rate=None)
+    return ScaleEnvelope(values=np.array(values))
 
 
 def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,

@@ -21,6 +21,8 @@ import rwslab
 from rwslab.cli import main
 from rwslab.errors import InvalidParameterError
 from rwslab.experiments import (
+    _INT_BOUNDS,
+    _PARSERS,
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     config_digest,
@@ -59,6 +61,20 @@ def test_defaults_are_flat_json_scalars():
         for key, value in config.items():
             assert isinstance(value, (bool, int, float, str)), (name, key)
         assert "seed" in config
+
+
+def test_registry_tables_name_only_default_keys():
+    # a key dropped from the defaults must leave every table that reads it
+    def is_int(term):
+        return term.lstrip("-").isdigit()
+
+    for name, exp in EXPERIMENTS.items():
+        for chain in exp.orderings:
+            operands = chain.split()[::2]
+            assert [t for t in operands if t not in exp.defaults and not is_int(t)] == [], name
+    keys = {key for exp in EXPERIMENTS.values() for key in exp.defaults}
+    assert sorted(set(_INT_BOUNDS) - keys) == []
+    assert sorted(set(_PARSERS) - keys) == []
 
 
 def test_default_config_returns_a_copy():
@@ -112,7 +128,7 @@ def test_digest_depends_on_experiment_and_config():
     base = config_digest("criteria", config)
     assert len(base) == 64 and base == config_digest("criteria", dict(config))
     assert base != config_digest("prop46", config)
-    assert base != config_digest("criteria", {**config, "horizon": 99})
+    assert base != config_digest("criteria", {**config, "seed": 99})
 
 
 # ------------------------------------------------------------- exit codes
@@ -166,8 +182,6 @@ def test_missing_config_file_exits_2(tmp_path):
     ["modulus", "--set", "resolution=18"],
     ["figure1", "--set", "table_resolution=5"],
     ["prop31", "--set", "field_j_max=14", "--set", "law=bounded_uniform:1"],
-    ["criteria", "--set", "horizon=-3"],
-    ["prop46", "--set", "horizon=-3"],
     ["hmin", "--set", "j_max=10", "--set", "j_hi=12"],
     ["modulus", "--set", "m_hi=17"],
     ["prevalence", "--set", "field_law=heavy_tail:inf"],
@@ -179,7 +193,7 @@ def test_missing_config_file_exits_2(tmp_path):
         "m_lo-0", "j_lo-not-below-j_hi", "j_lo-0", "empty-kinds", "j_max-above-cap",
         "unknown-rate", "unknown-kind", "resolution-above-table",
         "table-below-search-granularity", "field_j_max-above-j_max",
-        "criteria-horizon-negative", "prop46-horizon-negative", "j_hi-above-j_max",
+        "j_hi-above-j_max",
         "m_hi-not-below-resolution", "non-finite-field-law", "non-finite-rate",
         "exceedance_j_max-negative", "exceedance_j_max-above-cap"])
 def test_unrunnable_config_exits_2_without_output(tmp_path, args):
@@ -203,6 +217,23 @@ def test_law_parsed_before_any_table(tmp_path, monkeypatch, name):
     out = tmp_path / "out"
     assert main(["run", name, "--set", "law=bogus", "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("figure1", ["--set", "j_lo=10", "--set", "j_hi=9"],
+     "figure1 needs 0 <= j_lo <= j_hi, got j_lo=10, j_hi=9"),
+    ("modulus", ["--set", "gamma=-2"], "modulus needs 0 <= gamma, got gamma=-2.0"),
+], ids=["figure1-j_lo-above-j_hi", "modulus-gamma-negative"])
+def test_ordering_checked_before_any_table(tmp_path, monkeypatch, capsys, name, args,
+                                           message):
+    def no_table(*a, **k):
+        raise AssertionError("wavelet table built for an out-of-order config")
+
+    monkeypatch.setattr("rwslab.experiments.cascade_evaluate", no_table)
+    out = tmp_path / "out"
+    assert main(["run", name, *args, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, code", [
@@ -309,10 +340,10 @@ def test_criteria_gamma_row(tmp_path):
     ["--set", "kinds=gamma", "--set", "gamma=-1.0"],
 ], ids=["default-gamma", "gamma-above-2", "gamma-negative"])
 def test_criteria_gamma_checked_before_any_output(tmp_path, monkeypatch, capsys, args):
-    def no_envelope(*a, **k):
-        raise AssertionError("envelope built for an invalid gamma")
+    def no_verdict(*a, **k):
+        raise AssertionError("verdict taken for an invalid gamma")
 
-    monkeypatch.setattr("rwslab.experiments.envelope_from_rate", no_envelope)
+    monkeypatch.setattr("rwslab.experiments.check_criterion", no_verdict)
     out = tmp_path / "out"
     assert main(["run", "criteria", *args, "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []       # neither out nor a temporary
@@ -337,14 +368,35 @@ def test_criteria_unknown_rate_exits_2(tmp_path):
                  "--set", "rate=fancy"]) == 2
 
 
+@pytest.mark.parametrize("rate", ["power-log:-1", "power-log:0:300"])
+def test_criteria_decides_rates_without_evaluating_them(tmp_path, rate):
+    # the rate values overflow a float at large j (2^j, j^300); the
+    # verdicts read only the exponents
+    assert main(["run", "criteria", "--set", f"rate={rate}", "--out", str(tmp_path)]) == 0
+    flags = read_manifest(tmp_path)["flags"]
+    assert flags == dict.fromkeys(["linfty", "c0", "l1", "sqrtj", "loglog"], "fails")
+
+
+@pytest.mark.parametrize("name", ["criteria", "prop46"])
+def test_horizon_is_not_a_config_key(tmp_path, capsys, name):
+    # no output read the horizon, so a manifest that carries it is refused
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps({"experiment": name,
+                               "config": {**default_config(name), "horizon": 4096}}))
+    for args in (["--set", "horizon=4096"], ["--config", str(old)]):
+        assert main(["run", name, *args, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown {name} config key 'horizon'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [old]
+
+
 def test_config_precedence_through_cli(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 512, "rate": "harmonic"}))
+    cfg.write_text(json.dumps({"gamma": 0.5, "rate": "harmonic"}))
     out = tmp_path / "out"
     assert main(["run", "criteria", "--config", str(cfg), "--out", str(out),
-                 "--set", "horizon=1024"]) == 0
+                 "--set", "gamma=1.5"]) == 0
     manifest = read_manifest(out)
-    assert manifest["config"]["horizon"] == 1024
+    assert manifest["config"]["gamma"] == 1.5
     assert manifest["config"]["rate"] == "harmonic"
     assert manifest["config"]["kinds"] == default_config("criteria")["kinds"]
     verdicts = dict(ln.split(",")[:2] for ln in
@@ -535,7 +587,7 @@ def test_prop43_sqrt_bounds(tmp_path):
 
 def test_prop46_construction_table(tmp_path):
     assert main(["run", "prop46", "--out", str(tmp_path),
-                 "--set", "terms=6", "--set", "horizon=700"]) == 0
+                 "--set", "terms=6"]) == 0
     manifest = read_manifest(tmp_path)
     assert manifest["flags"]["scale_ratio"] == 5
     assert manifest["flags"]["l1"] == "holds"

@@ -119,16 +119,15 @@ def assert_nesting(table, placement):
 # ------------------------------------------------------------ subsequence
 
 def test_subsequence_harmonic_matches_oracle():
-    env = envelope_from_rate(PowerLogRate(0.0, a=-1.0), 4096)
-    got = divergent_subsequence(env)
-    assert got == greedy_blocks_oracle(env.values, 4096)
+    rate = PowerLogRate(0.0, a=-1.0)
+    got = divergent_subsequence(rate, 4096)
+    assert got == greedy_blocks_oracle(envelope_from_rate(rate, 4096).values, 4096)
     # first block is the single term 1/1, second walks 3, 6, ..., 33
     assert got[:13] == [1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36]
 
 
 def test_subsequence_constant_envelope():
-    env = envelope_from_rate(PowerLogRate(0.0), 64)
-    got = divergent_subsequence(env)
+    got = divergent_subsequence(PowerLogRate(0.0), 64)
     # unit mass per term: one-element blocks, gap growing each time
     assert got == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
     gaps = np.diff(got)
@@ -136,10 +135,9 @@ def test_subsequence_constant_envelope():
 
 
 def test_subsequence_selected_sum_grows():
-    short = envelope_from_rate(PowerLogRate(0.0, a=-1.0), 256)
-    long = envelope_from_rate(PowerLogRate(0.0, a=-1.0), 8192)
-    s_short = sum(short.values[j] for j in divergent_subsequence(short))
-    s_long = sum(long.values[j] for j in divergent_subsequence(long))
+    rate = PowerLogRate(0.0, a=-1.0)
+    s_short = sum(rate.value(j) for j in divergent_subsequence(rate, 256))
+    s_long = sum(rate.value(j) for j in divergent_subsequence(rate, 8192))
     # harmonic blocks stretch exponentially, so growth per horizon
     # doubling is well under one unit but never stalls
     assert s_long > s_short + 0.5
@@ -147,9 +145,7 @@ def test_subsequence_selected_sum_grows():
 
 def test_subsequence_preconditions():
     with pytest.raises(InvalidPreconditionError):
-        divergent_subsequence(envelope_from_rate(PowerLogRate(s=1.0), 64))
-    with pytest.raises(InvalidPreconditionError):
-        divergent_subsequence(scale_envelope(uniform_decay_field(0.5, 10)))
+        divergent_subsequence(PowerLogRate(s=1.0), 64)
 
 
 @given(st.sampled_from([-1.0, -0.9, -0.5, 0.0]),
@@ -158,10 +154,9 @@ def test_subsequence_preconditions():
 @settings(max_examples=40, deadline=None)
 def test_subsequence_gap_properties(a, b, horizon):
     rate = PowerLogRate(0.0, a=a, b=b)
-    env = envelope_from_rate(rate, horizon)
-    if check_criterion(env, "l1") != "fails":
+    if check_criterion(rate, "l1") != "fails":
         return
-    got = divergent_subsequence(env)
+    got = divergent_subsequence(rate, horizon)
     gaps = np.diff(got)
     assert np.all(np.diff(gaps) >= 0)
     assert gaps[-1] >= 3  # three blocks fit in every horizon above
@@ -385,7 +380,6 @@ def test_geometric_scale_ratio_value():
 def test_sparse_rate_verdicts():
     rate = sparse_loglog_rate()
     assert rate.supported_scales(625) == [5, 25, 125, 625]
-    env = envelope_from_rate(rate, 625)
-    assert check_criterion(env, "loglog") == "holds"
-    assert check_criterion(env, "sqrtj") == "fails"
-    assert check_criterion(env, "l1") == "holds"
+    assert check_criterion(rate, "loglog") == "holds"
+    assert check_criterion(rate, "sqrtj") == "fails"
+    assert check_criterion(rate, "l1") == "holds"

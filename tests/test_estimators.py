@@ -151,7 +151,7 @@ def test_analysis_resolution_check(db10_table):
 def test_sup_growth_matches_synthesize(haar_table, db10_table):
     f = random_field(6, np.random.default_rng(6))
     for table in (haar_table, db10_table):
-        profile = sup_growth(f, table, None, None, [2, 4, 6], 3)
+        profile = sup_growth(f, table, [2, 4, 6], 3)
         assert profile.truncations == (2, 4, 6)
         for i, j_trunc in enumerate(profile.truncations):
             path = synthesize(f, table, j_trunc, table.r_psi)
@@ -168,7 +168,7 @@ def test_sup_growth_has_the_bits_of_the_abs_reduction(haar_table, db10_table, co
     rng = np.random.default_rng(8)
     f = random_field(6, rng) if coarse is None else zero_field(6, coarse=coarse)
     for table in (haar_table, db10_table):
-        profile = sup_growth(f, table, None, None, [2, 4, 6], 6)
+        profile = sup_growth(f, table, [2, 4, 6], 6)
         mags = [np.abs(synthesize(f, table, j, table.r_psi).values) for j in (2, 4, 6)]
         want_global = np.asarray([float(m.max()) for m in mags])
         want_local = np.vstack([m.reshape(64, -1).max(axis=1) for m in mags])
@@ -178,8 +178,8 @@ def test_sup_growth_has_the_bits_of_the_abs_reduction(haar_table, db10_table, co
 
 def test_sup_growth_randomized_determinism(haar_table):
     f = uniform_decay_field(0.7, 6)
-    a = sup_growth(f, haar_table, gaussian(), 11, [3, 6], 2)
-    b = sup_growth(f, haar_table, gaussian(), 11, [3, 6], 2)
+    a = sup_growth(randomized_field(f, gaussian(), 11), haar_table, [3, 6], 2)
+    b = sup_growth(randomized_field(f, gaussian(), 11), haar_table, [3, 6], 2)
     assert np.array_equal(a.global_sups, b.global_sups)
     assert np.array_equal(a.local_sups, b.local_sups)
 
@@ -193,7 +193,7 @@ def test_sup_growth_nested_interval_witness(haar_table):
     scales = [2, 4, 6]
     placement = nested_placement(haar_table, scales)
     f = unbounded_series_field(env, placement)
-    profile = sup_growth(f, haar_table, None, None, scales, 3)
+    profile = sup_growth(f, haar_table, scales, 3)
     deepest_lo, deepest_hi = placement.intervals[-1]
     point = float((deepest_lo + deepest_hi) / 2)
     for l, j_trunc in enumerate(scales):
@@ -210,7 +210,7 @@ def test_sup_growth_l1_stabilization(haar_table):
     f = zero_field(8)
     for j in range(9):
         f.levels[j][:] = 2.0**-j * rng.uniform(-1.0, 1.0, 2**j)
-    profile = sup_growth(f, haar_table, rademacher(), 3, [6, 8], 0)
+    profile = sup_growth(randomized_field(f, rademacher(), 3), haar_table, [6, 8], 0)
     tail = sum(2.0**-j for j in (7, 8))
     bound = haar_table.support_length * haar_table.sup_norm * tail
     assert abs(profile.global_sups[1] - profile.global_sups[0]) <= bound
@@ -227,7 +227,7 @@ def test_sup_growth_exceedance_witness(haar_table):
     hits = 0
     for seed in range(25):
         events = coefficient_exceedances(gaussian(), 8, seed)
-        profile = sup_growth(f, haar_table, gaussian(), seed, [2], 0)
+        profile = sup_growth(randomized_field(f, gaussian(), seed), haar_table, [2], 0)
         if events:
             assert events[0]["n"] == 1 and events[0]["j"] == 2
             assert profile.global_sups[0] >= 1.0
@@ -238,13 +238,11 @@ def test_sup_growth_exceedance_witness(haar_table):
 def test_sup_growth_validation(haar_table):
     f = zero_field(4)
     with pytest.raises(InvalidParameterError):
-        sup_growth(f, haar_table, None, None, [2, 5], 2)  # beyond j_max
+        sup_growth(f, haar_table, [2, 5], 2)  # beyond j_max
     with pytest.raises(InvalidParameterError):
-        sup_growth(f, haar_table, None, None, [], 2)
+        sup_growth(f, haar_table, [], 2)
     with pytest.raises(InvalidParameterError):
-        sup_growth(f, haar_table, None, None, [2, 4], -1)
-    with pytest.raises(InvalidParameterError):
-        sup_growth(f, haar_table, gaussian(), None, [2, 4], 2)  # law without seed
+        sup_growth(f, haar_table, [2, 4], -1)
 
 
 # --------------------------------------------------------------- grid rule
@@ -259,7 +257,7 @@ def _on_grid(name, table, j, resolution):
         path_ = SamplePath(resolution, np.zeros(2**resolution))
         return analysis_field(path_, table, j)
     assert resolution == table.r_psi  # sup profiles always sample the table grid
-    return sup_growth(zero_field(j), table, None, None, [0, j], 0)
+    return sup_growth(zero_field(j), table, [0, j], 0)
 
 
 @pytest.mark.parametrize("name", ["synthesize", "randomized_synthesize",
@@ -411,7 +409,7 @@ def test_constant_path_zero_ratios():
 
 def test_export_profile_csv(tmp_path, haar_table):
     f = uniform_decay_field(1.0, 5)
-    profile = sup_growth(f, haar_table, None, None, [3, 5], 1)
+    profile = sup_growth(f, haar_table, [3, 5], 1)
     dest = tmp_path / "profile.csv"
     export_profile_csv(profile, dest)
     lines = dest.read_text().splitlines()
