@@ -5,6 +5,9 @@ deterministic one, or a randomization of it) escapes the bounded functions
 while each scale stays inside its prescribed envelope value.  Placement
 geometry is resolved in exact dyadic arithmetic (fractions, never floats),
 so the nesting invariants hold by construction rather than up to rounding.
+Nested placement is one greedy pass over the candidate scales: a scale
+with no translate whose window fits the current target is skipped, not
+failed, so callers get the feasible subsequence and its placement at once.
 """
 
 from __future__ import annotations
@@ -15,11 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    InvalidPreconditionError,
-    PlacementInfeasibleError,
-)
+from .errors import InvalidParameterError, InvalidPreconditionError
 from .fields import (
     CoefficientField,
     PowerLogRate,
@@ -138,43 +137,26 @@ def divergent_subsequence(rate: PowerLogRate, j_max: int) -> list[int]:
 
 
 def nested_placement(table: MotherWaveletTable, scales) -> NestedPlacement:
-    """Leftmost translate at each scale whose window nests into half of
-    the previous one; the first window sits inside [1/8, 3/8)."""
+    """Greedy nesting: at each scale in turn, the leftmost translate whose
+    window fits inside half of the previous window; the first window sits
+    inside [1/8, 3/8).  A scale with no fitting translate is skipped, so
+    the placed scales are a subsequence of ``scales``, possibly empty."""
     scales = _check_scales(scales)
     base = _interval_fractions(table.positivity_interval)
+    kept: list[int] = []
     positions: list[int] = []
     intervals: list[tuple[Fraction, Fraction]] = []
     target = ROOT_WINDOW
     for j in scales:
         k = _leftmost_inside(base, j, *target)
         if k is None:
-            raise PlacementInfeasibleError(
-                f"no translate at scale {j} has its window inside "
-                f"[{target[0]}, {target[1]})")
+            continue
         window = _scaled(base, j, k)
+        kept.append(j)
         positions.append(k % 2**j)
         intervals.append(window)
         target = _half(window)
-    return NestedPlacement(tuple(scales), tuple(positions), tuple(intervals))
-
-
-def thin_to_feasible(table: MotherWaveletTable, scales) -> list[int]:
-    """Greedy subsequence of ``scales`` on which nested_placement succeeds.
-
-    Keeps a scale whenever some translate window fits the current target;
-    scales whose gap is too small are dropped rather than failed.
-    """
-    scales = _check_scales(scales)
-    base = _interval_fractions(table.positivity_interval)
-    kept: list[int] = []
-    target = ROOT_WINDOW
-    for j in scales:
-        k = _leftmost_inside(base, j, *target)
-        if k is None:
-            continue
-        kept.append(j)
-        target = _half(_scaled(base, j, k))
-    return kept
+    return NestedPlacement(tuple(kept), tuple(positions), tuple(intervals))
 
 
 def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement) -> CoefficientField:
@@ -185,6 +167,8 @@ def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement) -> Co
     concentration window.  The per-scale sup is therefore exactly the
     envelope.
     """
+    if not placement.scales:
+        raise InvalidParameterError("placement holds no scale")
     if placement.scales[-1] > env.j_max:
         raise InvalidParameterError(
             f"placement reaches scale {placement.scales[-1]} but the "
@@ -224,16 +208,16 @@ def divergence_scale_field(law: RandomLaw, j_max: int,
 
 
 def coefficient_exceedances(law: RandomLaw, j_max: int, seed: int,
-                            variant: str = "plain",
                             stop_after: int | None = 1) -> list[dict]:
-    """Scan the synthesis multiplier streams for draws past n^3.
+    """Scan the synthesis multiplier streams for draws past n^3 at the
+    law's plain divergence scales.
 
     Uses the same stream tag as randomized synthesis, so a logged event
     describes the path that synthesis would actually build from ``seed``.
     ``stop_after`` bounds how many scales get logged (None scans all).
     """
     events: list[dict] = []
-    for n, j in divergence_scales(law, j_max, variant):
+    for n, j in divergence_scales(law, j_max):
         count, first_k = exceedances(law, seed, COEFFICIENT_STREAM, j, 0, 2**j,
                                      float(n) ** 3)
         if count:

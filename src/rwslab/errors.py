@@ -30,7 +30,3 @@ class InsufficientDataError(RwsLabError):
 
 class NoDivergenceSequenceError(RwsLabError):
     tag = "no-divergence-sequence"
-
-
-class PlacementInfeasibleError(RwsLabError):
-    tag = "placement-infeasible"

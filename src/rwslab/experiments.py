@@ -36,10 +36,8 @@ from .constructions import (
     coefficient_exceedances,
     divergence_scale_field,
     divergent_subsequence,
-    geometric_scale_ratio,
     nested_placement,
     sparse_loglog_rate,
-    thin_to_feasible,
     unbounded_series_field,
 )
 from .errors import InvalidParameterError, NumericalFailureError
@@ -138,13 +136,14 @@ def _run_prop22(config, out, comment):
     res = table.r_psi
     rate = PowerLogRate(0.0, a=-1.0)
     env = envelope_from_rate(rate, config["witness_j_max"])
-    scales = thin_to_feasible(table, divergent_subsequence(rate, env.j_max))
+    placement = nested_placement(table, divergent_subsequence(rate, env.j_max))
     levels = config["witness_levels"]
-    if len(scales) < levels:
+    if len(placement.scales) < levels:
         raise InvalidParameterError(
-            f"only {len(scales)} feasible witness scales up to "
+            f"only {len(placement.scales)} feasible witness scales up to "
             f"j = {config['witness_j_max']}, need {levels}")
-    scales = scales[:levels]
+    # a greedy prefix is the placement of its own scales
+    placement = nested_placement(table, placement.scales[:levels])
     j_lo, j_hi = config["j_lo"], config["j_hi"]
     level_factor = table.support_length * table.sup_norm
     law = bounded_uniform(1.0)
@@ -163,16 +162,15 @@ def _run_prop22(config, out, comment):
               [("trial", trials), ("sup_diff", diffs),
                ("tail_bound", bounds), ("within", within)], comment=comment)
 
-    placement = nested_placement(table, scales)
     field = unbounded_series_field(env, placement)
     rows = []
-    for l, j_trunc in enumerate(scales):
+    for l, j_trunc in enumerate(placement.scales):
         lo_f, hi_f = placement.intervals[l]
         a, b = int(lo_f * 2**res), int(hi_f * 2**res)
         # no path kept in a local: it would stay alive through the next synthesis
         average = float(synthesize(field, table, j_trunc, res).values[a:b].mean())
         target = 0.8 * table.positivity_floor * sum(
-            env.values[j] for j in scales[: l + 1])
+            env.values[j] for j in placement.scales[: l + 1])
         rows.append((l + 1, j_trunc, float(lo_f), float(hi_f), average, target))
     _write_rows(out / "witness.csv", ("level", "scale", "interval_lo", "interval_hi",
                                       "average", "threshold"), rows, comment)
@@ -194,8 +192,9 @@ def _run_prop31(config, out, comment):
         truncations = list(range(config["field_j_max"], config["j_max"] + 1))
         rows, variations = [], []
         for s in range(seeds):
+            # global sups are the max over cells at any depth; depth 0 is one cell
             profile = sup_growth(randomized_field(field, law, base + s), table,
-                                 truncations, config["depth"])
+                                 truncations, 0)
             sups = profile.global_sups
             variations.append(float(sups.max() - sups.min()))
             rows.extend((base + s, j, float(g))
@@ -267,7 +266,7 @@ def _run_prop43(config, out, comment):
 def _run_prop46(config, out, comment):
     terms = config["terms"]
     rate = sparse_loglog_rate()
-    ratio = geometric_scale_ratio()
+    ratio = rate.ratio
     ns = np.arange(1, terms + 1)
     js = ratio ** ns.astype(np.int64)
     omega = np.array([rate.value(int(j)) for j in js])
@@ -422,14 +421,14 @@ EXPERIMENTS: dict[str, Experiment] = {
         fourier_terms=2**14, resolution=17, wavelet="daubechies",
         vanishing_moments=10, table_resolution=19, j_lo=8, j_hi=13,
         law="gaussian", depth=6, seed=0), _run_figure1,
-        orderings=("0 <= j_lo <= j_hi",)),
+        orderings=("0 <= j_lo <= j_hi", "0 <= depth <= table_resolution")),
     "prop22": Experiment(dict(
         trials=100, j_lo=10, j_hi=16, wavelet="haar", vanishing_moments=1,
         table_resolution=20, witness_levels=4, witness_j_max=12, seed=0),
         _run_prop22, orderings=("0 < j_lo < j_hi",)),
     "prop31": Experiment(dict(
         field_law="heavy_tail:1", law="heavy_tail:1", seeds=100, seed=0,
-        exceedance_j_max=22, field_j_max=8, j_max=12, depth=4,
+        exceedance_j_max=22, field_j_max=8, j_max=12,
         wavelet="haar", vanishing_moments=1, table_resolution=16,
         log_all=False), _run_prop31, orderings=("field_j_max <= j_max",)),
     "prevalence": Experiment(dict(

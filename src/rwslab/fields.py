@@ -7,6 +7,8 @@ summable, sqrt(j)-weighted, gamma-weighted, log-log-weighted) are
 conditions on the decay rate of omega_j and are decided exactly from a
 symbolic ``PowerLogRate``: convergence of a series is not finitely
 observable, so a tabulated envelope never gets a holds/fails verdict.
+A rate owns its support: ``PowerLogRate.value`` is zero off it, so an
+envelope is the rate's values at j = 0..j_max.
 
 Step-function coefficients are computed by quadrature in the rescaled
 variable u = 2^j x - k on the wavelet's own table grid, which makes the
@@ -79,7 +81,7 @@ class PowerLogRate:
     """omega_j = 2^{-s j} * j^a * (log j)^b * (log log j)^c.
 
     support: "all" scales (where the factors are defined) or "geometric"
-    (only j_n = ratio^n, zero elsewhere).
+    (only j_n = ratio^n for n >= 1, zero elsewhere); ``value`` applies it.
     """
 
     s: float
@@ -105,23 +107,21 @@ class PowerLogRate:
         return 1
 
     def value(self, j: int) -> float:
+        """omega_j: zero below ``first_scale`` and, for geometric support,
+        at every j that is not ratio^n with n >= 1."""
         if j < self.first_scale:
             return 0.0
+        if self.support == "geometric":
+            jn = self.ratio
+            while jn < j:
+                jn *= self.ratio
+            if jn != j:
+                return 0.0
         out = 2.0 ** (-self.s * j) * float(j) ** self.a
         if self.b != 0.0:
             out *= math.log(j) ** self.b
         if self.c != 0.0:
             out *= math.log(math.log(j)) ** self.c
-        return out
-
-    def supported_scales(self, j_max: int) -> list[int]:
-        if self.support == "all":
-            return list(range(self.first_scale, j_max + 1))
-        out, jn = [], self.ratio
-        while jn <= j_max:
-            if jn >= self.first_scale:
-                out.append(jn)
-            jn *= self.ratio
         return out
 
 
@@ -145,10 +145,8 @@ class ScaleEnvelope:
 
 
 def envelope_from_rate(rate: PowerLogRate, j_max: int) -> ScaleEnvelope:
-    values = np.zeros(j_max + 1)
-    for j in rate.supported_scales(j_max):
-        values[j] = rate.value(j)
-    return ScaleEnvelope(values=values)
+    """omega_j = rate.value(j) for j = 0..j_max."""
+    return ScaleEnvelope(values=np.array([rate.value(j) for j in range(j_max + 1)]))
 
 
 def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:

@@ -223,7 +223,9 @@ def test_law_parsed_before_any_table(tmp_path, monkeypatch, name):
     ("figure1", ["--set", "j_lo=10", "--set", "j_hi=9"],
      "figure1 needs 0 <= j_lo <= j_hi, got j_lo=10, j_hi=9"),
     ("modulus", ["--set", "gamma=-2"], "modulus needs 0 <= gamma, got gamma=-2.0"),
-], ids=["figure1-j_lo-above-j_hi", "modulus-gamma-negative"])
+    ("figure1", ["--set", "depth=40", "--set", "table_resolution=13"],
+     "figure1 needs 0 <= depth <= table_resolution, got depth=40, table_resolution=13"),
+], ids=["figure1-j_lo-above-j_hi", "modulus-gamma-negative", "figure1-depth-above-table"])
 def test_ordering_checked_before_any_table(tmp_path, monkeypatch, capsys, name, args,
                                            message):
     def no_table(*a, **k):
@@ -386,6 +388,17 @@ def test_horizon_is_not_a_config_key(tmp_path, capsys, name):
     for args in (["--set", "horizon=4096"], ["--config", str(old)]):
         assert main(["run", name, *args, "--out", str(tmp_path / "out")]) == 2
         assert f"unknown {name} config key 'horizon'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [old]
+
+
+def test_prop31_depth_is_not_a_config_key(tmp_path, capsys):
+    # the global sups prop31 writes are the same at every cell depth
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps({"experiment": "prop31",
+                               "config": {**default_config("prop31"), "depth": 4}}))
+    for args in (["--set", "depth=4"], ["--config", str(old)]):
+        assert main(["run", "prop31", *args, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown prop31 config key 'depth'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [old]
 
 
@@ -555,7 +568,7 @@ def test_prop31_bounded_regime(tmp_path):
     assert main(["run", "prop31", "--out", str(tmp_path),
                  "--set", "law=rademacher", "--set", "seeds=3",
                  "--set", "field_j_max=4", "--set", "j_max=6",
-                 "--set", "table_resolution=10", "--set", "depth=2"]) == 0
+                 "--set", "table_resolution=10"]) == 0
     manifest = read_manifest(tmp_path)
     assert manifest["flags"]["regime"] == "bounded-regime"
     assert manifest["flags"]["max_variation"] == 0.0

@@ -10,7 +10,9 @@ from rwslab import (
     InvalidParameterError,
     InvalidPreconditionError,
     NoDivergenceSequenceError,
-    PlacementInfeasibleError,
+    build_filter,
+    cascade_evaluate,
+    default_config,
 )
 from rwslab.constructions import (
     WITNESS_SIGN_STREAM,
@@ -22,7 +24,6 @@ from rwslab.constructions import (
     geometric_scale_ratio,
     nested_placement,
     sparse_loglog_rate,
-    thin_to_feasible,
     unbounded_series_field,
 )
 from rwslab.fields import (
@@ -39,10 +40,10 @@ from rwslab.laws import BLOCK, COEFFICIENT_STREAM, draw_array, exp_tail, gaussia
 
 # ---------------------------------------------------------------- oracles
 
-def dense_exceedances_oracle(law, j_max, seed, variant="plain", stop_after=1):
+def dense_exceedances_oracle(law, j_max, seed, stop_after=1):
     """Exceedance events from each scale's full draw vector."""
     events = []
-    for n, j in divergence_scales(law, j_max, variant):
+    for n, j in divergence_scales(law, j_max):
         chi = draw_array(law, seed, COEFFICIENT_STREAM, j, np.arange(2**j))
         hits = np.abs(chi) >= float(n) ** 3
         if hits.any():
@@ -116,6 +117,28 @@ def assert_nesting(table, placement):
         target = (lo + width / 4, hi - width / 4)
 
 
+def thin_then_place_oracle(table, scales):
+    """Two-pass placement: keep the scales where some window fits the
+    current target, then place the kept scales by brute-force search."""
+    kept, target = [], (Fraction(1, 8), Fraction(3, 8))
+    a, b = window_fractions(table)
+    for j in scales:
+        k = brute_leftmost(table, j, *target)
+        if k is None:
+            continue
+        kept.append(j)
+        lo, hi = (k + a) / 2**j, (k + b) / 2**j
+        target = (lo + (hi - lo) / 4, hi - (hi - lo) / 4)
+    positions, intervals, target = [], [], (Fraction(1, 8), Fraction(3, 8))
+    for j in kept:
+        k = brute_leftmost(table, j, *target)
+        lo, hi = (k + a) / 2**j, (k + b) / 2**j
+        positions.append(k % 2**j)
+        intervals.append((lo, hi))
+        target = (lo + (hi - lo) / 4, hi - (hi - lo) / 4)
+    return tuple(kept), tuple(positions), tuple(intervals)
+
+
 # ------------------------------------------------------------ subsequence
 
 def test_subsequence_harmonic_matches_oracle():
@@ -179,14 +202,34 @@ def test_nested_placement_db10(db10_table):
     # width-2^-(6+j) target, so nesting needs gaps past the window level
     p = nested_placement(db10_table, [root, root + 8, root + 16, root + 24])
     assert_nesting(db10_table, p)
-    with pytest.raises(PlacementInfeasibleError):
-        nested_placement(db10_table, [root, root + 2])
+    assert nested_placement(db10_table, [root, root + 2]).scales == (root,)
 
 
 def test_nested_placement_gap_too_small(haar_table):
-    with pytest.raises(PlacementInfeasibleError) as err:
-        nested_placement(haar_table, [2, 3])
-    assert "scale 3" in str(err.value)
+    # the scale with no fitting window is skipped
+    assert nested_placement(haar_table, [2, 3]) == nested_placement(haar_table, [2])
+    assert nested_placement(haar_table, [2, 3, 4, 6]).scales == (2, 4, 6)
+
+
+def test_nested_placement_greedy_over_long_runs(haar_table):
+    p = nested_placement(haar_table, list(range(2, 20)))
+    assert len(p.scales) > 3
+    assert_nesting(haar_table, p)
+    # a greedy prefix is the placement of its own scales
+    q = nested_placement(haar_table, p.scales[:3])
+    assert (q.scales, q.positions, q.intervals) == \
+        (p.scales[:3], p.positions[:3], p.intervals[:3])
+
+
+@given(st.sampled_from(["haar", "db10"]),
+       st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12,
+                unique=True))
+@settings(max_examples=60, deadline=None)
+def test_nested_placement_matches_thin_then_place(haar_table, db10_table, wavelet, scales):
+    table = {"haar": haar_table, "db10": db10_table}[wavelet]
+    scales = sorted(scales)
+    p = nested_placement(table, scales)
+    assert (p.scales, p.positions, p.intervals) == thin_then_place_oracle(table, scales)
 
 
 def test_nested_placement_single_scale(haar_table):
@@ -199,13 +242,6 @@ def test_nested_placement_validation(haar_table):
     for bad in ([], [4, 2], [-1, 3], [2.5, 4]):
         with pytest.raises(InvalidParameterError):
             nested_placement(haar_table, bad)
-
-
-def test_thin_to_feasible(haar_table):
-    assert thin_to_feasible(haar_table, [2, 3, 4, 6]) == [2, 4, 6]
-    assert thin_to_feasible(haar_table, [2, 3]) == [2]
-    kept = thin_to_feasible(haar_table, list(range(2, 20)))
-    assert_nesting(haar_table, nested_placement(haar_table, kept))
 
 
 # ------------------------------------------------------------ spike chain
@@ -234,6 +270,27 @@ def test_unbounded_series_scale_overflow(haar_table):
     p = nested_placement(haar_table, [2, 4, 6])
     with pytest.raises(InvalidParameterError):
         unbounded_series_field(env, p)
+
+
+def test_unbounded_series_empty_placement(haar_table):
+    env = envelope_from_rate(PowerLogRate(0.0, a=-1.0), 5)
+    # a Haar window at scale 0 or 1 is half a unit interval, wider than
+    # [1/8, 3/8), so neither scale is placed
+    p = nested_placement(haar_table, [0, 1])
+    assert p.scales == ()
+    with pytest.raises(InvalidParameterError, match="no scale"):
+        unbounded_series_field(env, p)
+
+
+def test_prop22_default_placement():
+    # the witness construction prop22 builds at its defaults
+    config = default_config("prop22")
+    table = cascade_evaluate(build_filter(config["wavelet"], config["vanishing_moments"]),
+                             config["table_resolution"])
+    scales = divergent_subsequence(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])
+    p = nested_placement(table, nested_placement(table, scales).scales[:config["witness_levels"]])
+    assert p.scales == (3, 6, 9, 12)
+    assert p.positions == (1, 9, 73, 585)
 
 
 # ------------------------------------------------------- divergence scales
@@ -379,7 +436,7 @@ def test_geometric_scale_ratio_value():
 
 def test_sparse_rate_verdicts():
     rate = sparse_loglog_rate()
-    assert rate.supported_scales(625) == [5, 25, 125, 625]
+    assert np.flatnonzero(envelope_from_rate(rate, 625).values).tolist() == [5, 25, 125, 625]
     assert check_criterion(rate, "loglog") == "holds"
     assert check_criterion(rate, "sqrtj") == "fails"
     assert check_criterion(rate, "l1") == "holds"

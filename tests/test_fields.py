@@ -147,6 +147,17 @@ def test_rate_values_and_envelope():
     assert np.count_nonzero(env.values) == 2
 
 
+def test_geometric_rate_is_zero_off_its_support():
+    sparse = PowerLogRate(0.0, a=-0.5, b=-1.0, c=-1.0, support="geometric", ratio=5)
+    on = {5**n for n in range(1, 27)}
+    for j in [0, 1, 2, 3, 4, 6, 10, 24, 26, 124, 126, 5**26 - 1, 5**26 + 1, 2 * 5**20]:
+        assert sparse.value(j) == 0.0, j
+    assert all(sparse.value(j) > 0.0 for j in on)
+    # ratio^0 = 1 is not a support scale, even where every factor is defined
+    assert PowerLogRate(0.0, support="geometric", ratio=3).value(1) == 0.0
+    assert PowerLogRate(0.0, support="geometric", ratio=3).value(9) == 1.0
+
+
 def test_rate_validation():
     with pytest.raises(InvalidParameterError):
         PowerLogRate(0.0, support="geometric")
