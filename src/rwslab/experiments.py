@@ -71,6 +71,7 @@ from .synthesis import (
     randomized_envelope,
     randomized_field,
     randomized_synthesize,
+    synthesis_sup,
     synthesize,
     wiener_brownian,
 )
@@ -147,15 +148,14 @@ def _run_prop22(config, out, comment):
     j_lo, j_hi = config["j_lo"], config["j_hi"]
     level_factor = table.support_length * table.sup_norm
     law = bounded_uniform(1.0)
-    trials, diffs, bounds = [], [], []
-    for trial in range(config["trials"]):
+    trials, diffs, bounds = list(range(config["trials"])), [], []
+    for trial in trials:
         # S_{j_hi} - S_{j_lo} is the synthesis of the levels above j_lo alone
         tail = zero_field(j_hi)
         for j in range(j_lo + 1, j_hi + 1):
             tail.levels[j][:] = 2.0**-j * draw_array(
                 law, config["seed"], f"l1-trial-{trial}", j, np.arange(2**j))
-        trials.append(trial)
-        diffs.append(sup_abs(synthesize(tail, table, j_hi, res).values))
+        diffs.append(synthesis_sup(tail, table, j_hi, res))
         bounds.append(level_factor * sum(sup_abs(lv) for lv in tail.levels[j_lo + 1 :]))
     within = [int(d <= b) for d, b in zip(diffs, bounds)]
     write_csv(out / "tail_bounds.csv",
@@ -248,13 +248,10 @@ def _run_prop43(config, out, comment):
     level_factor = table.support_length * table.sup_norm
     bound = sum(math.sqrt(2.0 * j) * float(j) ** power * level_factor
                 for j in range(j_lo + 1, j_hi + 1))
-    seeds_col, diffs, within = [], [], []
-    for s in range(config["seeds"]):
-        rf = randomized_field(tail, config["law"], config["seed"] + s)
-        diff = sup_abs(synthesize(rf, table, j_hi, table.r_psi).values)
-        seeds_col.append(config["seed"] + s)
-        diffs.append(diff)
-        within.append(int(diff <= bound))
+    seeds_col = [config["seed"] + s for s in range(config["seeds"])]
+    diffs = [synthesis_sup(randomized_field(tail, config["law"], seed), table, j_hi, table.r_psi)
+             for seed in seeds_col]
+    within = [int(diff <= bound) for diff in diffs]
     write_csv(out / "sqrt_bounds.csv",
               [("seed", seeds_col), ("sup_diff", diffs),
                ("bound", [bound] * len(diffs)), ("within", within)],
@@ -488,11 +485,12 @@ def _parse_override(text: str):
 _LEVEL_CAP = 25
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
-# keep its geometric scales within int64, j_max levels are dense and
-# exceedance_j_max levels are scanned word by word
+# keep its geometric scales within int64, j_max and witness_j_max levels
+# are dense and exceedance_j_max levels are scanned word by word
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
                "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1),
-               "exceedance_j_max": (0, _LEVEL_CAP + 1)}
+               "exceedance_j_max": (0, _LEVEL_CAP + 1),
+               "witness_levels": (1, math.inf), "witness_j_max": (0, _LEVEL_CAP + 1)}
 
 # String-valued keys and their parsers; ``run_experiment`` hands the runner
 # the parsed values.

@@ -187,21 +187,21 @@ def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     """The law's transform: draws from SplitMix64 output words."""
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     np.minimum(u, 1.0 - 2.0**-53, out=u)  # the top mantissa rounds to u = 1.0
-    sign = np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)
     t = law.tag
-    if t == "rademacher":
-        return sign
     if t == "gaussian":
         from scipy.special import ndtri  # scipy loads on the first Gaussian draw only
 
         return ndtri(u)
     if t == "bernoulli":
         return (u < law.p).astype(np.float64)
+    if t == "bounded_uniform":
+        return law.bound * (2.0 * u - 1.0)
+    sign = np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)  # the symmetric laws
+    if t == "rademacher":
+        return sign
     if t == "exp_tail":
         return sign * (-np.log(u) / law.b) ** (1.0 / law.gamma)
-    if t == "heavy_tail":
-        return sign * u ** (-1.0 / law.exponent)
-    return law.bound * (2.0 * u - 1.0)
+    return sign * u ** (-1.0 / law.exponent)  # heavy_tail
 
 
 def draw_array(law: RandomLaw, seed: int, stream_tag: str, j: int, k) -> np.ndarray:

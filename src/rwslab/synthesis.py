@@ -4,9 +4,9 @@ Wavelet synthesis runs the inverse periodized filter bank (the Mallat
 pyramid) from scale 0 up to J+1 and evaluates the resulting scaling
 coefficients against the tabulated phi in matrix products over row blocks;
 for Haar, whose phi is 1 on its cell, the evaluation is a repeat of each
-coefficient plus the coarse value, with no product.  R <= r_psi keeps every
-table lookup on a grid point.  The summation order is fixed, so the
-floating-point result is a pure function of the field and the grid.
+coefficient plus the coarse value, so ``synthesis_sup`` needs no grid.
+R <= r_psi keeps every table lookup on a grid point.  The summation order
+is fixed, so the floating-point result is a pure function of the field and the grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) folds mode m onto m mod 2^R, which is exact on the grid, and
@@ -30,8 +30,8 @@ from .laws import (
     draw_array,
     gaussian,
 )
-from .util import canonical_json, write_csv
-from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
+from .util import canonical_json, sup_abs, write_csv
+from .wavelets import MotherWaveletTable, check_grid, is_box, pyramid_lift, pyramid_synthesis
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
@@ -60,20 +60,36 @@ class SamplePath:
         return np.arange(self.values.size) * 2.0**-self.resolution
 
 
-def _check_truncation(field_: CoefficientField, j_trunc: int) -> None:
+def _kept_levels(field_: CoefficientField, table: MotherWaveletTable,
+                 j_trunc: int, resolution: int) -> list[np.ndarray]:
+    """Levels 0..j_trunc of the field, once the truncation and the grid pass their checks."""
     if not 0 <= j_trunc <= field_.j_max:
-        raise InvalidParameterError(
-            f"truncation scale {j_trunc} outside 0..{field_.j_max}"
-        )
+        raise InvalidParameterError(f"truncation scale {j_trunc} outside 0..{field_.j_max}")
+    check_grid(table, j_trunc, resolution)
+    return field_.levels[: j_trunc + 1]
 
 
 def synthesize(field_: CoefficientField, table: MotherWaveletTable,
                j_trunc: int, resolution: int) -> SamplePath:
     """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid."""
-    _check_truncation(field_, j_trunc)
-    check_grid(table, j_trunc, resolution)
-    values = pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table, resolution)
-    return SamplePath(resolution, values)
+    levels = _kept_levels(field_, table, j_trunc, resolution)
+    return SamplePath(resolution, pyramid_synthesis(field_.coarse, levels, table, resolution))
+
+
+def synthesis_sup(field_: CoefficientField, table: MotherWaveletTable,
+                  j_trunc: int, resolution: int) -> float:
+    """``sup_abs(synthesize(field_, table, j_trunc, resolution).values)``, bit for bit,
+    with the same checks and errors.  The box's grid repeats coarse + a[k] over
+    the cell of each level-(J+1) scaling coefficient a[k], so its sup is taken
+    over those 2^(J+1) values; a sup is finite exactly when every value is."""
+    levels = _kept_levels(field_, table, j_trunc, resolution)
+    if is_box(table.filter):
+        sup = sup_abs(float(field_.coarse) + pyramid_lift(levels, table.filter))
+    else:
+        sup = sup_abs(pyramid_synthesis(field_.coarse, levels, table, resolution))
+    if not math.isfinite(sup):
+        raise InvalidParameterError("sample path contains non-finite values")
+    return sup
 
 
 def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> CoefficientField:
@@ -104,9 +120,8 @@ def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,
                           law: RandomLaw, seed: int,
                           j_trunc: int, resolution: int) -> SamplePath:
     """Synthesis of the field with coefficients multiplied by law draws."""
-    _check_truncation(field_, j_trunc)
-    check_grid(table, j_trunc, resolution)
-    kept = CoefficientField(j_trunc, field_.coarse, field_.levels[: j_trunc + 1])
+    kept = CoefficientField(j_trunc, field_.coarse,
+                            _kept_levels(field_, table, j_trunc, resolution))
     values = pyramid_synthesis(field_.coarse, randomized_field(kept, law, seed).levels,
                                table, resolution)
     return SamplePath(resolution, values)

@@ -22,13 +22,13 @@ positivity interval come from psi on first read.  The unit box (Haar) has
 closed forms instead, and its sup and positivity interval come from psi at
 level ``INTERVAL_GRANULARITY``, one sample per search bin, so reading
 them builds no table-sized psi.  For a valid orthonormal filter the
-refinement reproduces the coarse values identically, which is monitored
-(not assumed) by an eager full-depth probe: corrupted taps make
-the reproduction error grow with depth and raise a numerical failure
-instead of returning a quietly wrong table.  The probe holds at most one
-and a half levels at a time: it diffs each level in place of the level
-before, and its last level, read only at the even points, is streamed in
-blocks from the even points of the level before and never stored.
+refinement reproduces the coarse values identically.  A box-start
+probe of the first min(r_psi, ``PROBE_DEPTH``) levels checks this eagerly
+(the standard cascade check, Daubechies, *Ten Lectures*, 1992, ch. 6):
+corrupted taps make the reproduction error grow with depth and raise a
+numerical failure instead of returning a quietly wrong table.  The taps
+are frozen constants, and their convergence at full depth is checked once
+by the test suite rather than on every table.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
 Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
@@ -65,6 +65,8 @@ _WIDEST_LEVEL = -4
 
 # Refinement reproduction error below this floor counts as converged.
 _CONVERGENCE_FLOOR = 1e-12
+# Deepest level of the convergence probe: 39 * 2^12 floats at most (db20).
+PROBE_DEPTH = 12
 
 _BLOCK = 2**15  # output block of the two-scale sum: 256 KiB stay in L2
 # Blocks of the pyramid's products, measured under OpenBLAS's threading cutoffs:
@@ -103,11 +105,12 @@ class DyadicInterval:
 class MotherWaveletTable:
     """Scaling function and mother wavelet tabulated at step 2^-r_psi.
 
-    ``cascade_evaluate`` fills in ``refinement_diffs`` and phi at the
-    integers; finer phi levels, psi, ``sup_norm`` and the positivity
-    interval are computed on first read and kept.  For the box, ``sup_norm``
-    and the positivity interval are read off psi at level ``INTERVAL_GRANULARITY``,
-    so they leave psi itself unbuilt.
+    ``cascade_evaluate`` fills in ``refinement_diffs``, one per probe level
+    up to min(r_psi, ``PROBE_DEPTH``), and phi at the integers; finer phi
+    levels, psi, ``sup_norm`` and the positivity interval are computed on
+    first read and kept.  For the box, ``sup_norm`` and the positivity
+    interval are read off psi at level ``INTERVAL_GRANULARITY``, so they
+    leave psi itself unbuilt.
     """
 
     filter: ScalingFilter
@@ -133,7 +136,7 @@ class MotherWaveletTable:
             raise InvalidParameterError(f"phi levels run from 0 to r_psi = {self.r_psi}, got {level}")
         depth = ((self._deepest.size - 1) // self.support_length).bit_length() - 1
         if level > depth:
-            if _is_box(self.filter):
+            if is_box(self.filter):
                 deeper = _box_phi(self.support_length * 2**level)
             else:
                 deeper = _refine_phi(self._deepest, np.asarray(self.filter.taps), depth, level)
@@ -147,7 +150,7 @@ class MotherWaveletTable:
 
     @cached_property
     def psi(self) -> np.ndarray:
-        if _is_box(self.filter):
+        if is_box(self.filter):
             return _box_psi(2**self.r_psi)
         # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
         r = self.r_psi - 1
@@ -161,7 +164,7 @@ class MotherWaveletTable:
         ``INTERVAL_GRANULARITY`` (one sample a bin) gives what the full
         table gives; other filters search the full table.
         """
-        if _is_box(self.filter):
+        if is_box(self.filter):
             return _box_psi(2**INTERVAL_GRANULARITY), INTERVAL_GRANULARITY
         return self.psi, self.r_psi
 
@@ -208,15 +211,13 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
 
     Eager: the argument checks, phi at the integers (a numerical failure
     if the refinement matrix has no usable unit eigenvector) and the
-    full-depth convergence probe behind ``refinement_diffs``, which raises
-    a numerical failure if the refinement reproduction error grows over
-    the last three levels instead of staying at rounding level.  The probe
-    holds at most level r_psi - 1 and the level before it: the last level
-    is read only at its even points, which it streams in blocks.  Refined
-    on first read: phi at each level, psi, ``sup_norm`` and the positivity
-    interval; the first read of ``positivity_interval`` or
-    ``positivity_floor`` raises a numerical failure if psi is positive on
-    no dyadic interval.
+    convergence probe behind ``refinement_diffs``, run to level
+    min(r_psi, ``PROBE_DEPTH``), which raises a numerical failure if the
+    refinement reproduction error grows over its last three levels instead
+    of staying at rounding level.  Refined on first read: phi at each
+    level, psi, ``sup_norm`` and the positivity interval; the first read of
+    ``positivity_interval`` or ``positivity_floor`` raises a numerical
+    failure if psi is positive on no dyadic interval.
     """
     if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
         raise InvalidParameterError(
@@ -225,32 +226,36 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
     taps = np.asarray(filt.taps)
     length = filt.support_length
 
-    if _is_box(filt):
-        # Unit box: closed forms, exact on every grid point (the generic
-        # refinement would smear sqrt(2)*h rounding across levels).
-        diffs = [0.0] * r_psi
-    else:
-        # Convergence diagnostic: iterate the two-scale operator from a box
-        # start and watch the common-grid sup-differences between successive
-        # levels.  The table's phi starts from the exact integer eigenvector
-        # instead, which is self-consistent by construction and therefore
-        # blind to bad taps; the box iteration is not.
-        diffs = []
-        probe = np.zeros(length + 1)
-        probe[0] = 1.0
-        for r in range(r_psi - 1):
-            nxt = _refine(probe, taps, r)
-            np.subtract(nxt[::2], probe, out=probe)  # the old level is dropped next
-            diffs.append(float(np.max(np.abs(probe, out=probe))))
-            probe = nxt
-        diffs.append(_even_diff_max(probe, taps, r_psi - 1))
-        if diffs[-1] > _CONVERGENCE_FLOOR and diffs[-1] >= diffs[-2] >= diffs[-3]:
-            raise NumericalFailureError(
-                "two-scale refinement is not converging: common-grid differences were "
-                f"{diffs[-3]:.3e}, {diffs[-2]:.3e}, {diffs[-1]:.3e} over the last three levels"
-            )
+    # Unit box: closed forms, exact on every grid point (the generic
+    # refinement would smear sqrt(2)*h rounding across levels).
+    depth = min(r_psi, PROBE_DEPTH)
+    diffs = [0.0] * depth if is_box(filt) else _probe_diffs(taps, length, depth)
     return MotherWaveletTable(filter=filt, r_psi=r_psi, refinement_diffs=tuple(diffs),
                               _deepest=_integer_values(taps, length))
+
+
+def _probe_diffs(taps: np.ndarray, length: int, depth: int) -> list[float]:
+    """Sup-differences of levels r and r+1 on level r's grid, r < depth, of the
+    two-scale operator iterated from a box start; a numerical failure if they
+    are above rounding level and did not fall over the last three levels.
+
+    The table's phi starts from the exact integer eigenvector instead, which
+    is self-consistent by construction and so blind to bad taps.
+    """
+    diffs = []
+    probe = np.zeros(length + 1)
+    probe[0] = 1.0
+    for r in range(depth):
+        nxt = _refine(probe, taps, r)
+        np.subtract(nxt[::2], probe, out=probe)  # the old level is dropped next
+        diffs.append(float(np.max(np.abs(probe, out=probe))))
+        probe = nxt
+    if diffs[-1] > _CONVERGENCE_FLOOR and diffs[-1] >= diffs[-2] >= diffs[-3]:
+        raise NumericalFailureError(
+            "two-scale refinement is not converging: common-grid differences were "
+            f"{diffs[-3]:.3e}, {diffs[-2]:.3e}, {diffs[-1]:.3e} over the last three levels"
+        )
+    return diffs
 
 
 def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.ndarray:
@@ -301,25 +306,17 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
                       resolution: int) -> np.ndarray:
     """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution.
 
-    The inverse periodized filter bank lifts the scales to scaling
-    coefficients at level J+1 = len(levels), which are then evaluated
-    against the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)]
-    for d over the support.  The evaluation runs in row blocks that BLAS
-    keeps on the calling thread, and the coarse value is added in place
-    (the sum commutes bit for bit).  The box needs no product: phi is 1 on
-    the cell, so coarse + a[k] is repeated over cell k.  Needs
-    J + 1 <= resolution <= r_psi.
+    ``pyramid_lift`` gives the scaling coefficients a at level J+1 =
+    len(levels), which are then evaluated against the tabulated phi: row k
+    of the window holds a[k-d mod 2^(J+1)] for d over the support.  The
+    evaluation runs in row blocks that BLAS keeps on the calling thread,
+    and the coarse value is added in place (the sum commutes bit for bit).
+    The box needs no product: phi is 1 on the cell, so coarse + a[k] is
+    repeated over cell k.  Needs J + 1 <= resolution <= r_psi.
     """
-    p, q = _bank_filters(table.filter)
-    a = np.zeros(1)
-    for c in levels:
-        nxt = np.zeros(2 * a.size)
-        evens = 2 * np.arange(a.size)
-        for n in range(p.size):
-            nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
-        a = nxt
+    a = pyramid_lift(levels, table.filter)
     cell = 2**resolution // a.size
-    if _is_box(table.filter):
+    if is_box(table.filter):
         return np.repeat(float(coarse) + a, cell)  # phi is 1 on the whole cell
     phi = _phi_rows(table, cell)
     support = phi.shape[0]
@@ -328,6 +325,20 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
     values = _blocked_matmul(window, phi).ravel()
     values += float(coarse)
     return values
+
+
+def pyramid_lift(levels, filt: ScalingFilter) -> np.ndarray:
+    """The scaling coefficients at level J+1 = len(levels) of
+    sum_j sum_k levels[j][k] psi_{j,k}: the inverse periodized filter bank."""
+    p, q = _bank_filters(filt)
+    a = np.zeros(1)
+    for c in levels:
+        nxt = np.zeros(2 * a.size)
+        evens = 2 * np.arange(a.size)
+        for n in range(p.size):
+            nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
+        a = nxt
+    return a
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
@@ -411,7 +422,8 @@ def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
     return np.ascontiguousarray(rows)
 
 
-def _is_box(filt: ScalingFilter) -> bool:
+def is_box(filt: ScalingFilter) -> bool:
+    """Whether the filter is the unit box (Haar), whose phi is 1 on [0, 1)."""
     return filt.taps == DAUBECHIES_TAPS[1]
 
 
@@ -460,45 +472,19 @@ def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:
 def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
     """out[i] = sum_k sqrt(2) h_k values[i - k 2^r]: level-r grid values to level r+1.
 
-    One ``_BLOCK`` of out at a time, taps in ascending k: the rounding of a pass per tap.
+    One ``_BLOCK`` of out at a time, taps in ascending k, each product formed
+    in one reused buffer: the rounding of a pass per tap.
     """
     out = np.zeros(values.size + (taps.size - 1) * 2**r)
     tmp = np.empty(min(_BLOCK, out.size))
     for start in range(0, out.size, _BLOCK):
-        _refine_block(values, taps, r, start, out[start : start + _BLOCK], tmp)
+        block = out[start : start + _BLOCK]
+        for k, c in enumerate(SQRT2 * taps):
+            off = k * 2**r - start
+            lo, hi = max(0, off), min(block.size, off + values.size)
+            if lo < hi:
+                block[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
     return out
-
-
-def _refine_block(values: np.ndarray, taps: np.ndarray, r: int, start: int,
-                  out: np.ndarray, tmp: np.ndarray) -> None:
-    """Add the two-scale sum at the points start .. start + out.size - 1 into out.
-
-    Taps in ascending k, each product formed in tmp (at least out.size long).
-    """
-    for k, c in enumerate(SQRT2 * taps):
-        off = k * 2**r - start
-        lo, hi = max(0, off), min(out.size, off + values.size)
-        if lo < hi:
-            out[lo:hi] += np.multiply(values[lo - off : hi - off], c, out=tmp[: hi - lo])
-
-
-def _even_diff_max(values: np.ndarray, taps: np.ndarray, r: int) -> float:
-    """max |_refine(values, taps, r)[::2] - values| for r >= 1, without the refined level.
-
-    Every shift k 2^r is even, so the even points come from values[::2]
-    alone, one ``_BLOCK`` at a time with the rounding of ``_refine``.
-    """
-    evens = values[::2]
-    out = np.empty(min(_BLOCK, values.size))
-    tmp = np.empty_like(out)
-    maxima = []
-    for start in range(0, values.size, _BLOCK):
-        block = out[: min(_BLOCK, values.size - start)]
-        block.fill(0.0)
-        _refine_block(evens, taps, r - 1, start, block, tmp)
-        np.subtract(block, values[start : start + block.size], out=block)
-        maxima.append(np.max(np.abs(block, out=block)))
-    return float(np.max(maxima))  # a NaN in any block propagates
 
 
 def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> np.ndarray:

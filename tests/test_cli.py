@@ -31,7 +31,7 @@ from rwslab.experiments import (
     run_experiment,
 )
 from rwslab.fields import CoefficientField
-from rwslab.synthesis import synthesize
+from rwslab.synthesis import synthesis_sup, synthesize
 from rwslab.util import canonical_json, sha256_file
 
 ALL_NAMES = ("criteria", "figure1", "hmin", "modulus", "prevalence",
@@ -521,36 +521,68 @@ def test_prop22_tail_bounds_and_witness(tmp_path):
     assert manifest["flags"]["witness_levels_exceeding"] == 2
 
 
+@pytest.fixture
+def syntheses(monkeypatch):
+    """The (kind, truncation) of every synthesis a runner makes: "grid" for
+    ``synthesize``, "sup" for ``synthesis_sup``."""
+    made = []
+
+    def counting(kind, run):
+        def call(field_, table, j_trunc, resolution):
+            made.append((kind, j_trunc))
+            return run(field_, table, j_trunc, resolution)
+        return call
+
+    monkeypatch.setattr("rwslab.experiments.synthesize", counting("grid", synthesize))
+    monkeypatch.setattr("rwslab.experiments.synthesis_sup", counting("sup", synthesis_sup))
+    return made
+
+
 @pytest.mark.parametrize("name, args, calls", [
     ("prop22", ["trials=3", "j_lo=5", "j_hi=8", "table_resolution=12",
                 "witness_levels=2", "witness_j_max=8"], 3 + 2),  # + witness cuts
     ("prop43", ["seeds=3", "j_lo=4", "j_hi=6", "table_resolution=10"], 3),
 ])
-def test_tail_bounds_synthesize_once_per_trial(tmp_path, monkeypatch, name, args, calls):
-    made = []
-
-    def counting(field_, table, j_trunc, resolution):
-        made.append(j_trunc)
-        return synthesize(field_, table, j_trunc, resolution)
-
-    monkeypatch.setattr("rwslab.experiments.synthesize", counting)
+def test_tail_bounds_synthesize_once_per_trial(tmp_path, syntheses, name, args, calls):
+    # One sup of one tail synthesis per trial or seed, taken without a grid;
+    # only prop22's witness averages read a grid, one per witness level.
     sets = [a for kv in args for a in ("--set", kv)]
     assert main(["run", name, "--out", str(tmp_path), *sets]) == 0
-    assert len(made) == calls
+    assert len(syntheses) == calls
+    witnesses = 2 if name == "prop22" else 0
+    assert [kind for kind, _ in syntheses] == ["sup"] * (calls - witnesses) + ["grid"] * witnesses
 
 
-def test_prop22_rejects_witness_levels_before_trials(tmp_path, monkeypatch):
-    made = []
-
-    def counting(field_, table, j_trunc, resolution):
-        made.append(j_trunc)
-        return synthesize(field_, table, j_trunc, resolution)
-
-    monkeypatch.setattr("rwslab.experiments.synthesize", counting)
+def test_prop22_rejects_witness_levels_before_trials(tmp_path, syntheses):
     assert main(["run", "prop22", "--out", str(tmp_path), "--set", "trials=2",
                  "--set", "witness_levels=50"]) == 2
-    assert made == []
+    assert syntheses == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("witness_levels", -1, "must lie in [1, inf), got -1"),
+    ("witness_levels", 0, "must lie in [1, inf), got 0"),
+    ("witness_j_max", -1, "must lie in [0, 26), got -1"),
+    ("witness_j_max", 26, "must lie in [0, 26), got 26"),
+])
+def test_prop22_witness_keys_bounded_before_any_table(tmp_path, monkeypatch, capsys, key,
+                                                      value, message):
+    # witness_j_max levels are dense, so a value past the level cap would try
+    # to allocate 2^j entries per level; a table build fails the test first.
+    def no_table(*a, **k):
+        raise AssertionError("wavelet table built for an out-of-range witness key")
+
+    monkeypatch.setattr("rwslab.experiments.cascade_evaluate", no_table)
+    out = tmp_path / "out"
+    assert main(["run", "prop22", "--set", f"{key}={value}", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert f"prop22 config key '{key}' {message}" in capsys.readouterr().err
+
+
+def test_prop22_witness_j_max_far_past_the_cap_rejected_by_its_bound():
+    with pytest.raises(InvalidParameterError, match="'witness_j_max' must lie in"):
+        resolve_config("prop22", overrides={"witness_j_max": "200"})
 
 
 def test_prop31_unbounded_regime(tmp_path):

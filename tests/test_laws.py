@@ -374,6 +374,33 @@ def test_extreme_mantissas_draw_finite_values(tag):
     assert np.all(np.isfinite(chi))
 
 
+def sign_for_every_law(law, words):
+    """The transform as it was when every law built the sign array."""
+    from scipy.special import ndtri
+
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    sign = np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)
+    return {"rademacher": lambda: sign,
+            "gaussian": lambda: ndtri(u),
+            "bernoulli": lambda: (u < law.p).astype(np.float64),
+            "exp_tail": lambda: sign * (-np.log(u) / law.b) ** (1.0 / law.gamma),
+            "heavy_tail": lambda: sign * u ** (-1.0 / law.exponent),
+            "bounded_uniform": lambda: law.bound * (2.0 * u - 1.0)}[law.tag]()
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
+def test_sign_only_for_symmetric_laws_keeps_draw_bits(tag):
+    # Extreme and middle mantissas with both low bits, then a stream block.
+    ms = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    edges = np.concatenate([ms << np.uint64(11), (ms << np.uint64(11)) | np.uint64(2**11 - 1)])
+    _, stream = next(_word_blocks(3, "coef", 12, 0, 4096))
+    for words in (edges, stream):
+        want = sign_for_every_law(STREAM_LAWS[tag], words)
+        got = _from_words(STREAM_LAWS[tag], words)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_gaussian_top_mantissas_stay_monotone():
     ms = np.arange(2**53 - 4, 2**53, dtype=np.uint64)
     chi = _from_words(gaussian(), ms << np.uint64(11))

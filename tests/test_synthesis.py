@@ -31,6 +31,7 @@ from rwslab.laws import (
     bernoulli,
     bounded_uniform,
     draw,
+    draw_array,
     exp_tail,
     gaussian,
     heavy_tail,
@@ -44,9 +45,12 @@ from rwslab.synthesis import (
     randomized_envelope,
     randomized_field,
     randomized_synthesize,
+    synthesis_sup,
     synthesize,
     wiener_brownian,
 )
+from rwslab.util import sup_abs
+from rwslab.wavelets import build_filter, cascade_evaluate
 
 from wavelet_oracles import eval_periodized
 
@@ -175,16 +179,55 @@ def test_tail_synthesis_equals_truncation_difference(request, table_name):
     assert synthesize(tail, table, j_hi, res).values == pytest.approx(oracle, abs=1e-12)
 
 
-def test_resolution_preconditions(db10_table):
+def test_resolution_preconditions(db10_table, haar_table):
     f = zero_field(6)
-    with pytest.raises(InvalidParameterError):
-        synthesize(f, db10_table, 7, 12)  # truncation beyond the field
-    with pytest.raises(InvalidParameterError):
-        synthesize(f, db10_table, 6, 9)  # fewer than 4 spare levels
-    with pytest.raises(InvalidParameterError):
-        synthesize(f, db10_table, 6, 13)  # finer than the table grid
+    for table in (db10_table, haar_table):
+        for run in (synthesize, synthesis_sup):
+            with pytest.raises(InvalidParameterError):
+                run(f, table, 7, 12)  # truncation beyond the field
+            with pytest.raises(InvalidParameterError):
+                run(f, table, 6, 9)  # fewer than 4 spare levels
+            with pytest.raises(InvalidParameterError):
+                run(f, table, 6, 13)  # finer than the table grid
     with pytest.raises(InvalidParameterError):
         randomized_synthesize(f, db10_table, gaussian(), 1, 6, 13)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_synthesis_sup_equals_grid_sup(n):
+    # At prop22 and prop43 sizes (J = 16 on 2^20 points): prop22's tail
+    # trials, bounded uniform levels 2^-j above j_lo = 10, and prop43's
+    # seeds, Gaussian multiples of j^-2 above j_lo = 12; then a full field
+    # with a coarse value, truncated below its last level.  The box takes
+    # its sup over the 2^17 cell values, the others over the grid.
+    table = cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), 20)
+    trial, seeded = zero_field(16), zero_field(16)
+    for j in range(11, 17):
+        trial.levels[j][:] = 2.0**-j * draw_array(bounded_uniform(1.0), 0, "l1-trial-0", j,
+                                                  np.arange(2**j))
+    for j in range(13, 17):
+        seeded.levels[j][:] = float(j) ** -2.0
+    full = random_field(16, np.random.default_rng(n))
+    for f, j_trunc in ((trial, 16), (randomized_field(seeded, gaussian(), 0), 16), (full, 14)):
+        want = sup_abs(synthesize(f, table, j_trunc, 20).values)
+        assert synthesis_sup(f, table, j_trunc, 20) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf in the filter bank
+@pytest.mark.parametrize("table_name", ["haar_table", "db10_table"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, "overflow"])
+def test_synthesis_sup_rejects_non_finite_field(request, table_name, bad):
+    # A field checks its entries when it is made, so a non-finite path comes
+    # from an entry set afterwards or from finite entries that overflow.
+    table = request.getfixturevalue(table_name)
+    if bad == "overflow":
+        f = CoefficientField(4, 1e308, [np.full(2**j, 1e308) for j in range(5)])
+    else:
+        f = zero_field(4)
+        f.levels[3][2] = bad
+    for run in (synthesize, synthesis_sup):
+        with pytest.raises(InvalidParameterError, match="sample path contains non-finite values"):
+            run(f, table, 4, 10)
 
 
 def test_sample_path_validation():

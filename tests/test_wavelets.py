@@ -21,11 +21,13 @@ from rwslab.wavelets import (
     _GEMM_CELLS,
     _GEMV_ROWS,
     DyadicInterval,
+    PROBE_DEPTH,
+    _CONVERGENCE_FLOOR,
     _blocked_matmul,
-    _even_diff_max,
     _integer_values,
     _phi_rows,
     _positivity_search,
+    _probe_diffs,
     _refine,
     periodized_grid,
     pyramid_analysis,
@@ -234,12 +236,13 @@ def test_interval_search_deterministic():
 def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
     # Blocked, odd-points-only refinement against full per-tap passes, bit
     # for bit.  db4 r14 ends in a partial block: 7 2^14 + 1 = 3.5 blocks.
+    # The probe stops at PROBE_DEPTH: its diffs are the oracle's first ones.
     filt = build_filter("daubechies", n)
     table = cascade_evaluate(filt, r_psi)
     phi, psi, diffs = per_tap_cascade(filt, r_psi)
     assert same_bits(table.phi, phi)
     assert same_bits(table.psi, psi)
-    assert table.refinement_diffs == tuple(diffs)
+    assert table.refinement_diffs == tuple(diffs[:PROBE_DEPTH])
     pos, pos_floor = _positivity_search(psi, r_psi, filt.support_length)
     assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
     assert table.sup_norm == float(np.max(np.abs(psi)))
@@ -257,35 +260,32 @@ def test_refine_kernel_matches_per_tap_oracle(size, r):
     assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
 
 
-@pytest.mark.parametrize("n, r, size", [(2, 1, 7), (6, 12, 11 * 2**12 + 1), (6, 12, 11 * 2**12),
-                                     (2, 17, 3 * 2**17 + 1)])
-def test_even_diff_max_matches_per_tap_oracle(n, r, size):
-    # The probe's last level, streamed, against the stored level: sizes that
-    # end in a partial block, and at r = 17 shifts 2^16 wider than a block
-    # of even points.  One NaN must come out as NaN, as the whole-array max.
-    taps = np.asarray(build_filter("daubechies", n).taps)
-    values = np.random.default_rng(size + r).standard_normal(size)
-    values[::7] = 0.0
-    values[3::11] = -0.0
-    for nan_at in (None, size // 3):
-        if nan_at is not None:
-            values[nan_at] = np.nan
-        want = np.max(np.abs(per_tap_refine(values, taps, r)[::2] - values))
-        got = _even_diff_max(values, taps, r)
-        assert got == want or (np.isnan(got) and np.isnan(want))
-
-
 def test_cascade_probe_holds_under_two_levels():
-    # The probe keeps 1.5 levels at a time and never stores its last one;
-    # the last level it stores is level 14.
+    # The probe stops at level PROBE_DEPTH = 12 whatever r_psi is: figure1's
+    # db10 r19 table holds at most two of its levels at a time.
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cascade_evaluate(build_filter("daubechies", 10), 15)
+        cascade_evaluate(build_filter("daubechies", 10), 19)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (19 * 2**14 + 1) * 8
+    assert peak <= 2 * (19 * 2**PROBE_DEPTH + 1) * 8
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_frozen_taps_converge_at_full_depth(n):
+    # Tables probe only PROBE_DEPTH levels, so the frozen taps are checked
+    # here at the depths the experiments tabulate: 17, and figure1's 19 for
+    # db10.  The diffs fall strictly from level 3 on, and the convergence
+    # rule (it raises at full depth) fires at no prefix, whatever r_psi a
+    # table stops at.
+    filt = build_filter("daubechies", n)
+    diffs = _probe_diffs(np.asarray(filt.taps), filt.support_length, 19 if n == 10 else 17)
+    assert all(b < a for a, b in zip(diffs[1:], diffs[2:]))
+    assert not any(a > _CONVERGENCE_FLOOR and a >= b >= c
+                   for c, b, a in zip(diffs, diffs[1:], diffs[2:]))
+    assert diffs[:PROBE_DEPTH] == list(cascade_evaluate(filt, PROBE_DEPTH).refinement_diffs)
 
 
 def reference_cascade(filt, r_psi):
@@ -346,7 +346,7 @@ def test_phi_level_rejects_levels_off_the_table(db4_table):
 def test_pyramid_refines_only_the_cell_level(monkeypatch):
     # One synthesis and one analysis at roundtrip sizes read phi at the
     # level of their 8-sample cell: no deeper phi and no psi is refined,
-    # while the eager probe still ran to full depth.
+    # while the eager probe ran to level PROBE_DEPTH.
     table = cascade_evaluate(build_filter("daubechies", 10), 17)
     j, resolution = 13, 17
     sizes = []
@@ -365,7 +365,7 @@ def test_pyramid_refines_only_the_cell_level(monkeypatch):
     assert sizes and max(sizes) <= table.support_length * 2**3 + 1
     assert deepest_level(table) == 3
     assert "psi" not in vars(table)
-    assert len(table.refinement_diffs) == table.r_psi
+    assert len(table.refinement_diffs) == PROBE_DEPTH
 
 
 @functools.lru_cache(maxsize=2)  # phi only to the deepest level read (14 at most): a few MB each
@@ -480,14 +480,17 @@ def test_cascade_rejects_shallow_depth():
 
 
 def test_cascade_detects_corrupt_taps():
+    # r_psi 17 and 19 are the deepest tables the experiments build; their
+    # probe stops at PROBE_DEPTH and must still catch both.
     good = build_filter("daubechies", 10)
     scaled = ScalingFilter("daubechies", 10, tuple(1.05 * h for h in good.taps))
-    with pytest.raises(NumericalFailureError):
-        cascade_evaluate(scaled, 12)
     r2 = 1 / SQRT2
     wild = ScalingFilter("daubechies", 2, (2.0, -1.0, r2 - 2.0, r2 + 1.0))
-    with pytest.raises(NumericalFailureError, match="not converging"):
-        cascade_evaluate(wild, 12)
+    for r_psi in (12, 17, 19):
+        with pytest.raises(NumericalFailureError):
+            cascade_evaluate(scaled, r_psi)
+        with pytest.raises(NumericalFailureError, match="not converging"):
+            cascade_evaluate(wild, r_psi)
 
 
 def test_sign_interval_failure_raises_on_first_interval_read(monkeypatch):
