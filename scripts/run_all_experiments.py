@@ -8,9 +8,9 @@ above wall time shows idle threads spinning.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
 every experiment whose peak RSS is above the 250 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
-but one crossed the ceiling.  Full-scale defaults take 8.5-10 s in total,
-about as much CPU, on a shared 2-vCPU VM, 2.8-3.2 s of it in hmin,
-1.5-1.7 s in prop43 and 1.0-1.3 s in figure1, whose 181 MB is the largest peak.
+but one crossed the ceiling.  Full-scale defaults take 7.8-10.5 s in total,
+about as much CPU, on a shared 2-vCPU VM, 2.5-3.8 s of it in hmin,
+1.2-1.5 s in prop43 and 1.0-1.3 s in figure1, whose 181 MB is the largest peak.
 Pass experiment names to run a subset; --seed shifts the base seed of
 every run.
 """

@@ -8,9 +8,12 @@ rounding, while a smooth-wavelet round trip is limited only by cross-scale
 quadrature leakage; the four spare resolution levels keep that leakage at
 the percent scale.
 
-Sup profiles synthesize each truncation with the same filter bank as
-synthesis, so every recorded sup matches a separately synthesized path bit
-for bit.
+Sup profiles are the one route from a field to its sups: each truncation
+is synthesized with the same filter bank as synthesis, so every recorded
+sup matches a separately synthesized path bit for bit, and a non-finite
+path is rejected as a synthesized one is.  Haar profiles stop at the grid
+their cells need, since the box repeats each level-(J+1) value over its
+cell.
 
 Almost-sure divergence or boundedness is never decided here: the profiles
 and fits report observed statistics against the rates that the symbolic
@@ -28,7 +31,7 @@ from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope
 from .synthesis import SamplePath
 from .util import sup_abs, write_csv
-from .wavelets import MotherWaveletTable, check_grid, pyramid_analysis, pyramid_synthesis
+from .wavelets import MotherWaveletTable, check_grid, is_box, pyramid_analysis, pyramid_synthesis
 
 # ---------------------------------------------------------------- analysis
 
@@ -69,7 +72,10 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
 
     Truncations are deduplicated and sorted; each snapshot is synthesized
     by the same filter bank as synthesize(..., J, R), so the two agree
-    exactly.
+    exactly.  For the box, coarse + a[k] repeats over each level-(J+1)
+    cell, so the cell sups at this depth are read off the grid of
+    2^max(J+1, depth) points, bit for bit those of the table grid.  A
+    non-finite path is rejected as ``SamplePath`` rejects it.
     """
     cuts = sorted({int(t) for t in truncations})
     if not cuts:
@@ -81,18 +87,20 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     if not 0 <= depth <= table.r_psi:
         raise InvalidParameterError(f"cell depth must lie in 0..{table.r_psi}")
 
-    resolution = table.r_psi
-    cells = 2**depth
+    box = is_box(table.filter)
     local_sups = np.vstack([
         _cell_sups(pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table,
-                                     resolution),
-                   cells)
+                                     max(j_trunc + 1, depth) if box else table.r_psi),
+                   2**depth)
         for j_trunc in cuts])
+    global_sups = local_sups.max(axis=1)
+    if not np.all(np.isfinite(global_sups)):
+        raise InvalidParameterError("sample path contains non-finite values")
     return SupGrowthProfile(
         truncations=tuple(cuts),
-        global_sups=local_sups.max(axis=1),
+        global_sups=global_sups,
         local_sups=local_sups,
-        resolution=resolution,
+        resolution=table.r_psi,
     )
 
 

@@ -71,7 +71,6 @@ from .synthesis import (
     randomized_envelope,
     randomized_field,
     randomized_synthesize,
-    synthesis_sup,
     synthesize,
     wiener_brownian,
 )
@@ -155,7 +154,7 @@ def _run_prop22(config, out, comment):
         for j in range(j_lo + 1, j_hi + 1):
             tail.levels[j][:] = 2.0**-j * draw_array(
                 law, config["seed"], f"l1-trial-{trial}", j, np.arange(2**j))
-        diffs.append(synthesis_sup(tail, table, j_hi, res))
+        diffs.append(sup_growth(tail, table, [j_hi], 0).global_sups[0])
         bounds.append(level_factor * sum(sup_abs(lv) for lv in tail.levels[j_lo + 1 :]))
     within = [int(d <= b) for d, b in zip(diffs, bounds)]
     write_csv(out / "tail_bounds.csv",
@@ -249,7 +248,7 @@ def _run_prop43(config, out, comment):
     bound = sum(math.sqrt(2.0 * j) * float(j) ** power * level_factor
                 for j in range(j_lo + 1, j_hi + 1))
     seeds_col = [config["seed"] + s for s in range(config["seeds"])]
-    diffs = [synthesis_sup(randomized_field(tail, config["law"], seed), table, j_hi, table.r_psi)
+    diffs = [sup_growth(randomized_field(tail, config["law"], seed), table, [j_hi], 0).global_sups[0]
              for seed in seeds_col]
     within = [int(diff <= bound) for diff in diffs]
     write_csv(out / "sqrt_bounds.csv",

@@ -1,12 +1,14 @@
 """Partial-sum evaluation on dyadic grids, plus the Fourier-side comparisons.
 
 Wavelet synthesis runs the inverse periodized filter bank (the Mallat
-pyramid) from scale 0 up to J+1 and evaluates the resulting scaling
-coefficients against the tabulated phi in matrix products over row blocks;
-for Haar, whose phi is 1 on its cell, the evaluation is a repeat of each
-coefficient plus the coarse value, so ``synthesis_sup`` needs no grid.
-R <= r_psi keeps every table lookup on a grid point.  The summation order
-is fixed, so the floating-point result is a pure function of the field and the grid.
+pyramid) from scale 0 up to J+1, one polyphase slice-add per tap, and
+evaluates the resulting scaling coefficients against the tabulated phi in
+matrix products over row blocks; for Haar, whose phi is 1 on its cell, the
+evaluation is a repeat of each coefficient plus the coarse value.  Sups of
+a synthesized field are taken by ``estimators.sup_growth``, which for Haar
+stops at the grid its cells need.  R <= r_psi keeps every table lookup on
+a grid point.  The summation order is fixed, so the floating-point result
+is a pure function of the field and the grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) folds mode m onto m mod 2^R, which is exact on the grid, and
@@ -30,8 +32,8 @@ from .laws import (
     draw_array,
     gaussian,
 )
-from .util import canonical_json, sup_abs, write_csv
-from .wavelets import MotherWaveletTable, check_grid, is_box, pyramid_lift, pyramid_synthesis
+from .util import canonical_json, write_csv
+from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
@@ -74,22 +76,6 @@ def synthesize(field_: CoefficientField, table: MotherWaveletTable,
     """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid."""
     levels = _kept_levels(field_, table, j_trunc, resolution)
     return SamplePath(resolution, pyramid_synthesis(field_.coarse, levels, table, resolution))
-
-
-def synthesis_sup(field_: CoefficientField, table: MotherWaveletTable,
-                  j_trunc: int, resolution: int) -> float:
-    """``sup_abs(synthesize(field_, table, j_trunc, resolution).values)``, bit for bit,
-    with the same checks and errors.  The box's grid repeats coarse + a[k] over
-    the cell of each level-(J+1) scaling coefficient a[k], so its sup is taken
-    over those 2^(J+1) values; a sup is finite exactly when every value is."""
-    levels = _kept_levels(field_, table, j_trunc, resolution)
-    if is_box(table.filter):
-        sup = sup_abs(float(field_.coarse) + pyramid_lift(levels, table.filter))
-    else:
-        sup = sup_abs(pyramid_synthesis(field_.coarse, levels, table, resolution))
-    if not math.isfinite(sup):
-        raise InvalidParameterError("sample path contains non-finite values")
-    return sup
 
 
 def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> CoefficientField:

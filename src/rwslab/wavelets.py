@@ -306,15 +306,27 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
                       resolution: int) -> np.ndarray:
     """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution.
 
-    ``pyramid_lift`` gives the scaling coefficients a at level J+1 =
-    len(levels), which are then evaluated against the tabulated phi: row k
-    of the window holds a[k-d mod 2^(J+1)] for d over the support.  The
-    evaluation runs in row blocks that BLAS keeps on the calling thread,
-    and the coarse value is added in place (the sum commutes bit for bit).
-    The box needs no product: phi is 1 on the cell, so coarse + a[k] is
-    repeated over cell k.  Needs J + 1 <= resolution <= r_psi.
+    The inverse periodized filter bank lifts the levels to the scaling
+    coefficients a at level J+1 = len(levels): tap n adds p_n a + q_n c to
+    the entries 2k + n mod 2^(j+1), that is to polyphase column n mod 2
+    shifted by n // 2 rows, as two slice-adds.  a is then evaluated against
+    the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)] for d
+    over the support.  The evaluation runs in row blocks that BLAS keeps on
+    the calling thread, and the coarse value is added in place (the sum
+    commutes bit for bit).  The box needs no product: phi is 1 on the cell,
+    so coarse + a[k] is repeated over cell k.  Needs J + 1 <= resolution <= r_psi.
     """
-    a = pyramid_lift(levels, table.filter)
+    p, q = _bank_filters(table.filter)
+    a = np.zeros(1)
+    for c in levels:
+        size = a.size
+        nxt = np.zeros((size, 2))
+        for n in range(p.size):
+            t = p[n] * a + q[n] * c
+            s = (n // 2) % size
+            nxt[s:, n % 2] += t[: size - s]
+            nxt[:s, n % 2] += t[size - s :]
+        a = nxt.ravel()
     cell = 2**resolution // a.size
     if is_box(table.filter):
         return np.repeat(float(coarse) + a, cell)  # phi is 1 on the whole cell
@@ -325,20 +337,6 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
     values = _blocked_matmul(window, phi).ravel()
     values += float(coarse)
     return values
-
-
-def pyramid_lift(levels, filt: ScalingFilter) -> np.ndarray:
-    """The scaling coefficients at level J+1 = len(levels) of
-    sum_j sum_k levels[j][k] psi_{j,k}: the inverse periodized filter bank."""
-    p, q = _bank_filters(filt)
-    a = np.zeros(1)
-    for c in levels:
-        nxt = np.zeros(2 * a.size)
-        evens = 2 * np.arange(a.size)
-        for n in range(p.size):
-            nxt[(evens + n) % nxt.size] += p[n] * a + q[n] * c
-        a = nxt
-    return a
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,

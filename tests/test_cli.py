@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import rwslab
 from rwslab.cli import main
 from rwslab.errors import InvalidParameterError
+from rwslab.estimators import sup_growth
 from rwslab.experiments import (
     _INT_BOUNDS,
     _PARSERS,
@@ -31,7 +32,7 @@ from rwslab.experiments import (
     run_experiment,
 )
 from rwslab.fields import CoefficientField
-from rwslab.synthesis import synthesis_sup, synthesize
+from rwslab.synthesis import synthesize
 from rwslab.util import canonical_json, sha256_file
 
 ALL_NAMES = ("criteria", "figure1", "hmin", "modulus", "prevalence",
@@ -523,18 +524,18 @@ def test_prop22_tail_bounds_and_witness(tmp_path):
 
 @pytest.fixture
 def syntheses(monkeypatch):
-    """The (kind, truncation) of every synthesis a runner makes: "grid" for
-    ``synthesize``, "sup" for ``synthesis_sup``."""
+    """The kind of every synthesis a runner makes: "grid" for ``synthesize``,
+    "sup" for ``sup_growth``."""
     made = []
 
     def counting(kind, run):
-        def call(field_, table, j_trunc, resolution):
-            made.append((kind, j_trunc))
-            return run(field_, table, j_trunc, resolution)
+        def call(*args):
+            made.append(kind)
+            return run(*args)
         return call
 
     monkeypatch.setattr("rwslab.experiments.synthesize", counting("grid", synthesize))
-    monkeypatch.setattr("rwslab.experiments.synthesis_sup", counting("sup", synthesis_sup))
+    monkeypatch.setattr("rwslab.experiments.sup_growth", counting("sup", sup_growth))
     return made
 
 
@@ -550,7 +551,7 @@ def test_tail_bounds_synthesize_once_per_trial(tmp_path, syntheses, name, args, 
     assert main(["run", name, "--out", str(tmp_path), *sets]) == 0
     assert len(syntheses) == calls
     witnesses = 2 if name == "prop22" else 0
-    assert [kind for kind, _ in syntheses] == ["sup"] * (calls - witnesses) + ["grid"] * witnesses
+    assert syntheses == ["sup"] * (calls - witnesses) + ["grid"] * witnesses
 
 
 def test_prop22_rejects_witness_levels_before_trials(tmp_path, syntheses):
@@ -606,6 +607,18 @@ def test_prop31_bounded_regime(tmp_path):
     assert manifest["flags"]["max_variation"] == 0.0
     rows = load_rows(tmp_path / "stability.csv")
     assert rows.shape == (9, 3)                 # 3 seeds x truncations 4, 5, 6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the filter bank
+def test_prop31_overflowing_bounded_law_exits_2(tmp_path, capsys):
+    # Draws up to 1.79e308 are finite, their partial sums are not: the sup
+    # profile rejects the path before any output or manifest is written.
+    out = tmp_path / "out"
+    assert main(["run", "prop31", "--out", str(out),
+                 "--set", "law=bounded_uniform:1.79e308"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == (
+        "error[invalid-parameter]: sample path contains non-finite values\n")
 
 
 def test_prevalence_witness_tables(tmp_path):

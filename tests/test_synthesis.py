@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rwslab.constructions import divergence_scale_field
 from rwslab.errors import InvalidParameterError
+from rwslab.estimators import _cell_sups, sup_growth
 from rwslab.fields import (
     CoefficientField,
     scale_envelope,
@@ -45,7 +47,6 @@ from rwslab.synthesis import (
     randomized_envelope,
     randomized_field,
     randomized_synthesize,
-    synthesis_sup,
     synthesize,
     wiener_brownian,
 )
@@ -182,24 +183,25 @@ def test_tail_synthesis_equals_truncation_difference(request, table_name):
 def test_resolution_preconditions(db10_table, haar_table):
     f = zero_field(6)
     for table in (db10_table, haar_table):
-        for run in (synthesize, synthesis_sup):
-            with pytest.raises(InvalidParameterError):
-                run(f, table, 7, 12)  # truncation beyond the field
-            with pytest.raises(InvalidParameterError):
-                run(f, table, 6, 9)  # fewer than 4 spare levels
-            with pytest.raises(InvalidParameterError):
-                run(f, table, 6, 13)  # finer than the table grid
+        with pytest.raises(InvalidParameterError):
+            synthesize(f, table, 7, 12)  # truncation beyond the field
+        with pytest.raises(InvalidParameterError):
+            synthesize(f, table, 6, 9)  # fewer than 4 spare levels
+        with pytest.raises(InvalidParameterError):
+            synthesize(f, table, 6, 13)  # finer than the table grid
     with pytest.raises(InvalidParameterError):
         randomized_synthesize(f, db10_table, gaussian(), 1, 6, 13)
 
 
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_synthesis_sup_equals_grid_sup(n):
-    # At prop22 and prop43 sizes (J = 16 on 2^20 points): prop22's tail
-    # trials, bounded uniform levels 2^-j above j_lo = 10, and prop43's
-    # seeds, Gaussian multiples of j^-2 above j_lo = 12; then a full field
-    # with a coarse value, truncated below its last level.  The box takes
-    # its sup over the 2^17 cell values, the others over the grid.
+    # sup_growth against the cell sups of the full grid, bit for bit, at
+    # prop22 and prop43 sizes (J = 16 on 2^20 points): prop22's tail trials,
+    # bounded uniform levels 2^-j above j_lo = 10, and prop43's seeds,
+    # Gaussian multiples of j^-2 above j_lo = 12; then a full field with a
+    # coarse value, truncated below its last level.  The box reads its cells
+    # off the grid of 2^max(J+1, depth) points: depth 0 is below J + 1 for
+    # every cut, 19 above it, and 16 lies between the cut at 14 and those at 16.
     table = cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), 20)
     trial, seeded = zero_field(16), zero_field(16)
     for j in range(11, 17):
@@ -209,8 +211,12 @@ def test_synthesis_sup_equals_grid_sup(n):
         seeded.levels[j][:] = float(j) ** -2.0
     full = random_field(16, np.random.default_rng(n))
     for f, j_trunc in ((trial, 16), (randomized_field(seeded, gaussian(), 0), 16), (full, 14)):
-        want = sup_abs(synthesize(f, table, j_trunc, 20).values)
-        assert synthesis_sup(f, table, j_trunc, 20) == want
+        values = synthesize(f, table, j_trunc, 20).values
+        for depth in (0, 16, 19):
+            profile = sup_growth(f, table, [j_trunc], depth)
+            want = _cell_sups(values, 2**depth)
+            assert profile.local_sups[0].tobytes() == want.tobytes()
+            assert profile.global_sups[0] == sup_abs(values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf in the filter bank
@@ -219,15 +225,32 @@ def test_synthesis_sup_equals_grid_sup(n):
 def test_synthesis_sup_rejects_non_finite_field(request, table_name, bad):
     # A field checks its entries when it is made, so a non-finite path comes
     # from an entry set afterwards or from finite entries that overflow.
+    # Synthesis and sup profiles reject it with the same error.
     table = request.getfixturevalue(table_name)
     if bad == "overflow":
         f = CoefficientField(4, 1e308, [np.full(2**j, 1e308) for j in range(5)])
     else:
         f = zero_field(4)
         f.levels[3][2] = bad
-    for run in (synthesize, synthesis_sup):
-        with pytest.raises(InvalidParameterError, match="sample path contains non-finite values"):
-            run(f, table, 4, 10)
+    message = "sample path contains non-finite values"
+    with pytest.raises(InvalidParameterError, match=message):
+        synthesize(f, table, 4, 10)
+    with pytest.raises(InvalidParameterError, match=message):
+        sup_growth(f, table, [4], 0)
+
+
+def test_box_sup_builds_no_grid():
+    # The box's sups come from the 2^17 level-17 values at J = 16: the peak
+    # stays under half the 8 MiB of the 2^20-point grid of the table.
+    table = cascade_evaluate(build_filter("haar", 1), 20)
+    f = random_field(16, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        sup_growth(f, table, [16], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_sample_path_validation():

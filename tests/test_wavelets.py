@@ -378,6 +378,7 @@ def deep_table(n, r_psi):
     (1, 20, 16, 20),  # prop22 and prop43
     (20, 15, 11, 15),
     (10, 15, 0, 4),  # a level of 2 scaling coefficients, shorter than the support
+    (10, 15, 2, 6), (20, 15, 3, 7),  # lift levels shorter than the filter
     (10, 15, 0, 15),  # 4 rows would exceed the block: blocks split the columns
     (10, 15, 11, 12),  # one-sample cells: matrix-vector blocks
 ])
