@@ -62,7 +62,6 @@ class SupGrowthProfile:
     truncations: tuple[int, ...]
     global_sups: np.ndarray
     local_sups: np.ndarray
-    resolution: int
 
 
 def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
@@ -96,12 +95,8 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     global_sups = local_sups.max(axis=1)
     if not np.all(np.isfinite(global_sups)):
         raise InvalidParameterError("sample path contains non-finite values")
-    return SupGrowthProfile(
-        truncations=tuple(cuts),
-        global_sups=global_sups,
-        local_sups=local_sups,
-        resolution=table.r_psi,
-    )
+    return SupGrowthProfile(truncations=tuple(cuts), global_sups=global_sups,
+                            local_sups=local_sups)
 
 
 def _cell_sups(values: np.ndarray, cells: int) -> np.ndarray:

@@ -83,15 +83,16 @@ class Experiment:
     """Complete defaults plus a runner writing CSVs into an output dir.
 
     The runner gets the config with every string key in ``_PARSERS``
-    parsed, and returns the written file names in creation order and a flat
-    dict of summary flags for the manifest.  ``orderings`` are chains of
-    config keys and integers joined by < or <=, such as
-    "0 < j_lo < j_hi"; ``checks`` raise on a parsed config they reject.
+    parsed, writes its files into the output dir and returns a flat dict
+    of summary flags for the manifest; every file it leaves there is an
+    output.  ``orderings`` are chains of config keys and integers joined
+    by < or <=, such as "0 < j_lo < j_hi"; ``checks`` raise on a parsed
+    config they reject.
     ``run_experiment`` runs both, after parsing, before any compute.
     """
 
     defaults: dict
-    runner: Callable[[dict, Path, str], tuple[list[str], dict]]
+    runner: Callable[[dict, Path, str], dict]
     orderings: tuple[str, ...] = ()
     checks: tuple[Callable[[dict], None], ...] = ()
 
@@ -113,22 +114,16 @@ def _table(config):
 def _run_figure1(config, out, comment):
     table = _table(config)
     terms, res, seed = config["fourier_terms"], config["resolution"], config["seed"]
-    export_path_csv(fourier_sawtooth(terms, res), out / "sawtooth.csv",
-                    {"field": "fourier-sawtooth", "law": "deterministic", "seed": None,
-                     "truncation": terms}, comment=comment)
-    export_path_csv(wiener_brownian(terms, res, seed), out / "wiener.csv",
-                    {"field": "wiener-brownian", "law": "gaussian", "seed": seed,
-                     "truncation": terms}, comment=comment)
+    export_path_csv(fourier_sawtooth(terms, res), out / "sawtooth.csv", comment=comment)
+    export_path_csv(wiener_brownian(terms, res, seed), out / "wiener.csv", comment=comment)
 
     coeffs = step_function_coefficients(table, "sawtooth", config["j_hi"])
     truncations = list(range(config["j_lo"], config["j_hi"] + 1))
     profile = sup_growth(randomized_field(coeffs, config["law"], seed), table, truncations,
                          config["depth"])
     export_profile_csv(profile, out / "randomized_sawtooth.csv", comment=comment)
-    flags = {"profile_resolution": int(profile.resolution),
-             "max_global_sup": float(profile.global_sups.max())}
-    return (["sawtooth.csv", "sawtooth.json", "wiener.csv", "wiener.json",
-             "randomized_sawtooth.csv"], flags)
+    return {"profile_resolution": table.r_psi,
+            "max_global_sup": float(profile.global_sups.max())}
 
 
 def _run_prop22(config, out, comment):
@@ -173,9 +168,8 @@ def _run_prop22(config, out, comment):
         rows.append((l + 1, j_trunc, float(lo_f), float(hi_f), average, target))
     _write_rows(out / "witness.csv", ("level", "scale", "interval_lo", "interval_hi",
                                       "average", "threshold"), rows, comment)
-    flags = {"fraction_within": float(np.mean(within)),
-             "witness_levels_exceeding": sum(1 for r in rows if r[4] >= r[5])}
-    return ["tail_bounds.csv", "witness.csv"], flags
+    return {"fraction_within": float(np.mean(within)),
+            "witness_levels_exceeding": sum(1 for r in rows if r[4] >= r[5])}
 
 
 def _run_prop31(config, out, comment):
@@ -199,9 +193,7 @@ def _run_prop31(config, out, comment):
             rows.extend((base + s, j, float(g))
                         for j, g in zip(truncations, sups))
         _write_rows(out / "stability.csv", ("seed", "J", "global_sup"), rows, comment)
-        flags = {"regime": "bounded-regime",
-                 "max_variation": max(variations)}
-        return ["stability.csv"], flags
+        return {"regime": "bounded-regime", "max_variation": max(variations)}
 
     stop = None if config["log_all"] else 1
     rows, hit = [], 0
@@ -213,9 +205,7 @@ def _run_prop31(config, out, comment):
                     for e in events)
     _write_rows(out / "exceedances.csv", ("seed", "n", "j", "count", "first_k"),
                 rows, comment)
-    flags = {"regime": "exceedance events logged",
-             "seeds_with_event": hit, "seeds": seeds}
-    return ["exceedances.csv"], flags
+    return {"regime": "exceedance events logged", "seeds_with_event": hit, "seeds": seeds}
 
 
 def _run_prevalence(config, out, comment):
@@ -233,9 +223,7 @@ def _run_prevalence(config, out, comment):
                 w_rows, comment)
     _write_rows(out / "summary.csv", ("seed", "scales_with_product_exceedance"),
                 s_rows, comment)
-    flags = {"mean_scales_with_exceedance":
-             float(np.mean([r[1] for r in s_rows]))}
-    return ["witnesses.csv", "summary.csv"], flags
+    return {"mean_scales_with_exceedance": float(np.mean([r[1] for r in s_rows]))}
 
 
 def _run_prop43(config, out, comment):
@@ -255,8 +243,7 @@ def _run_prop43(config, out, comment):
               [("seed", seeds_col), ("sup_diff", diffs),
                ("bound", [bound] * len(diffs)), ("within", within)],
               comment=comment)
-    flags = {"fraction_within": float(np.mean(within)), "bound": bound}
-    return ["sqrt_bounds.csv"], flags
+    return {"fraction_within": float(np.mean(within)), "bound": bound}
 
 
 def _run_prop46(config, out, comment):
@@ -272,9 +259,8 @@ def _run_prop46(config, out, comment):
                ("sqrtj_term", np.sqrt(jf) * omega),
                ("loglog_term", np.sqrt(jf) / np.log(np.log(jf)) * omega),
                ("l1_partial_sum", np.cumsum(omega))], comment=comment)
-
-    flags = _write_verdicts(rate, ("l1", "sqrtj", "loglog"), None, out, comment)
-    return ["construction.csv", "verdicts.csv"], {"scale_ratio": ratio, **flags}
+    return {"scale_ratio": ratio,
+            **_write_verdicts(rate, ("l1", "sqrtj", "loglog"), None, out, comment)}
 
 
 _RATE_FORMS = "loglog-prop46 | harmonic | power-log:<s>[:<a>[:<b>[:<c>]]]"
@@ -328,8 +314,7 @@ def _check_criteria_gamma(config):
 
 
 def _run_criteria(config, out, comment):
-    return ["verdicts.csv"], _write_verdicts(config["rate"], config["kinds"], config["gamma"],
-                                             out, comment)
+    return _write_verdicts(config["rate"], config["kinds"], config["gamma"], out, comment)
 
 
 def _run_modulus(config, out, comment):
@@ -361,10 +346,9 @@ def _run_modulus(config, out, comment):
                 fit.theta_values, fit.ratios, flat))
     _write_rows(out / "modulus.csv", ("seed", "m", "h", "sup_increment", "theta",
                                       "ratio", "ratio_no_log"), rows, comment)
-    flags = {"median_spread": float(np.median(spreads)),
-             "rising_fraction": rising / config["seeds"],
-             "strict_rising_fraction": strictly_rising / config["seeds"]}
-    return ["modulus.csv"], flags
+    return {"median_spread": float(np.median(spreads)),
+            "rising_fraction": rising / config["seeds"],
+            "strict_rising_fraction": strictly_rising / config["seeds"]}
 
 
 def _run_hmin(config, out, comment):
@@ -379,10 +363,9 @@ def _run_hmin(config, out, comment):
         rows.append((seed, gau, rad))
     _write_rows(out / "estimates.csv",
                 ("seed", "gaussian_estimate", "rademacher_estimate"), rows, comment)
-    flags = {"deterministic_alpha": det,
-             "mean_gaussian": float(np.mean([r[1] for r in rows])),
-             "rademacher_exact": all(r[2] == det for r in rows)}
-    return ["estimates.csv"], flags
+    return {"deterministic_alpha": det,
+            "mean_gaussian": float(np.mean([r[1] for r in rows])),
+            "rademacher_exact": all(r[2] == det for r in rows)}
 
 
 def _run_wiener(config, out, comment):
@@ -403,10 +386,9 @@ def _run_wiener(config, out, comment):
     write_csv(out / "means.csv",
               [("m", ms), ("h", [2.0**-m for m in ms]),
                ("mean_ratio", mean_ratios)], comment=comment)
-    flags = {"grand_mean": float(np.mean(mean_ratios)),
-             "min_mean": float(np.min(mean_ratios)),
-             "max_mean": float(np.max(mean_ratios))}
-    return ["variance.csv", "means.csv"], flags
+    return {"grand_mean": float(np.mean(mean_ratios)),
+            "min_mean": float(np.min(mean_ratios)),
+            "max_mean": float(np.max(mean_ratios))}
 
 
 # ---------------------------------------------------------------- registry
@@ -484,12 +466,15 @@ def _parse_override(text: str):
 _LEVEL_CAP = 25
 
 # [lo, hi) of integer keys: the seed is a u64 stream key, prop46's terms
-# keep its geometric scales within int64, j_max and witness_j_max levels
-# are dense and exceedance_j_max levels are scanned word by word
+# keep its geometric scales within int64, levels (j_max, witness_j_max),
+# grids (resolution, table_resolution) and Fourier modes (fourier_terms)
+# are dense arrays, and exceedance_j_max levels are scanned word by word
 _INT_BOUNDS = {"seed": (0, 2**64), "seeds": (1, math.inf), "trials": (1, math.inf),
                "terms": (1, 26), "j_max": (0, _LEVEL_CAP + 1),
                "exceedance_j_max": (0, _LEVEL_CAP + 1),
-               "witness_levels": (1, math.inf), "witness_j_max": (0, _LEVEL_CAP + 1)}
+               "witness_levels": (1, math.inf), "witness_j_max": (0, _LEVEL_CAP + 1),
+               "resolution": (0, _LEVEL_CAP + 1), "table_resolution": (0, _LEVEL_CAP + 1),
+               "fourier_terms": (0, 2**_LEVEL_CAP + 1)}
 
 # String-valued keys and their parsers; ``run_experiment`` hands the runner
 # the parsed values.
@@ -579,10 +564,12 @@ def _utc_now() -> str:
 def run_experiment(name: str, config: dict, out_dir) -> dict:
     """Run one experiment and write its CSVs plus ``manifest.json``.
 
-    The runner writes into a temporary sibling of ``out_dir``; only a run
-    that finishes moves its outputs, then the manifest, into ``out_dir``
-    (created at that point).  A failed run removes the temporary directory
-    and leaves ``out_dir`` as it was.
+    The runner writes into a temporary sibling of ``out_dir``; every file
+    it leaves there is hashed, by name order, into the manifest's
+    ``outputs``.  Only a run that finishes with finite flags moves its
+    outputs, then the manifest, into ``out_dir`` (created at that point).
+    A failed run removes the temporary directory and leaves ``out_dir`` as
+    it was.
     """
     exp = _lookup(name)
     for chain in exp.orderings:
@@ -602,7 +589,11 @@ def run_experiment(name: str, config: dict, out_dir) -> dict:
     try:
         digest = config_digest(name, config)
         started = _utc_now()
-        names, flags = exp.runner(parsed, work, f"manifest_digest={digest}")
+        flags = exp.runner(parsed, work, f"manifest_digest={digest}")
+        for key, value in flags.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericalFailureError(f"{name} flag {key!r} is not finite: {value}")
+        names = sorted(p.name for p in work.iterdir())
         manifest = {
             "experiment": name,
             "config": config,

@@ -151,7 +151,11 @@ def envelope_from_rate(rate: PowerLogRate, j_max: int) -> ScaleEnvelope:
 
 def uniform_decay_envelope(alpha: float, j_max: int) -> ScaleEnvelope:
     """omega_j = 2^{-alpha j} for j = 0..j_max, without building the field."""
-    return ScaleEnvelope(values=np.array([2.0 ** (-alpha * j) for j in range(j_max + 1)]))
+    try:
+        return ScaleEnvelope(values=np.array([2.0 ** (-alpha * j) for j in range(j_max + 1)]))
+    except OverflowError:
+        raise InvalidParameterError(
+            f"2^(-alpha j) overflows a float for alpha {alpha} and j_max {j_max}") from None
 
 
 def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
@@ -231,10 +235,6 @@ def step_function_coefficients(
     """
     if kind not in ("heaviside", "sawtooth"):
         raise InvalidParameterError(f"kind must be heaviside or sawtooth, got {kind!r}")
-    if j_max > table.r_psi - 6:
-        raise InvalidParameterError(
-            f"j_max {j_max} too deep for table resolution (needs j_max <= r_psi - 6 = {table.r_psi - 6})"
-        )
     length = table.support_length
     step = table.grid_step
     psi = table.psi[:-1]

@@ -18,7 +18,6 @@ evaluates the folded sum with one real FFT: O(M + R 2^R), not O(M 2^R).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .laws import (
     draw_array,
     gaussian,
 )
-from .util import canonical_json, write_csv
+from .util import write_csv
 from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
@@ -160,14 +159,7 @@ def wiener_brownian(m_terms: int, resolution: int, seed: int) -> SamplePath:
 
 # ------------------------------------------------------------------ export
 
-def export_path_csv(path_: SamplePath, destination, provenance: dict,
-                    comment: str | None = None) -> None:
-    """Write (x, value) rows at 12 digits plus a sidecar JSON of the
-    resolution and the caller's ``provenance`` record."""
+def export_path_csv(path_: SamplePath, destination, comment: str | None = None) -> None:
+    """Write (x, value) rows at 12 digits."""
     write_csv(destination, [("x", path_.grid_x()), ("value", path_.values)],
               digits=12, comment=comment)
-    base, _ = os.path.splitext(str(destination))
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"resolution": path_.resolution,
-                                 "provenance": provenance}))
-        fh.write("\n")

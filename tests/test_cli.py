@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import rwslab
 from rwslab.cli import main
-from rwslab.errors import InvalidParameterError
+from rwslab.errors import InvalidParameterError, NumericalFailureError
 from rwslab.estimators import sup_growth
 from rwslab.experiments import (
     _INT_BOUNDS,
@@ -114,10 +114,11 @@ def test_precedence_overrides_beat_file_beat_defaults(data):
     defaults = default_config("wiener")
     int_keys = sorted(k for k, v in defaults.items()
                       if isinstance(v, int) and not isinstance(v, bool))
+    # 1..25 lies inside every key's bounds, resolution's [0, 26) the tightest
     file_obj = data.draw(st.dictionaries(st.sampled_from(int_keys),
-                                         st.integers(1, 30)))
+                                         st.integers(1, 25)))
     set_vals = data.draw(st.dictionaries(st.sampled_from(int_keys),
-                                         st.integers(1, 30)))
+                                         st.integers(1, 25)))
     config = resolve_config("wiener", dict(file_obj),
                             {k: str(v) for k, v in set_vals.items()})
     for key in int_keys:
@@ -242,13 +243,50 @@ def test_ordering_checked_before_any_table(tmp_path, monkeypatch, capsys, name, 
 @pytest.mark.parametrize("args, code", [
     # fails in its third output, after the two Fourier paths are written
     (["figure1", "--set", "fourier_terms=16", "--set", "resolution=8",
-      "--set", "table_resolution=12", "--set", "j_lo=2", "--set", "j_hi=7"], 2),
+      "--set", "table_resolution=12", "--set", "j_lo=2", "--set", "j_hi=9"], 2),
     (["hmin", "--set", "j_max=12", "--set", "j_lo=8", "--set", "j_hi=10"], 3),
 ], ids=["figure1-partial", "hmin-exit-3"])
 def test_failed_run_writes_nothing(tmp_path, args, code):
     out = tmp_path / "nested" / "out"
     assert main(["run", *args, "--out", str(out)]) == code
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, code, tag", [
+    (["hmin", "--set", "seeds=1", "--set", "alpha=-43"], 2, "invalid-parameter"),
+    (["modulus", "--set", "seeds=1", "--set", "j_max=8", "--set", "resolution=12",
+      "--set", "table_resolution=12", "--set", "m_lo=2", "--set", "m_hi=11",
+      "--set", "alpha=100"], 3, "numerical-failure"),
+    (["wiener", "--set", "resolution=40"], 2, "invalid-parameter"),
+    (["figure1", "--set", "table_resolution=40"], 2, "invalid-parameter"),
+    (["wiener", "--set", f"fourier_terms={2**25 + 1}"], 2, "invalid-parameter"),
+    (["prop43", "--set", "law=heavy_tail:0.001"], 2, "invalid-parameter"),
+], ids=["hmin-envelope-overflow", "modulus-infinite-flags", "wiener-resolution-40",
+        "figure1-table_resolution-40", "wiener-fourier_terms-above-2^25",
+        "prop43-overflowing-draws"])
+def test_edge_config_exits_tagged(tmp_path, capsys, args, code, tag):
+    # Overflows, non-finite flags and oversized grids exit with their own
+    # tag, never as an internal error, and write nothing.  The oversized
+    # configs are rejected at coercion, before anything is allocated.
+    out = tmp_path / "nested" / "out"
+    assert main(["run", *args, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error[{tag}]: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_lists_every_file_the_runner_left(tmp_path, monkeypatch):
+    def runner(config, out, comment):
+        for name in ("b.csv", "a.txt"):
+            (out / name).write_text(name)
+        return {"files": 2}
+
+    monkeypatch.setitem(EXPERIMENTS, "criteria",
+                        dataclasses.replace(EXPERIMENTS["criteria"], runner=runner))
+    assert main(["run", "criteria", "--out", str(tmp_path)]) == 0
+    manifest = read_manifest(tmp_path)
+    assert manifest["flags"] == {"files": 2}
+    assert manifest["outputs"] == [{"path": n, "sha256": sha256_file(tmp_path / n)}
+                                   for n in ("a.txt", "b.csv")]
 
 
 def test_failed_rerun_keeps_previous_outputs(tmp_path):
@@ -282,11 +320,12 @@ def test_largest_seed_accepted(tmp_path):
 
 
 def test_failed_run_leaves_no_manifest(tmp_path):
-    # unchecked library call: no seeds leave NaN means, and a NaN flag
-    # cannot be written as canonical JSON
+    # unchecked library call: no seeds leave NaN means, and a NaN flag is
+    # a numerical failure
     config = {**default_config("wiener"), "seeds": 0, "fourier_terms": 8,
               "resolution": 6, "m_hi": 6}
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NumericalFailureError, match="wiener flag 'grand_mean'"):
         run_experiment("wiener", config, tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
 
@@ -470,9 +509,10 @@ def test_figure1_outputs(tmp_path):
                  "--set", "table_resolution=12", "--set", "j_lo=4",
                  "--set", "j_hi=6", "--set", "depth=3"]) == 0
     manifest = read_manifest(tmp_path)
-    assert [e["path"] for e in manifest["outputs"]] == [
-        "sawtooth.csv", "sawtooth.json", "wiener.csv", "wiener.json",
-        "randomized_sawtooth.csv"]
+    outputs = ["randomized_sawtooth.csv", "sawtooth.csv", "wiener.csv"]
+    assert [e["path"] for e in manifest["outputs"]] == outputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", *outputs]
+    assert manifest["flags"]["profile_resolution"] == 12
     for name in ("sawtooth.csv", "wiener.csv", "randomized_sawtooth.csv"):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first == f"# manifest_digest={manifest['digest']}"
@@ -484,24 +524,6 @@ def test_figure1_outputs(tmp_path):
     profile = load_rows(tmp_path / "randomized_sawtooth.csv")
     assert profile.shape == (3 * 8, 4)          # truncations 4..6, 2^3 cells
     assert set(profile[:, 0]) == {4.0, 5.0, 6.0}
-
-
-def test_figure1_path_sidecars(tmp_path):
-    # each Fourier path's sidecar holds its grid and the record of the
-    # series it sums: name, law, seed and mode count
-    assert main(["run", "figure1", "--out", str(tmp_path), "--seed", "3",
-                 "--set", "fourier_terms=64", "--set", "resolution=10",
-                 "--set", "table_resolution=12", "--set", "j_lo=4",
-                 "--set", "j_hi=6", "--set", "depth=3"]) == 0
-    records = {
-        "sawtooth.json": {"field": "fourier-sawtooth", "law": "deterministic",
-                          "seed": None, "truncation": 64},
-        "wiener.json": {"field": "wiener-brownian", "law": "gaussian",
-                        "seed": 3, "truncation": 64},
-    }
-    for name, record in records.items():
-        want = canonical_json({"resolution": 10, "provenance": record}) + "\n"
-        assert (tmp_path / name).read_text(encoding="utf-8") == want
 
 
 def test_prop22_tail_bounds_and_witness(tmp_path):

@@ -344,9 +344,18 @@ def test_sawtooth_resolution_consistency():
 
 def test_step_function_validation(db10_table):
     with pytest.raises(InvalidParameterError):
-        step_function_coefficients(db10_table, "heaviside", 7)
-    with pytest.raises(InvalidParameterError):
         step_function_coefficients(db10_table, "square", 5)
+
+
+def test_step_coefficients_deeper_than_r_psi_minus_6(db10_table):
+    # The suffix sums are taken in u = 2^j x - k at the integers, so levels
+    # past r_psi - 6 = 6 follow the same closed forms as the shallow ones.
+    saw = step_function_coefficients(db10_table, "sawtooth", 9)
+    for j, want in enumerate(sawtooth_quadrature_oracle(db10_table, 9)):
+        assert np.max(np.abs(saw.levels[j] - want)) <= 1e-12, j
+    cone = step_function_coefficients(db10_table, "heaviside", 9)
+    for k in range(-18, 0):
+        assert cone.levels[9][k % 512] == cone.levels[5][k % 32]
 
 
 # ------------------------------------------------------------------ digest

@@ -12,7 +12,6 @@ Oracles:
 
 from __future__ import annotations
 
-import json
 import math
 import tracemalloc
 
@@ -420,11 +419,9 @@ def test_export_path_csv(tmp_path, haar_table):
     f.levels[1][0] = -0.5
     path_obj = synthesize(f, haar_table, 2, 7)
     dest = tmp_path / "path.csv"
-    record = {"field": "test", "law": "deterministic", "seed": None, "truncation": 2}
-    export_path_csv(path_obj, dest, record)
+    export_path_csv(path_obj, dest)
     lines = dest.read_text().splitlines()
     assert lines[0] == "x,value"
     assert lines[1] == "0,0.5"
     assert len(lines) == 1 + 128
-    sidecar = json.loads((tmp_path / "path.json").read_text())
-    assert sidecar == {"resolution": 7, "provenance": record}
+    assert list(tmp_path.iterdir()) == [dest]  # the CSV alone, no sidecar
