@@ -6,11 +6,11 @@ its exit code, wall time, CPU time (user plus system, all threads) and
 peak RSS (the child's own ``ru_maxrss``) are printed, so CPU time well
 above wall time shows idle threads spinning.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
-every experiment whose peak RSS is above the 250 MB memory ceiling.  The
+every experiment whose peak RSS is above the 100 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
-but one crossed the ceiling.  Full-scale defaults take 7.8-10.5 s in total,
-about as much CPU, on a shared 2-vCPU VM, 2.5-3.8 s of it in hmin,
-1.2-1.5 s in prop43 and 1.0-1.3 s in figure1, whose 181 MB is the largest peak.
+but one crossed the ceiling.  Full-scale defaults take 11.0-11.4 s in
+total, 13.0-13.4 s CPU, on a shared 2-vCPU VM, 3.6-4.4 s of it in hmin,
+1.6-1.9 s in prop43 and 1.2 s in figure1, whose 64 MB is the largest peak.
 Pass experiment names to run a subset; --seed shifts the base seed of
 every run.
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 import rwslab
 from rwslab.experiments import EXPERIMENT_NAMES
 
-RSS_CEILING_MB = 250
+RSS_CEILING_MB = 100
 
 
 def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float]:

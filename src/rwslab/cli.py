@@ -47,6 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import numpy as np
+
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else Path("rws-lab-out") / args.experiment
     try:
@@ -61,9 +63,12 @@ def main(argv=None) -> int:
                 raise InvalidParameterError(
                     f"--set expects KEY=VALUE, got {item!r}")
             overrides[key] = value
-        config = resolve_config(args.experiment, file_obj, overrides,
-                                seed=args.seed)
-        manifest = run_experiment(args.experiment, config, out_dir)
+        # floating-point warnings would reach stderr ahead of the tagged error;
+        # the non-finite checks raise that error instead
+        with np.errstate(all="ignore"):
+            config = resolve_config(args.experiment, file_obj, overrides,
+                                    seed=args.seed)
+            manifest = run_experiment(args.experiment, config, out_dir)
     except (NumericalFailureError, InsufficientDataError) as exc:
         print(f"error[{exc.tag}]: {exc}", file=sys.stderr)
         return 3

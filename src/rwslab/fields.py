@@ -11,11 +11,14 @@ A rate owns its support: ``PowerLogRate.value`` is zero off it, so an
 envelope is the rate's values at j = 0..j_max.
 
 Step-function coefficients are computed by quadrature in the rescaled
-variable u = 2^j x - k on the wavelet's own table grid, which makes the
-quadrature error uniform in j (the integrand never sharpens as j grows).
-Both step functions reduce to suffix sums of the psi table at the
-integers, the sawtooth also to its first moment: one term per jump or
-wrap point instead of a pass over the table per coefficient.
+variable u = 2^j x - k on the wavelet's own grid of step 2^-r_psi, which
+makes the quadrature error uniform in j (the integrand never sharpens as j
+grows).  Both step functions reduce to suffix sums of psi's grid samples
+at the integers, the sawtooth also to their first moment: one term per
+jump or wrap point instead of a pass over the grid per coefficient.  These
+reductions come straight from the filter taps, by a two-scale recursion on
+per-cell sums of phi started from phi at the integers, so no psi table
+and no phi level finer than the integers is built for them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .util import sup_abs
-from .wavelets import MotherWaveletTable
+from .wavelets import SQRT2, MotherWaveletTable, is_box
 
 CRITERION_KINDS = ("linfty", "c0", "l1", "sqrtj", "gamma", "loglog")
 
@@ -235,23 +238,69 @@ def step_function_coefficients(
     """
     if kind not in ("heaviside", "sawtooth"):
         raise InvalidParameterError(f"kind must be heaviside or sawtooth, got {kind!r}")
-    length = table.support_length
-    step = table.grid_step
-    psi = table.psi[:-1]
+    return _step_closed_form(kind, j_max, table.support_length, table.grid_step,
+                             *_psi_reductions(table))
+
+
+def _psi_reductions(table: MotherWaveletTable) -> tuple[np.ndarray, np.ndarray, float]:
+    """psi's per-unit sums U(c) = sum_{i < 2^r} psi(c + i 2^-r), its values psi(c)
+    at the integers c = 0..L-1, and its first moment sum_i i psi(i 2^-r), r = r_psi.
+
+    The psi table's own level-r quadrature, taken from the taps with no
+    table: the cell sums S(m) = sum_i phi(m + i 2^-l) and T(m) = sum_i i phi(m + i 2^-l),
+    i < 2^l, start from phi at the integers (l = 0, T = 0) and go one level finer by
+        S'(m) = sum_k c_k [S(2m - k) + S(2m - k + 1)],
+        T'(m) = sum_k c_k [T(2m - k) + T(2m - k + 1) + 2^l S(2m - k + 1)]
+    with c_k = sqrt(2) h_k.  The step from level r - 1 with d_k = sqrt(2) g_k
+    gives U and the in-cell moments V, and the first moment is
+    sum_c (c 2^r U(c) + V(c)).
+    """
+    length, r = table.support_length, table.r_psi
+    if is_box(table.filter):
+        return np.zeros(1), np.ones(1), -(4.0 ** (r - 1))  # psi is 1, then -1 from 1/2
+    cells = np.arange(length)
+    shift = 2 * cells[:, None] - cells + length  # tap 2m - n, offset into a padded row
+
+    def weights(taps):  # the L x L matrices [w_{2m-n}] and [w_{2m-n+1}]
+        pad = np.zeros(3 * length + 2)
+        pad[length : 2 * length + 1] = SQRT2 * np.asarray(taps)
+        return pad[shift], pad[shift + 1]
+
+    def finer(lo, hi, s, t, level):  # rows summed by numpy: BLAS rounding varies by core
+        return ((lo + hi) * s).sum(axis=1), ((lo + hi) * t + 2.0**level * hi * s).sum(axis=1)
+
+    lowpass, highpass = weights(table.filter.taps), weights(table.filter.highpass_taps())
+    phi = table.phi_level(0)
+    s, t = phi[:length], np.zeros(length)
+    for level in range(r - 1):
+        s, t = finer(*lowpass, s, t, level)
+    unit_sums, moments = finer(*highpass, s, t, r - 1)
+    # psi(c) = sum_k d_k phi(2c - k), summed in ascending k as the table sums it
+    psi_int = np.zeros(length)
+    for n in range(length - 1, -1, -1):
+        psi_int += highpass[0][:, n] * phi[n]
+    return unit_sums, psi_int, math.fsum(cells * 2.0**r * unit_sums + moments)
+
+
+def _step_closed_form(kind: str, j_max: int, length: int, step: float,
+                      unit_sums: np.ndarray, psi_int: np.ndarray, moment: float
+                      ) -> CoefficientField:
+    """Heaviside or sawtooth coefficients from psi's reductions on its grid of
+    step 2^-r: the per-unit sums, the values at the integers 0..L-1 and the
+    first moment sum_i i psi_i."""
     out = zero_field(j_max)
     # Jumps and wraps sit at integers u = c, where the left-endpoint grid
     # point takes the midpoint value 0 (sign(0) = 0): both step functions
-    # need the suffix sums S_p = sum_{i >= p} psi_i only at p = c 2^r_psi,
-    # the reverse cumulative sums of the per-unit sums, with the mass at c = 0.
-    unit = 2**table.r_psi
-    suffix = np.cumsum(np.add.reduceat(psi, np.arange(0, psi.size, unit))[::-1])[::-1]
+    # need the suffix sums S_p = sum_{i >= p} psi_i only at p = c 2^r, the
+    # reverse cumulative sums of the per-unit sums, with the mass at c = 0.
+    suffix = np.cumsum(unit_sums[::-1])[::-1]
     mass = float(suffix[0])
 
     if kind == "heaviside":
         # T(k) = integral of sign(u + k) Psi(u) du, independent of j: the
         # psi past the jump c = -k less the psi before it
         for c in range(length - 1, 0, -1):
-            value = step * (2.0 * float(suffix[c]) - float(psi[c * unit]) - mass)
+            value = step * (2.0 * float(suffix[c]) - float(psi_int[c]) - mass)
             for j in range(j_max + 1):
                 out.levels[j][-c % 2**j] += value
         return out
@@ -259,11 +308,8 @@ def step_function_coefficients(
     # sawtooth: x - 1/2 is linear wherever the support does not cross the
     # wrap, so those coefficients reduce to 2^-j times the first moment of
     # psi.  A wrap-crossing translate is that line less a unit step at each
-    # wrap point inside the support.  The first moment sum_i i psi_i is
-    # summed one unit at a time, elementwise (no BLAS dot, whose threads spin).
-    moment = step * math.fsum(
-        float(np.sum(np.multiply(np.arange(lo, lo + unit, dtype=float), psi[lo : lo + unit])))
-        for lo in range(0, psi.size, unit))
+    # wrap point inside the support.
+    moment = step * moment
     for j in range(j_max + 1):
         size = 2**j
         scale = 2.0**-j
@@ -272,11 +318,11 @@ def step_function_coefficients(
         ks = np.arange(max(0, size - length + 1), size)
         jumps = np.zeros(ks.size)
         if ks.size and ks[0] == 0:
-            jumps[0] = 0.5 * psi[0]  # k = 0 starts on the wrap: midpoint only
+            jumps[0] = 0.5 * psi_int[0]  # k = 0 starts on the wrap: midpoint only
         for w in range(1, (length + size - 1) // size + 1):
             cells = w * size - ks  # wrap point w, in units past each translate's start
             inside = cells < length
-            jumps[inside] += 0.5 * psi[cells[inside] * unit] - suffix[cells[inside]]
+            jumps[inside] += 0.5 * psi_int[cells[inside]] - suffix[cells[inside]]
         lv[ks] = step * (scale * (moment + ks * mass) - 0.5 * mass + jumps)
     return out
 

@@ -274,6 +274,25 @@ def test_edge_config_exits_tagged(tmp_path, capsys, args, code, tag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, tag", [
+    (["modulus", "--set", "seeds=1", "--set", "j_max=8", "--set", "resolution=12",
+      "--set", "table_resolution=12", "--set", "m_lo=2", "--set", "m_hi=11",
+      "--set", "alpha=100"], "numerical-failure"),
+    (["prop43", "--set", "law=heavy_tail:0.001", "--set", "seeds=1"], "invalid-parameter"),
+], ids=["modulus-infinite-flags", "prop43-overflowing-draws"])
+def test_overflow_prints_only_the_tagged_line(tmp_path, args, tag):
+    # A fresh interpreter shows stderr as a user sees it: numpy's
+    # floating-point warnings, with their source lines, would come first.
+    src = str(Path(rwslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwslab.cli", "run", *args, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode in (2, 3)
+    assert proc.stderr.startswith(f"error[{tag}]: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_manifest_lists_every_file_the_runner_left(tmp_path, monkeypatch):
     def runner(config, out, comment):
         for name in ("b.csv", "a.txt"):

@@ -11,6 +11,8 @@ from rwslab import InvalidParameterError, build_filter, cascade_evaluate
 from rwslab.fields import (
     CoefficientField,
     PowerLogRate,
+    _psi_reductions,
+    _step_closed_form,
     check_criterion,
     envelope_from_rate,
     field_digest,
@@ -35,6 +37,16 @@ def heaviside_cumsum_oracle(table, k):
     below = float(np.sum(psi[:idx]) * step)
     total = float(np.sum(psi) * step)
     return total - 2.0 * below - float(psi[idx]) * step
+
+
+def table_reductions(psi, r_psi):
+    """psi's per-unit sums, its values at the integers and its first moment
+    sum_i i psi_i, summed from the psi table one unit at a time."""
+    psi, unit = psi[:-1], 2**r_psi
+    moment = math.fsum(
+        float(np.sum(np.arange(lo, lo + unit, dtype=float) * psi[lo : lo + unit]))
+        for lo in range(0, psi.size, unit))
+    return np.add.reduceat(psi, np.arange(0, psi.size, unit)), psi[::unit], moment
 
 
 def sawtooth_xspace_oracle(table, j, k, r):
@@ -301,22 +313,45 @@ def test_sawtooth_matches_full_table_quadrature(name, request):
 
 
 def test_sawtooth_closed_form_on_arbitrary_table():
-    # Daubechies tables vanish at u = 0, so a random table is what exercises
+    # Daubechies tables vanish at u = 0, so a random psi is what exercises
     # the midpoint term of a translate starting on the wrap (k = 0)
     rng = np.random.default_rng(3)
     table = types.SimpleNamespace(support_length=5, r_psi=10, grid_step=2.0**-10,
                                   psi=rng.standard_normal(5 * 2**10 + 1))
-    f = step_function_coefficients(table, "sawtooth", 4)
+    f = _step_closed_form("sawtooth", 4, 5, 2.0**-10, *table_reductions(table.psi, 10))
     for j, want in enumerate(sawtooth_quadrature_oracle(table, 4)):
         assert np.max(np.abs(f.levels[j] - want)) <= 1e-12, j
 
 
+@pytest.mark.parametrize("n", [2, 4, 10, 20])
+@pytest.mark.parametrize("r_psi", range(12, 18))
+def test_tap_reductions_match_the_table(n, r_psi):
+    # The cell-sum recursion on the taps is the psi table's own level-r_psi
+    # quadrature: equal up to rounding, and psi at the integers bit for bit.
+    table = cascade_evaluate(build_filter("daubechies", n), r_psi)
+    unit_sums, psi_int, moment = _psi_reductions(table)
+    want_sums, want_int, want_moment = table_reductions(table.psi, r_psi)
+    assert np.max(np.abs(unit_sums - want_sums)) <= 1e-14 * np.max(np.abs(want_sums))
+    assert np.array_equal(psi_int, want_int)
+    # at least two vanishing moments: the first moment is quadrature dust either way
+    for m in (moment, want_moment):
+        assert abs(m * table.grid_step) <= 1e-9
+
+
+@pytest.mark.parametrize("r_psi", [6, 12, 19])
+def test_box_reductions_are_exact(r_psi):
+    table = cascade_evaluate(build_filter("haar", 1), r_psi)
+    unit_sums, psi_int, moment = _psi_reductions(table)
+    want_sums, want_int, want_moment = table_reductions(table.psi, r_psi)
+    assert np.array_equal(unit_sums, want_sums) and np.array_equal(psi_int, want_int)
+    assert moment == want_moment == -(4.0 ** (r_psi - 1))
+
+
 def test_sawtooth_makes_no_table_sized_array():
-    # Suffix sums are taken at the integers only and the first moment one
-    # unit at a time, so no array spans the whole psi table; the heaviside
-    # coefficients read the same suffix sums.
-    table = cascade_evaluate(build_filter("daubechies", 10), 15)
-    psi = table.psi  # refined first: only the coefficients are traced
+    # The reductions come from the taps and phi at the integers, so neither
+    # kind refines psi or any phi level: the traced peak stays far below
+    # the 20 MB of phi at level 18 alone.
+    table = cascade_evaluate(build_filter("daubechies", 10), 19)
     for kind in ("sawtooth", "heaviside"):
         tracemalloc.start()
         try:
@@ -325,7 +360,8 @@ def test_sawtooth_makes_no_table_sized_array():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < psi.nbytes / 4, kind
+        assert "psi" not in vars(table), kind
+        assert peak < 2**20, kind
 
 
 def test_sawtooth_against_xspace_oracle(db10_table):

@@ -20,10 +20,10 @@ def runner():
 
 
 @pytest.mark.parametrize("children, code, named", [
-    ({"figure1": (0, 192.0), "modulus": (0, 62.0)}, 0, []),
-    ({"figure1": (0, 308.0), "modulus": (0, 251.0)}, 1, ["figure1 (308 MB)", "modulus (251 MB)"]),
-    ({"figure1": (0, 308.0), "modulus": (3, 78.0)}, 3, ["figure1 (308 MB)"]),
-    ({"figure1": (0, 250.0), "modulus": (2, 62.0)}, 2, []),
+    ({"figure1": (0, 77.0), "modulus": (0, 62.0)}, 0, []),
+    ({"figure1": (0, 123.0), "modulus": (0, 101.0)}, 1, ["figure1 (123 MB)", "modulus (101 MB)"]),
+    ({"figure1": (0, 123.0), "modulus": (3, 31.0)}, 3, ["figure1 (123 MB)"]),
+    ({"figure1": (0, 100.0), "modulus": (2, 62.0)}, 2, []),
 ])
 def test_total_line_names_runs_above_the_ceiling(runner, monkeypatch, tmp_path, capsys,
                                                  children, code, named):
