@@ -8,23 +8,25 @@ every dilate keeps the same height, so coefficient magnitudes compare
 directly with function values; the matching analysis integral carries the
 2^j weight instead: c_{j,k} = 2^j * integral_0^1 f psi_{j,k} dx.
 
-Mother scaling functions and wavelets are tabulated on dyadic grids up to
-2^{-r_psi} by exact two-scale refinement: values at the integers come from
-the unit eigenvector of the downsampled filter matrix, and each refinement
-level fills in the odd dyadics from the previous level's odd dyadics alone
-(past the first level every shift k 2^r is even), in cache-sized blocks
-that keep the rounding of one whole-array pass per tap.  Refinement keeps
-the coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
+Mother scaling functions are tabulated on dyadic grids up to 2^{-r_psi}
+by exact two-scale refinement: values at the integers come from the unit
+eigenvector of the downsampled filter matrix, and each refinement level
+fills in the odd dyadics from the previous level's odd dyadics alone (past
+the first level every shift k 2^r is even), in cache-sized blocks that
+keep the rounding of one whole-array pass per tap.  Refinement keeps the
+coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
-something reads it: the pyramid reads the level of its grid cell, psi is
-refined from level r_psi - 1 on first read, and ``sup_norm`` and the
-positivity interval come from psi on first read.  The unit box (Haar) has
-closed forms instead, and its sup and positivity interval come from psi at
-level ``INTERVAL_GRANULARITY``, one sample per search bin, so reading
-them builds no table-sized psi.  For a valid orthonormal filter the
-refinement reproduces the coarse values identically.  A box-start
-probe of the first min(r_psi, ``PROBE_DEPTH``) levels checks this eagerly
-(the standard cascade check, Daubechies, *Ten Lectures*, 1992, ch. 6):
+something reads it.  The table keeps phi only: psi at level l is one more
+two-scale sum over phi at level l - 1 (the unit box, Haar, has closed
+forms), built on each call.  ``sup_norm`` and the positivity interval
+come from one psi at level min(r_psi, ``SEARCH_DEPTH``), built on their
+first read and dropped, so deeper tables cost no more; past that depth
+the sup is a sampled maximum a little below the full table's, as any
+sampled maximum lies below the true sup.  The box is constant on every
+search bin, so its values are exact.  For a valid orthonormal filter the
+refinement reproduces the coarse values identically.  A box-start probe
+of the first min(r_psi, ``PROBE_DEPTH``) levels checks this eagerly (the
+standard cascade check, Daubechies, *Ten Lectures*, 1992, ch. 6):
 corrupted taps make the reproduction error grow with depth and raise a
 numerical failure instead of returning a quietly wrong table.  The taps
 are frozen constants, and their convergence at full depth is checked once
@@ -32,9 +34,9 @@ by the test suite rather than on every table.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
 Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
-periodized wavelet straight from the psi table, an independent check on
-the filter bank.  The pair reads each circular window as a strided view of
-a cyclically extended level and runs its matrix products in row blocks
+periodized wavelet straight from psi at level r_psi, an independent check
+on the filter bank.  The pair reads each circular window as a strided view
+of a cyclically extended level and runs its matrix products in row blocks
 small enough that BLAS keeps them on the calling thread.  BLAS threads a
 whole-level product, and after each threaded call its idle thread spins on
 the other core for about 0.1 s; some threaded shapes also stall for
@@ -62,6 +64,8 @@ SQRT2 = math.sqrt(2.0)
 # search, and the widest dyadic width considered.
 INTERVAL_GRANULARITY = 6
 _WIDEST_LEVEL = -4
+# Level of the psi that ``sup_norm`` and the positivity search read.
+SEARCH_DEPTH = 16
 
 # Refinement reproduction error below this floor counts as converged.
 _CONVERGENCE_FLOOR = 1e-12
@@ -103,14 +107,14 @@ class DyadicInterval:
 
 @dataclass(frozen=True, eq=False)
 class MotherWaveletTable:
-    """Scaling function and mother wavelet tabulated at step 2^-r_psi.
+    """Scaling function tabulated at step 2^-r_psi, mother wavelet on request.
 
     ``cascade_evaluate`` fills in ``refinement_diffs``, one per probe level
     up to min(r_psi, ``PROBE_DEPTH``), and phi at the integers; finer phi
-    levels, psi, ``sup_norm`` and the positivity interval are computed on
-    first read and kept.  For the box, ``sup_norm`` and the positivity
-    interval are read off psi at level ``INTERVAL_GRANULARITY``, so they
-    leave psi itself unbuilt.
+    levels are refined on first read and kept.  ``psi_level`` builds psi
+    at a level on each call.  ``sup_norm`` and the positivity interval are
+    read off psi at level min(r_psi, ``SEARCH_DEPTH``) on first read; the
+    table keeps them, not that psi.
     """
 
     filter: ScalingFilter
@@ -144,46 +148,39 @@ class MotherWaveletTable:
             depth = level
         return self._deepest[:: 2 ** (depth - level)]
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self.phi_level(self.r_psi)
+    def psi_level(self, level: int) -> np.ndarray:
+        """psi at every point of step 2^-level over [0, support], 1 <= level <= r_psi.
 
-    @cached_property
-    def psi(self) -> np.ndarray:
-        if is_box(self.filter):
-            return _box_psi(2**self.r_psi)
-        # psi(x) = sum_k sqrt(2) g_k phi(2x - k): one more two-scale sum
-        r = self.r_psi - 1
-        return _refine(self.phi_level(r), np.asarray(self.filter.highpass_taps()), r)
-
-    @property
-    def _search_psi(self) -> tuple[np.ndarray, int]:
-        """psi and its level for ``sup_norm`` and the positivity interval.
-
-        The box is constant on every search bin, so its level
-        ``INTERVAL_GRANULARITY`` (one sample a bin) gives what the full
-        table gives; other filters search the full table.
+        A new array on each call, which the table does not keep:
+        psi(x) = sum_k sqrt(2) g_k phi(2x - k) over phi at level - 1, and
+        the box in closed form.
         """
+        if not 1 <= level <= self.r_psi:
+            raise InvalidParameterError(f"psi levels run from 1 to r_psi = {self.r_psi}, got {level}")
         if is_box(self.filter):
-            return _box_psi(2**INTERVAL_GRANULARITY), INTERVAL_GRANULARITY
-        return self.psi, self.r_psi
+            return _box_psi(2**level)
+        return _refine(self.phi_level(level - 1), np.asarray(self.filter.highpass_taps()), level - 1)
 
     @cached_property
-    def sup_norm(self) -> float:
-        return sup_abs(self._search_psi[0])
+    def _search(self) -> tuple[float, DyadicInterval | None, float]:
+        """sup |psi|, then psi's best positive dyadic interval and its floor,
+        from one psi at level min(r_psi, ``SEARCH_DEPTH``)."""
+        level = min(self.r_psi, SEARCH_DEPTH)
+        psi = self.psi_level(level)
+        return (sup_abs(psi), *_positivity_search(psi, level, self.support_length))
 
-    @cached_property
+    sup_norm = property(lambda self: self._search[0])
+
     def _positivity(self) -> tuple[DyadicInterval, float]:
-        interval, floor = _positivity_search(*self._search_psi, self.support_length)
+        _, interval, floor = self._search
         if interval is None:
             raise NumericalFailureError(
                 "no dyadic interval at the search granularity has a positive wavelet"
             )
         return interval, floor
 
-    # psi's best positive dyadic interval and its floor, one search on first read
-    positivity_interval = property(lambda self: self._positivity[0])
-    positivity_floor = property(lambda self: self._positivity[1])
+    positivity_interval = property(lambda self: self._positivity()[0])
+    positivity_floor = property(lambda self: self._positivity()[1])
 
 
 def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
@@ -207,17 +204,18 @@ def build_filter(family: str, vanishing_moments: int) -> ScalingFilter:
 
 
 def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
-    """A table of phi and psi on the grid of step 2^-r_psi over [0, 2N-1].
+    """A table of phi on the grid of step 2^-r_psi over [0, 2N-1].
 
     Eager: the argument checks, phi at the integers (a numerical failure
     if the refinement matrix has no usable unit eigenvector) and the
     convergence probe behind ``refinement_diffs``, run to level
     min(r_psi, ``PROBE_DEPTH``), which raises a numerical failure if the
     refinement reproduction error grows over its last three levels instead
-    of staying at rounding level.  Refined on first read: phi at each
-    level, psi, ``sup_norm`` and the positivity interval; the first read of
-    ``positivity_interval`` or ``positivity_floor`` raises a numerical
-    failure if psi is positive on no dyadic interval.
+    of staying at rounding level.  Lazy: phi at each finer level, and
+    ``sup_norm`` with the positivity interval from psi at level
+    min(r_psi, ``SEARCH_DEPTH``); the first read of ``positivity_interval``
+    or ``positivity_floor`` raises a numerical failure if psi is positive
+    on no dyadic interval.
     """
     if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
         raise InvalidParameterError(
@@ -261,30 +259,26 @@ def _probe_diffs(taps: np.ndarray, length: int, depth: int) -> list[float]:
 def periodized_grid(table: MotherWaveletTable, j: int, resolution: int) -> np.ndarray:
     """psi_{j,0} periodized, sampled at every grid point m 2^-resolution.
 
-    Lookups are exact slices of the table when resolution <= r_psi + j and
-    rounded to the nearest table point otherwise.
+    Every lookup is an exact strided slice of psi at level r_psi, so the
+    grid may be no finer than 2^-(r_psi + j).
     """
     if j < 0 or resolution < 0:
         raise InvalidParameterError("scale and resolution must be nonnegative")
+    if resolution > table.r_psi + j:
+        raise InvalidParameterError(
+            f"psi_(j,0) on 2^{resolution} points needs resolution <= r_psi + j = {table.r_psi + j}")
+    psi = table.psi_level(table.r_psi)
     size = 2**resolution
-    length = table.support_length
     out = np.zeros(size)
-    shift = table.r_psi + j - resolution
-    wraps = range(0, length // 2**j + 1)
-    for w in wraps:
+    step = 2 ** (table.r_psi + j - resolution)
+    for w in range(0, table.support_length // 2**j + 1):
         # Sample Psi(m 2^{j-resolution} + w 2^j) over the live index range.
         base = w * 2 ** (table.r_psi + j)
-        if shift >= 0:
-            step = 2**shift
-            last = length * 2**table.r_psi - base
-            if last < 0:
-                continue
-            m_hi = min(size - 1, last // step)
-            out[: m_hi + 1] += table.psi[base : base + m_hi * step + 1 : step]
-        else:
-            idx = np.rint(np.arange(size) * 2.0**shift).astype(np.int64) + base
-            mask = idx <= length * 2**table.r_psi
-            out[mask] += table.psi[idx[mask]]
+        last = psi.size - 1 - base
+        if last < 0:
+            continue
+        m_hi = min(size - 1, last // step)
+        out[: m_hi + 1] += psi[base : base + m_hi * step + 1 : step]
     return out
 
 

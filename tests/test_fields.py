@@ -32,7 +32,7 @@ def heaviside_cumsum_oracle(table, k):
     """T(k) for k < 0 via partial sums of the table, an independent
     reduction of the same integral: T = Z - 2 S_below - psi(jump) step."""
     step = table.grid_step
-    psi = table.psi[:-1]
+    psi = table.psi_level(table.r_psi)[:-1]
     idx = -k * 2**table.r_psi
     below = float(np.sum(psi[:idx]) * step)
     total = float(np.sum(psi) * step)
@@ -63,7 +63,7 @@ def sawtooth_quadrature_oracle(table, j_max):
     other positions are 2^-j times the first moment of psi."""
     length, step = table.support_length, table.grid_step
     u = np.arange(length * 2**table.r_psi) * step
-    psi = table.psi[:-1]
+    psi = table.psi_level(table.r_psi)[:-1]
     first_moment = float(np.sum(u * psi) * step)
     levels = []
     for j in range(j_max + 1):
@@ -316,9 +316,10 @@ def test_sawtooth_closed_form_on_arbitrary_table():
     # Daubechies tables vanish at u = 0, so a random psi is what exercises
     # the midpoint term of a translate starting on the wrap (k = 0)
     rng = np.random.default_rng(3)
+    psi = rng.standard_normal(5 * 2**10 + 1)
     table = types.SimpleNamespace(support_length=5, r_psi=10, grid_step=2.0**-10,
-                                  psi=rng.standard_normal(5 * 2**10 + 1))
-    f = _step_closed_form("sawtooth", 4, 5, 2.0**-10, *table_reductions(table.psi, 10))
+                                  psi_level=lambda level: psi)
+    f = _step_closed_form("sawtooth", 4, 5, 2.0**-10, *table_reductions(psi, 10))
     for j, want in enumerate(sawtooth_quadrature_oracle(table, 4)):
         assert np.max(np.abs(f.levels[j] - want)) <= 1e-12, j
 
@@ -330,7 +331,7 @@ def test_tap_reductions_match_the_table(n, r_psi):
     # quadrature: equal up to rounding, and psi at the integers bit for bit.
     table = cascade_evaluate(build_filter("daubechies", n), r_psi)
     unit_sums, psi_int, moment = _psi_reductions(table)
-    want_sums, want_int, want_moment = table_reductions(table.psi, r_psi)
+    want_sums, want_int, want_moment = table_reductions(table.psi_level(r_psi), r_psi)
     assert np.max(np.abs(unit_sums - want_sums)) <= 1e-14 * np.max(np.abs(want_sums))
     assert np.array_equal(psi_int, want_int)
     # at least two vanishing moments: the first moment is quadrature dust either way
@@ -342,7 +343,7 @@ def test_tap_reductions_match_the_table(n, r_psi):
 def test_box_reductions_are_exact(r_psi):
     table = cascade_evaluate(build_filter("haar", 1), r_psi)
     unit_sums, psi_int, moment = _psi_reductions(table)
-    want_sums, want_int, want_moment = table_reductions(table.psi, r_psi)
+    want_sums, want_int, want_moment = table_reductions(table.psi_level(r_psi), r_psi)
     assert np.array_equal(unit_sums, want_sums) and np.array_equal(psi_int, want_int)
     assert moment == want_moment == -(4.0 ** (r_psi - 1))
 

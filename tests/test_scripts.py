@@ -1,8 +1,11 @@
-"""The defaults runner's exit code and total line, with the children faked."""
+"""The defaults runner's exit code and total line, with the children faked,
+and one real child under the runner's memory ceiling."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +43,22 @@ def test_total_line_names_runs_above_the_ceiling(runner, monkeypatch, tmp_path, 
         assert total.endswith(f"above the {runner.RSS_CEILING_MB} MB ceiling: " + ", ".join(named))
     else:
         assert "ceiling" not in total
+
+
+def test_prop43_db10_child_stays_under_the_ceiling(runner, tmp_path):
+    # The sup norm of a db10 table at r_psi = 20 is read off psi at the
+    # search depth, not the full table: about 300 MB when it was.  run_child
+    # runs in a fresh interpreter, since a child's peak RSS starts from the
+    # RSS of the process it is forked from, and this one may be large.
+    src = str(SCRIPT.parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import os, runpy, sys; run_child = runpy.run_path(sys.argv[1])['run_child']; "
+             "print(*run_child(sys.argv[2:], dict(os.environ)))")
+    argv = [sys.executable, "-m", "rwslab.cli", "run", "prop43", "--out", str(tmp_path),
+            "--set", "wavelet=daubechies", "--set", "vanishing_moments=10", "--set", "seeds=2"]
+    out = subprocess.run([sys.executable, "-c", probe, str(SCRIPT), *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, _, _, rss = out.split()[-4:]
+    assert int(code) == 0
+    assert float(rss) < runner.RSS_CEILING_MB

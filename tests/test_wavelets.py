@@ -16,12 +16,14 @@ from rwslab import (
 )
 from rwslab.fields import uniform_decay_field
 from rwslab.synthesis import synthesize
+from rwslab.util import sup_abs
 from rwslab.wavelets import (
     _BLOCK,
     _GEMM_CELLS,
     _GEMV_ROWS,
     DyadicInterval,
     PROBE_DEPTH,
+    SEARCH_DEPTH,
     _CONVERGENCE_FLOOR,
     _blocked_matmul,
     _integer_values,
@@ -34,7 +36,7 @@ from rwslab.wavelets import (
     pyramid_synthesis,
 )
 
-from wavelet_oracles import eval_periodized, gather_analysis, gather_synthesis, psi_at
+from wavelet_oracles import eval_periodized, full_psi, gather_analysis, gather_synthesis, psi_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,12 +68,13 @@ def brute_periodized(table, j, k, x):
     At j=0 every translate of the length-19 support overlaps [0,1), so the
     range must cover the whole support, not just a few wraps.
     """
+    psi = full_psi(table)
     total = 0.0
     for l in range(-24, 25):
         t = 2.0**j * (x - l) - k
         idx = round(t * 2**table.r_psi)
-        if 0 <= idx < table.psi.size:
-            total += table.psi[idx]
+        if 0 <= idx < psi.size:
+            total += psi[idx]
     return total
 
 
@@ -163,11 +166,12 @@ def test_build_filter_rejects_bad_input():
 # ---------------------------------------------------------------- cascade
 
 def test_haar_table_exact_closed_form(haar_table):
-    g = np.arange(haar_table.psi.size) * haar_table.grid_step
+    r_psi = haar_table.r_psi
+    g = np.arange(2**r_psi + 1) * haar_table.grid_step
     expected_psi = np.where(g < 0.5, 1.0, np.where(g < 1.0, -1.0, 0.0))
     expected_phi = np.where(g < 1.0, 1.0, 0.0)
-    assert np.array_equal(haar_table.psi, expected_psi)
-    assert np.array_equal(haar_table.phi, expected_phi)
+    assert np.array_equal(haar_table.psi_level(r_psi), expected_psi)
+    assert np.array_equal(haar_table.phi_level(r_psi), expected_phi)
     assert haar_table.sup_norm == 1.0
 
 
@@ -177,37 +181,72 @@ def test_haar_signed_intervals(haar_table):
 
 
 def test_haar_sup_and_intervals_leave_psi_unbuilt():
-    # The box's sup and positivity interval come from psi at the search
-    # granularity, one sample a bin, and agree with the search over the
-    # full r_psi = 20 table that prop22 and prop43 read.
+    # The box's sup and positivity interval come from its closed-form psi
+    # at level SEARCH_DEPTH, which builds no phi level and is not kept.
+    # The box is constant on every search bin, so they agree with the
+    # search over psi at r_psi = 20, the table prop22 and prop43 read.
     table = cascade_evaluate(build_filter("haar", 1), 20)
     got = (table.sup_norm, table.positivity_interval, table.positivity_floor)
     assert "psi" not in vars(table)
-    pos, pos_floor = _positivity_search(table.psi, 20, 1)
-    assert got == (float(np.max(np.abs(table.psi))), pos, pos_floor)
+    assert deepest_level(table) == 0
+    psi = table.psi_level(20)
+    pos, pos_floor = _positivity_search(psi, 20, 1)
+    assert got == (float(np.max(np.abs(psi))), pos, pos_floor)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_search_reads_psi_at_search_depth(n):
+    # Past SEARCH_DEPTH the sup and the positivity search read psi at that
+    # level, bit for bit.  The sampled sup then lies below the level-18 sup
+    # by at most 1e-9 (measured: 0 for db4, 3.02e-10 for db10), and the
+    # interval stays put.
+    table = cascade_evaluate(build_filter("daubechies", n), 18)
+    got = (table.sup_norm, table.positivity_interval, table.positivity_floor)
+    psi = table.psi_level(SEARCH_DEPTH)
+    pos, pos_floor = _positivity_search(psi, SEARCH_DEPTH, table.support_length)
+    assert got == (sup_abs(psi), pos, pos_floor)
+    full = table.psi_level(18)
+    assert 0.0 <= sup_abs(full) - table.sup_norm <= 1e-9
+    assert _positivity_search(full, 18, table.support_length)[0] == pos
+
+
+def test_search_holds_under_32_mb():
+    # db10 at r_psi = 20 searches phi at level SEARCH_DEPTH - 1 (5 MB) and
+    # one psi at SEARCH_DEPTH (10 MB), where psi at r_psi alone is 160 MB.
+    table = cascade_evaluate(build_filter("daubechies", 10), 20)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table.sup_norm, table.positivity_interval
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert "psi" not in vars(table)
+    assert deepest_level(table) == SEARCH_DEPTH - 1
 
 
 def test_db10_quadrature_invariants(db10_table):
     t = db10_table
-    step = t.grid_step
-    assert abs(riemann(t.psi, step)) < 1e-8
-    assert abs(riemann(t.psi**2, step) - 1.0) < 1e-6
-    assert abs(riemann(t.phi, step) - 1.0) < 1e-6
+    step, psi = t.grid_step, t.psi_level(t.r_psi)
+    assert abs(riemann(psi, step)) < 1e-8
+    assert abs(riemann(psi**2, step) - 1.0) < 1e-6
+    assert abs(riemann(t.phi_level(t.r_psi), step) - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("n", [3, 5, 20])
 def test_table_quadrature_across_orders(n):
     t = cascade_evaluate(build_filter("daubechies", n), 12)
-    step = t.grid_step
-    assert abs(riemann(t.psi, step)) < 1e-8
-    assert abs(riemann(t.psi**2, step) - 1.0) < 1e-6
+    step, psi = t.grid_step, t.psi_level(12)
+    assert abs(riemann(psi, step)) < 1e-8
+    assert abs(riemann(psi**2, step) - 1.0) < 1e-6
 
 
 def test_db2_needs_deeper_grid_for_energy():
     # phi is barely Hoelder-1/2 smooth here, so the level-12 Riemann sum
     # misses 1e-6; four more levels recover it.
     t = cascade_evaluate(build_filter("daubechies", 2), 16)
-    assert abs(riemann(t.psi**2, t.grid_step) - 1.0) < 1e-6
+    assert abs(riemann(t.psi_level(16) ** 2, t.grid_step) - 1.0) < 1e-6
 
 
 def test_refinement_diffs_decrease(db10_table):
@@ -220,7 +259,7 @@ def test_signed_intervals_bound_psi(db10_table):
     iv = t.positivity_interval
     lo = iv.index * 2 ** (t.r_psi - iv.level)
     hi = (iv.index + 1) * 2 ** (t.r_psi - iv.level)
-    assert np.all(t.psi[lo:hi] >= t.positivity_floor)
+    assert np.all(t.psi_level(t.r_psi)[lo:hi] >= t.positivity_floor)
     assert t.positivity_floor > 0
 
 
@@ -229,7 +268,7 @@ def test_interval_search_deterministic():
     b = cascade_evaluate(build_filter("daubechies", 10), 12)
     assert a.positivity_interval == b.positivity_interval
     assert a.positivity_floor == b.positivity_floor
-    assert np.array_equal(a.psi, b.psi)
+    assert np.array_equal(a.psi_level(12), b.psi_level(12))
 
 
 @pytest.mark.parametrize("n, r_psi", [(2, 8), (2, 16), (4, 14), (10, 15), (20, 14)])
@@ -240,8 +279,8 @@ def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
     filt = build_filter("daubechies", n)
     table = cascade_evaluate(filt, r_psi)
     phi, psi, diffs = per_tap_cascade(filt, r_psi)
-    assert same_bits(table.phi, phi)
-    assert same_bits(table.psi, psi)
+    assert same_bits(table.phi_level(r_psi), phi)
+    assert same_bits(table.psi_level(r_psi), psi)
     assert table.refinement_diffs == tuple(diffs[:PROBE_DEPTH])
     pos, pos_floor = _positivity_search(psi, r_psi, filt.support_length)
     assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
@@ -303,38 +342,47 @@ def deepest_level(table):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 10, 20])
 @pytest.mark.parametrize("reads", [
-    ("coarse rows", "psi", "phi"),
-    ("psi", "coarse rows", "phi"),
-    ("phi", "psi", "coarse rows"),
+    ("coarse rows", "search", "phi"),
+    ("search", "coarse rows", "phi"),
+    ("phi", "search", "coarse rows"),
 ])
 def test_levels_read_in_any_order_match_full_table(n, reads):
     # A table refines phi only as deep as it is read: the pyramid's rows
-    # read the level of their cell, psi reads level r_psi - 1 (the unit
-    # box needs none) and phi the last.  Whatever the order, every level
-    # refined so far is the subsample of the full table, and every field
-    # has the bits of full per-tap refinement.
+    # read the level of their cell, the sup and positivity search read
+    # psi at min(r_psi, SEARCH_DEPTH) = r_psi, so phi one level coarser
+    # (the unit box needs none), and phi the last.  Whatever the order,
+    # every level refined so far is the subsample of the full table, every
+    # field has the bits of full per-tap refinement, and no psi is kept.
     r_psi = 10
     filt = build_filter("haar" if n == 1 else "daubechies", n)
     table = cascade_evaluate(filt, r_psi)
     phi, psi, diffs = reference_cascade(filt, r_psi)
-    reads_level = {"coarse rows": 3, "psi": 0 if n == 1 else r_psi - 1, "phi": r_psi}
+    reads_level = {"coarse rows": 3, "search": 0 if n == 1 else r_psi - 1, "phi": r_psi}
     depth = 0
     for read in reads:
         if read == "coarse rows":
             for cell in (1, 2, 8):
                 _phi_rows(table, cell)
+        elif read == "search":
+            table.sup_norm
         else:
-            getattr(table, read)
+            table.phi_level(r_psi)
         depth = max(depth, reads_level[read])
         assert deepest_level(table) == depth
         for level in range(depth + 1):
             assert same_bits(table.phi_level(level), phi[:: 2 ** (r_psi - level)])
-    assert same_bits(table.phi, phi)
-    assert same_bits(table.psi, psi)
+    assert "psi" not in vars(table)
+    assert same_bits(table.psi_level(r_psi), psi)
     assert table.refinement_diffs == tuple(diffs)
     pos, pos_floor = _positivity_search(psi, r_psi, filt.support_length)
     assert (table.positivity_interval, table.positivity_floor) == (pos, pos_floor)
     assert table.sup_norm == float(np.max(np.abs(psi)))
+
+
+def test_psi_level_rejects_levels_off_the_table(db4_table):
+    for level in (0, db4_table.r_psi + 1):
+        with pytest.raises(InvalidParameterError, match="r_psi = 12"):
+            db4_table.psi_level(level)
 
 
 def test_phi_level_rejects_levels_off_the_table(db4_table):
@@ -570,6 +618,13 @@ def test_periodized_grid_matches_pointwise(db10_table):
         x = np.arange(2**r) / 2**r
         direct = eval_periodized(db10_table, j, 0, x)
         assert np.array_equal(grid, direct), (j, r)
+
+
+def test_periodized_grid_rejects_grids_finer_than_the_table(db10_table):
+    # r_psi + j is the finest grid that psi at level r_psi samples exactly
+    assert periodized_grid(db10_table, 2, 14).size == 2**14
+    with pytest.raises(InvalidParameterError, match="r_psi \\+ j = 14"):
+        periodized_grid(db10_table, 2, 15)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,17 +1,18 @@
 """Reference routes to the values that the filter bank produces.
 
-Pointwise evaluation of periodized wavelets straight from the psi table:
-every live translate of the wrap sum is a nearest-grid-point table lookup,
-with no two-scale recursion in between.  Beside it, the filter-bank pair
-in its gather form: every circular window is a %-indexed fancy gather and
-every product one whole-level matrix product, the arithmetic that the
-blocked pair must reproduce bit for bit.  Test modules import them as
-references.
+Pointwise evaluation of periodized wavelets straight from psi at level
+r_psi, built once per table: every live translate of the wrap sum is a
+nearest-grid-point lookup, with no two-scale recursion in between.  Beside
+it, the filter-bank pair in its gather form: every circular window is a
+%-indexed fancy gather and every product one whole-level matrix product,
+the arithmetic that the blocked pair must reproduce bit for bit.  Test
+modules import them as references.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -19,14 +20,26 @@ from rwslab.errors import InvalidParameterError
 from rwslab.wavelets import _bank_filters, _phi_rows
 
 
+_FULL_PSI = weakref.WeakKeyDictionary()
+
+
+def full_psi(table) -> np.ndarray:
+    """psi at level r_psi, built on the first call for a table and kept
+    while the table lives."""
+    if table not in _FULL_PSI:
+        _FULL_PSI[table] = table.psi_level(table.r_psi)
+    return _FULL_PSI[table]
+
+
 def psi_at(table, t) -> np.ndarray:
     """Nearest-grid-point value of the mother wavelet at t (vectorized);
     zero off the table."""
+    psi = full_psi(table)
     t_arr = np.asarray(t, dtype=float)
     idx = np.rint(t_arr * 2.0**table.r_psi).astype(np.int64)
-    valid = (idx >= 0) & (idx < table.psi.size)
+    valid = (idx >= 0) & (idx < psi.size)
     out = np.zeros_like(t_arr)
-    out[valid] = table.psi[idx[valid]]
+    out[valid] = psi[idx[valid]]
     return out
 
 
