@@ -8,11 +8,13 @@ above wall time shows idle threads spinning.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
 every experiment whose peak RSS is above the 100 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
-but one crossed the ceiling.  Full-scale defaults take 11.0-11.4 s in
-total, 13.0-13.4 s CPU, on a shared 2-vCPU VM, 3.6-4.4 s of it in hmin,
-1.6-1.9 s in prop43 and 1.2 s in figure1, whose 64 MB is the largest peak.
-Pass experiment names to run a subset; --seed shifts the base seed of
-every run.
+but one crossed the ceiling.  Pass experiment names to run a subset;
+--seed shifts the base seed of every run.
+
+On Linux a child's ``ru_maxrss`` starts from the resident size of the
+process it was forked from, so ``run_child`` over-reads the peak when it
+is called from a large process, such as a test session; this script
+itself stays small.
 """
 
 import argparse

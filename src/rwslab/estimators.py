@@ -144,7 +144,12 @@ class PowerLogModulus:
             raise InvalidParameterError("modulus arguments live in (0, 1)")
         out = h**self.alpha
         if self.gamma is not None:
-            out *= abs(math.log(h)) ** (1.0 / self.gamma)
+            try:
+                out *= abs(math.log(h)) ** (1.0 / self.gamma)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"|log h|^(1/gamma) overflows a float for h {h} and gamma {self.gamma}"
+                ) from None
         return out
 
 

@@ -12,8 +12,10 @@ Two defaults deviate from the common R = 17 grid and are equivalent by
 construction: the ``wiener`` experiment samples at R = 10 (coefficient
 draws do not depend on the grid, so the R = 10 path is the R = 17 path
 restricted to every 128th sample up to rounding, and all probed lags are
-2^-10 or coarser), and sup profiles always live on the mother-table grid
-R_psi, which the config pins explicitly.
+2^-10 or coarser), and sup profiles live on the mother-table grid R_psi,
+which the config pins explicitly.  Haar profiles stop at 2^max(J+1, depth)
+points instead: the box repeats each level-(J+1) value over its cell, so
+their cell sups are those of the table grid bit for bit.
 """
 
 from __future__ import annotations
@@ -229,12 +231,16 @@ def _run_prevalence(config, out, comment):
 def _run_prop43(config, out, comment):
     table = _table(config)
     j_lo, j_hi, power = config["j_lo"], config["j_hi"], config["rate_power"]
+    try:
+        rates = {j: float(j) ** power for j in range(j_lo + 1, j_hi + 1)}
+    except OverflowError:
+        raise InvalidParameterError(
+            f"j^rate_power overflows a float for rate_power {power} and j_hi {j_hi}") from None
     tail = zero_field(j_hi)  # levels above j_lo: S_{j_hi} - S_{j_lo} in one synthesis
-    for j in range(j_lo + 1, j_hi + 1):
-        tail.levels[j][:] = float(j) ** power
+    for j, rate in rates.items():
+        tail.levels[j][:] = rate
     level_factor = table.support_length * table.sup_norm
-    bound = sum(math.sqrt(2.0 * j) * float(j) ** power * level_factor
-                for j in range(j_lo + 1, j_hi + 1))
+    bound = sum(math.sqrt(2.0 * j) * rate * level_factor for j, rate in rates.items())
     seeds_col = [config["seed"] + s for s in range(config["seeds"])]
     diffs = [sup_growth(randomized_field(tail, config["law"], seed), table, [j_hi], 0).global_sups[0]
              for seed in seeds_col]
@@ -443,10 +449,6 @@ def _lookup(name: str) -> Experiment:
         raise InvalidParameterError(
             f"unknown experiment {name!r}; known experiments: "
             + ", ".join(EXPERIMENT_NAMES)) from None
-
-
-def default_config(name: str) -> dict:
-    return dict(_lookup(name).defaults)
 
 
 def config_digest(name: str, config: dict) -> str:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .util import sup_abs
-from .wavelets import SQRT2, MotherWaveletTable, is_box
+from .wavelets import MotherWaveletTable, _two_scale, _two_scale_matrices
 
 CRITERION_KINDS = ("linfty", "c0", "l1", "sqrtj", "gamma", "loglog")
 
@@ -167,33 +167,6 @@ def scale_envelope(field_: CoefficientField) -> ScaleEnvelope:
 
 # ---------------------------------------------------------------- criteria
 
-def _lex_negative(a: float, b: float, c: float) -> bool:
-    """(a, b, c) < (0, 0, 0) lexicographically: the power-log product -> 0."""
-    if a != 0.0:
-        return a < 0.0
-    if b != 0.0:
-        return b < 0.0
-    return c < 0.0
-
-
-def _full_series_converges(a: float, b: float, c: float) -> bool:
-    """sum over all j of j^a (log j)^b (log log j)^c, standard rules."""
-    if a != -1.0:
-        return a < -1.0
-    if b != -1.0:
-        return b < -1.0
-    return c < -1.0
-
-
-def _geometric_series_converges(a: float, b: float, c: float) -> bool:
-    """Same sum restricted to j_n = q^n: terms ~ q^{a n} n^b (log n)^c."""
-    if a != 0.0:
-        return a < 0.0
-    if b != -1.0:
-        return b < -1.0
-    return c < -1.0
-
-
 def check_criterion(rate: PowerLogRate, kind: str, gamma: float | None = None) -> str:
     """Verdict of criterion ``kind`` on envelopes decaying at ``rate``:
     "holds" or "fails"."""
@@ -207,17 +180,18 @@ def check_criterion(rate: PowerLogRate, kind: str, gamma: float | None = None) -
 
     if rate.s != 0.0:
         return "holds" if rate.s > 0.0 else "fails"
-    if kind in ("linfty", "c0"):
-        vanishes = _lex_negative(rate.a, rate.b, rate.c)
-        constant = rate.a == rate.b == rate.c == 0.0
-        return "holds" if vanishes or (kind == "linfty" and constant) else "fails"
-    da, db, dc = _WEIGHT_SHIFT[kind] if kind != "gamma" else (1.0 / gamma, 0.0, 0.0)
-    a, b, c = rate.a + da, rate.b + db, rate.c + dc
-    if rate.support == "all":
-        converges = _full_series_converges(a, b, c)
-    else:
-        converges = _geometric_series_converges(a, b, c)
-    return "holds" if converges else "fails"
+    # Each rule compares the powers (a, b, c) of j^a (log j)^b (log log j)^c
+    # lexicographically, as Python compares tuples (NaN included).
+    powers = (rate.a, rate.b, rate.c)
+    if kind == "linfty":
+        holds = powers <= (0.0, 0.0, 0.0)
+    elif kind == "c0":
+        holds = powers < (0.0, 0.0, 0.0)  # the product tends to 0
+    else:  # the weighted series over all j, or over j_n = q^n: terms ~ q^{a n} n^b (log n)^c
+        shift = _WEIGHT_SHIFT[kind] if kind != "gamma" else (1.0 / gamma, 0.0, 0.0)
+        powers = tuple(p + d for p, d in zip(powers, shift))
+        holds = powers < ((-1.0, -1.0, -1.0) if rate.support == "all" else (0.0, -1.0, -1.0))
+    return "holds" if holds else "fails"
 
 
 # ------------------------------------------------------- step functions
@@ -251,25 +225,17 @@ def _psi_reductions(table: MotherWaveletTable) -> tuple[np.ndarray, np.ndarray, 
     i < 2^l, start from phi at the integers (l = 0, T = 0) and go one level finer by
         S'(m) = sum_k c_k [S(2m - k) + S(2m - k + 1)],
         T'(m) = sum_k c_k [T(2m - k) + T(2m - k + 1) + 2^l S(2m - k + 1)]
-    with c_k = sqrt(2) h_k.  The step from level r - 1 with d_k = sqrt(2) g_k
-    gives U and the in-cell moments V, and the first moment is
+    with the two-scale weights c_k.  The step from level r - 1 with the
+    weights d_k gives U and the in-cell moments V, and the first moment is
     sum_c (c 2^r U(c) + V(c)).
     """
     length, r = table.support_length, table.r_psi
-    if is_box(table.filter):
-        return np.zeros(1), np.ones(1), -(4.0 ** (r - 1))  # psi is 1, then -1 from 1/2
     cells = np.arange(length)
-    shift = 2 * cells[:, None] - cells + length  # tap 2m - n, offset into a padded row
-
-    def weights(taps):  # the L x L matrices [w_{2m-n}] and [w_{2m-n+1}]
-        pad = np.zeros(3 * length + 2)
-        pad[length : 2 * length + 1] = SQRT2 * np.asarray(taps)
-        return pad[shift], pad[shift + 1]
 
     def finer(lo, hi, s, t, level):  # rows summed by numpy: BLAS rounding varies by core
         return ((lo + hi) * s).sum(axis=1), ((lo + hi) * t + 2.0**level * hi * s).sum(axis=1)
 
-    lowpass, highpass = weights(table.filter.taps), weights(table.filter.highpass_taps())
+    lowpass, highpass = map(_two_scale_matrices, _two_scale(table.filter))
     phi = table.phi_level(0)
     s, t = phi[:length], np.zeros(length)
     for level in range(r - 1):

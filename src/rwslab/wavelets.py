@@ -8,17 +8,22 @@ every dilate keeps the same height, so coefficient magnitudes compare
 directly with function values; the matching analysis integral carries the
 2^j weight instead: c_{j,k} = 2^j * integral_0^1 f psi_{j,k} dx.
 
+Every two-scale computation reads one set of weights, c = sqrt(2) h for
+phi and d = sqrt(2) g for psi (Daubechies, *Ten Lectures*, 1992, ch. 6),
+exactly 1 and +-1 for the unit box, Haar, so that every box value is
+exact.
+
 Mother scaling functions are tabulated on dyadic grids up to 2^{-r_psi}
 by exact two-scale refinement: values at the integers come from the unit
-eigenvector of the downsampled filter matrix, and each refinement level
+eigenvector of the downsampled weight matrix, and each refinement level
 fills in the odd dyadics from the previous level's odd dyadics alone (past
 the first level every shift k 2^r is even), in cache-sized blocks that
 keep the rounding of one whole-array pass per tap.  Refinement keeps the
 coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it.  The table keeps phi only: psi at level l is one more
-two-scale sum over phi at level l - 1 (the unit box, Haar, has closed
-forms), built on each call.  ``sup_norm`` and the positivity interval
+two-scale sum over phi at level l - 1, built on each call, for the box
+as for any filter.  ``sup_norm`` and the positivity interval
 come from one psi at level min(r_psi, ``SEARCH_DEPTH``), built on their
 first read and dropped, so deeper tables cost no more; past that depth
 the sup is a sampled maximum a little below the full table's, as any
@@ -140,10 +145,7 @@ class MotherWaveletTable:
             raise InvalidParameterError(f"phi levels run from 0 to r_psi = {self.r_psi}, got {level}")
         depth = ((self._deepest.size - 1) // self.support_length).bit_length() - 1
         if level > depth:
-            if is_box(self.filter):
-                deeper = _box_phi(self.support_length * 2**level)
-            else:
-                deeper = _refine_phi(self._deepest, np.asarray(self.filter.taps), depth, level)
+            deeper = _refine_phi(self._deepest, _two_scale(self.filter)[0], depth, level)
             object.__setattr__(self, "_deepest", deeper)
             depth = level
         return self._deepest[:: 2 ** (depth - level)]
@@ -152,14 +154,11 @@ class MotherWaveletTable:
         """psi at every point of step 2^-level over [0, support], 1 <= level <= r_psi.
 
         A new array on each call, which the table does not keep:
-        psi(x) = sum_k sqrt(2) g_k phi(2x - k) over phi at level - 1, and
-        the box in closed form.
+        psi(x) = sum_k d_k phi(2x - k) over phi at level - 1.
         """
         if not 1 <= level <= self.r_psi:
             raise InvalidParameterError(f"psi levels run from 1 to r_psi = {self.r_psi}, got {level}")
-        if is_box(self.filter):
-            return _box_psi(2**level)
-        return _refine(self.phi_level(level - 1), np.asarray(self.filter.highpass_taps()), level - 1)
+        return _refine(self.phi_level(level - 1), _two_scale(self.filter)[1], level - 1)
 
     @cached_property
     def _search(self) -> tuple[float, DyadicInterval | None, float]:
@@ -215,24 +214,20 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
     ``sup_norm`` with the positivity interval from psi at level
     min(r_psi, ``SEARCH_DEPTH``); the first read of ``positivity_interval``
     or ``positivity_floor`` raises a numerical failure if psi is positive
-    on no dyadic interval.
+    on no dyadic interval.  The box takes the same route: its exact
+    weights make every diff 0.
     """
     if not isinstance(r_psi, (int, np.integer)) or r_psi < INTERVAL_GRANULARITY:
         raise InvalidParameterError(
             f"refinement depth must be an integer >= {INTERVAL_GRANULARITY}, got {r_psi!r}")
     r_psi = int(r_psi)
-    taps = np.asarray(filt.taps)
-    length = filt.support_length
-
-    # Unit box: closed forms, exact on every grid point (the generic
-    # refinement would smear sqrt(2)*h rounding across levels).
-    depth = min(r_psi, PROBE_DEPTH)
-    diffs = [0.0] * depth if is_box(filt) else _probe_diffs(taps, length, depth)
+    weights, length = _two_scale(filt)[0], filt.support_length
+    diffs = _probe_diffs(weights, length, min(r_psi, PROBE_DEPTH))
     return MotherWaveletTable(filter=filt, r_psi=r_psi, refinement_diffs=tuple(diffs),
-                              _deepest=_integer_values(taps, length))
+                              _deepest=_integer_values(weights, length))
 
 
-def _probe_diffs(taps: np.ndarray, length: int, depth: int) -> list[float]:
+def _probe_diffs(weights: np.ndarray, length: int, depth: int) -> list[float]:
     """Sup-differences of levels r and r+1 on level r's grid, r < depth, of the
     two-scale operator iterated from a box start; a numerical failure if they
     are above rounding level and did not fall over the last three levels.
@@ -244,7 +239,7 @@ def _probe_diffs(taps: np.ndarray, length: int, depth: int) -> list[float]:
     probe = np.zeros(length + 1)
     probe[0] = 1.0
     for r in range(depth):
-        nxt = _refine(probe, taps, r)
+        nxt = _refine(probe, weights, r)
         np.subtract(nxt[::2], probe, out=probe)  # the old level is dropped next
         diffs.append(float(np.max(np.abs(probe, out=probe))))
         probe = nxt
@@ -300,17 +295,20 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
                       resolution: int) -> np.ndarray:
     """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution.
 
-    The inverse periodized filter bank lifts the levels to the scaling
-    coefficients a at level J+1 = len(levels): tap n adds p_n a + q_n c to
-    the entries 2k + n mod 2^(j+1), that is to polyphase column n mod 2
-    shifted by n // 2 rows, as two slice-adds.  a is then evaluated against
+    The inverse periodized filter bank lifts the levels c to the scaling
+    coefficients a at level J+1 = len(levels).  Its weights p, q are the
+    two-scale weights of ``_two_scale``, because the height-normalized
+    basis has phi_{j,k} = sum_n p_n phi_{j+1,2k+n} and psi_{j,k} =
+    sum_n q_n phi_{j+1,2k+n}: weight n adds p_n a + q_n c to the entries
+    2k + n mod 2^(j+1), that is to polyphase column n mod 2 shifted by
+    n // 2 rows, as two slice-adds.  a is then evaluated against
     the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)] for d
     over the support.  The evaluation runs in row blocks that BLAS keeps on
     the calling thread, and the coarse value is added in place (the sum
     commutes bit for bit).  The box needs no product: phi is 1 on the cell,
     so coarse + a[k] is repeated over cell k.  Needs J + 1 <= resolution <= r_psi.
     """
-    p, q = _bank_filters(table.filter)
+    p, q = _two_scale(table.filter)
     a = np.zeros(1)
     for c in levels:
         size = a.size
@@ -343,7 +341,7 @@ def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
     that BLAS keeps on the calling thread.  Needs j_hi + 1 <= R <= r_psi
     for the 2^R samples.
     """
-    p, q = _bank_filters(table.filter)
+    p, q = _two_scale(table.filter)
     size = 2 ** (j_hi + 1)
     phi = _phi_rows(table, values.size // size)
     g = _blocked_matmul(values.reshape(size, -1), phi.T) * (size / values.size)
@@ -393,17 +391,6 @@ def _floor_pow2(n: int) -> int:
     return 1 << max(0, n.bit_length() - 1)
 
 
-def _bank_filters(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
-    """Two-scale weights of the height-normalized basis.
-
-    phi_{j,k} = sum_n p_n phi_{j+1,2k+n} and psi_{j,k} = sum_n q_n phi_{j+1,2k+n}
-    with p = 2h / sum(h) (that is sqrt(2) h, but exactly 1 for Haar) and
-    q = 2g / sum(h) for the high-pass taps g, so q_n = (-1)^n p_{N-1-n}.
-    """
-    h = np.asarray(filt.taps)
-    return 2.0 * h / h.sum(), 2.0 * np.asarray(filt.highpass_taps()) / h.sum()
-
-
 def _phi_rows(table: MotherWaveletTable, cell: int) -> np.ndarray:
     """phi(d + r / cell) for d in 0..support-1 (rows) and r in 0..cell-1.
 
@@ -419,35 +406,39 @@ def is_box(filt: ScalingFilter) -> bool:
     return filt.taps == DAUBECHIES_TAPS[1]
 
 
-def _box_phi(size: int) -> np.ndarray:
-    """The unit box at size + 1 points of [0, 1], right-continuous at both jumps."""
-    phi = np.ones(size + 1)
-    phi[-1] = 0.0
-    return phi
+def _two_scale(filt: ScalingFilter) -> tuple[np.ndarray, np.ndarray]:
+    """Two-scale weights (c, d) = (sqrt(2) h, sqrt(2) g) of the filter's taps h
+    and high-pass taps g: phi(x) = sum_k c_k phi(2x - k) and
+    psi(x) = sum_k d_k phi(2x - k).
+
+    Exactly (1, 1) and (1, -1) for the box, where sqrt(2) h rounds to
+    1 + 2^-52: refinement would carry that rounding into every phi level
+    and the filter bank into every Haar coefficient.
+    """
+    if is_box(filt):
+        return np.ones(2), np.array([1.0, -1.0])
+    return SQRT2 * np.asarray(filt.taps), SQRT2 * np.asarray(filt.highpass_taps())
 
 
-def _box_psi(size: int) -> np.ndarray:
-    """The Haar wavelet at size + 1 points of [0, 1]: 1, then -1 from 1/2, 0 at 1."""
-    psi = _box_phi(size)
-    psi[size // 2 : -1] = -1.0
-    return psi
+def _two_scale_matrices(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The L x L matrices [w_{2m-n}] and [w_{2m-n+1}], m, n = 0..L-1, of L + 1 weights."""
+    length = weights.size - 1
+    cells = np.arange(length)
+    pad = np.zeros(3 * length + 2)
+    pad[length : 2 * length + 1] = weights
+    shift = 2 * cells[:, None] - cells + length  # w_{2m-n}, offset into the padded row
+    return pad[shift], pad[shift + 1]
 
 
-def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:
-    """Exact phi values at the integers 0..support, unit-sum normalized."""
+def _integer_values(weights: np.ndarray, length: int) -> np.ndarray:
+    """Exact phi values at the integers 0..support, unit-sum normalized: the
+    unit eigenvector of the interior block [c_{2i-m}], 0 < i, m < L."""
     vals = np.zeros(length + 1)
     if length == 1:
         # Unit box: right-continuous convention at the jump.
         vals[0] = 1.0
         return vals
-    interior = np.arange(1, length)
-    mat = np.zeros((length - 1, length - 1))
-    for a, i in enumerate(interior):
-        for b, m in enumerate(interior):
-            idx = 2 * i - m
-            if 0 <= idx < taps.size:
-                mat[a, b] = SQRT2 * taps[idx]
-    eigvals, eigvecs = np.linalg.eig(mat)
+    eigvals, eigvecs = np.linalg.eig(_two_scale_matrices(weights)[0][1:, 1:])
     pick = int(np.argmin(np.abs(eigvals - 1.0)))
     if abs(eigvals[pick] - 1.0) > 1e-8:
         raise NumericalFailureError(
@@ -461,17 +452,17 @@ def _integer_values(taps: np.ndarray, length: int) -> np.ndarray:
     return vals
 
 
-def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
-    """out[i] = sum_k sqrt(2) h_k values[i - k 2^r]: level-r grid values to level r+1.
+def _refine(values: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
+    """out[i] = sum_k w_k values[i - k 2^r]: level-r grid values to level r+1.
 
-    One ``_BLOCK`` of out at a time, taps in ascending k, each product formed
-    in one reused buffer: the rounding of a pass per tap.
+    One ``_BLOCK`` of out at a time, weights in ascending k, each product
+    formed in one reused buffer: the rounding of a pass per weight.
     """
-    out = np.zeros(values.size + (taps.size - 1) * 2**r)
+    out = np.zeros(values.size + (weights.size - 1) * 2**r)
     tmp = np.empty(min(_BLOCK, out.size))
     for start in range(0, out.size, _BLOCK):
         block = out[start : start + _BLOCK]
-        for k, c in enumerate(SQRT2 * taps):
+        for k, c in enumerate(weights):
             off = k * 2**r - start
             lo, hi = max(0, off), min(block.size, off + values.size)
             if lo < hi:
@@ -479,7 +470,7 @@ def _refine(values: np.ndarray, taps: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> np.ndarray:
+def _refine_phi(phi: np.ndarray, weights: np.ndarray, level: int, target: int) -> np.ndarray:
     """phi at level ``target`` from phi at ``level``, one level at a time.
 
     Each level keeps the coarse values exactly and fills in the odd points.
@@ -489,7 +480,7 @@ def _refine_phi(phi: np.ndarray, taps: np.ndarray, level: int, target: int) -> n
     """
     odd = phi[1::2]
     for r in range(level, target):
-        odd = _refine(odd, taps, r - 1) if r else _refine(phi, taps, 0)[1::2]
+        odd = _refine(odd, weights, r - 1) if r else _refine(phi, weights, 0)[1::2]
         nxt = np.empty(2 * phi.size - 1)
         nxt[1::2] = odd
         nxt[::2] = phi  # keep the exact coarse values

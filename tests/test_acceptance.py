@@ -18,7 +18,7 @@ import pytest
 
 from rwslab.constructions import geometric_scale_ratio
 from rwslab.estimators import analysis_field
-from rwslab.experiments import default_config, resolve_config, run_experiment
+from rwslab.experiments import resolve_config, run_experiment
 from rwslab.fields import step_function_coefficients, zero_field
 from rwslab.laws import gaussian, gaussian_max_check
 from rwslab.synthesis import randomized_synthesize, synthesize
@@ -75,7 +75,7 @@ def test_c01_transform_fidelity(haar17, db17):
 
 
 def test_c02_l1_dichotomy(tmp_path):
-    manifest = run_experiment("prop22", default_config("prop22"), tmp_path)
+    manifest = run_experiment("prop22", resolve_config("prop22"), tmp_path)
     flags = manifest["flags"]
     report("C2 l1 tail bound + nested witness",
            flags["fraction_within"] == 1.0
@@ -86,9 +86,9 @@ def test_c02_l1_dichotomy(tmp_path):
 
 
 def test_c03_heavy_tail_contrast(tmp_path):
-    heavy = run_experiment("prop31", default_config("prop31"),
+    heavy = run_experiment("prop31", resolve_config("prop31"),
                            tmp_path / "heavy")["flags"]
-    config = default_config("prop31")
+    config = resolve_config("prop31")
     config["law"] = "rademacher"
     bounded = run_experiment("prop31", config, tmp_path / "bounded")["flags"]
     report("C3 heavy-tail contrast",
@@ -107,14 +107,14 @@ def test_c04_gaussian_max_rate():
 
 
 def test_c05_sqrtj_tail_bound(tmp_path):
-    flags = run_experiment("prop43", default_config("prop43"), tmp_path)["flags"]
+    flags = run_experiment("prop43", resolve_config("prop43"), tmp_path)["flags"]
     report("C5 sqrt-j weighted tail bound", flags["fraction_within"] >= 0.95,
            f"{flags['fraction_within'] * 100:.0f}/100 seeds within bound "
            f"{flags['bound']:.3f} (need >= 95)")
 
 
 def test_c06_sparse_sequence_verdicts(tmp_path):
-    flags = run_experiment("prop46", default_config("prop46"), tmp_path)["flags"]
+    flags = run_experiment("prop46", resolve_config("prop46"), tmp_path)["flags"]
     report("C6 sparse sequence verdicts",
            flags == {"scale_ratio": 5, "l1": "holds", "sqrtj": "fails",
                      "loglog": "holds"} and geometric_scale_ratio() == 5,
@@ -123,7 +123,7 @@ def test_c06_sparse_sequence_verdicts(tmp_path):
 
 
 def test_c07_modulus_ratio_stability(tmp_path):
-    flags = run_experiment("modulus", default_config("modulus"), tmp_path)["flags"]
+    flags = run_experiment("modulus", resolve_config("modulus"), tmp_path)["flags"]
     report("C7 modulus ratio stability",
            flags["median_spread"] <= 10.0 and flags["rising_fraction"] >= 0.8,
            f"median spread {flags['median_spread']:.2f} (<= 10), no-log ratio "
@@ -131,7 +131,7 @@ def test_c07_modulus_ratio_stability(tmp_path):
 
 
 def test_c08_hmin_estimate(tmp_path):
-    flags = run_experiment("hmin", default_config("hmin"), tmp_path)["flags"]
+    flags = run_experiment("hmin", resolve_config("hmin"), tmp_path)["flags"]
     report("C8 hmin estimate",
            abs(flags["mean_gaussian"] - 0.4) <= 0.05 and flags["rademacher_exact"],
            f"gaussian 20-seed mean {flags['mean_gaussian']:.4f} (0.4 +- 0.05), "
@@ -139,7 +139,7 @@ def test_c08_hmin_estimate(tmp_path):
 
 
 def test_c09_figure_scale(tmp_path, db19):
-    wiener_flags = run_experiment("wiener", default_config("wiener"),
+    wiener_flags = run_experiment("wiener", resolve_config("wiener"),
                                   tmp_path)["flags"]
     vmean = wiener_flags["grand_mean"]
 
@@ -190,7 +190,7 @@ def test_c10_jump_cone_invariance(haar17, db17):
 
 
 def test_c11_manifest_reproducibility(tmp_path):
-    first = run_experiment("modulus", default_config("modulus"), tmp_path / "a")
+    first = run_experiment("modulus", resolve_config("modulus"), tmp_path / "a")
     with open(tmp_path / "a" / "manifest.json", encoding="utf-8") as fh:
         manifest_obj = json.load(fh)
     second = run_experiment("modulus",

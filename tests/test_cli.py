@@ -27,7 +27,6 @@ from rwslab.experiments import (
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     config_digest,
-    default_config,
     resolve_config,
     run_experiment,
 )
@@ -57,7 +56,7 @@ def test_registry_names():
 
 def test_defaults_are_flat_json_scalars():
     for name in EXPERIMENT_NAMES:
-        config = default_config(name)
+        config = resolve_config(name)
         assert config == json.loads(canonical_json(config))
         for key, value in config.items():
             assert isinstance(value, (bool, int, float, str)), (name, key)
@@ -79,8 +78,8 @@ def test_registry_tables_name_only_default_keys():
 
 
 def test_default_config_returns_a_copy():
-    default_config("wiener")["seeds"] = -1
-    assert default_config("wiener")["seeds"] > 0
+    resolve_config("wiener")["seeds"] = -1
+    assert resolve_config("wiener")["seeds"] > 0
 
 
 # ------------------------------------------------------- config resolution
@@ -111,7 +110,7 @@ def test_unknown_key_and_wrong_types_rejected():
 
 @given(st.data())
 def test_precedence_overrides_beat_file_beat_defaults(data):
-    defaults = default_config("wiener")
+    defaults = resolve_config("wiener")
     int_keys = sorted(k for k, v in defaults.items()
                       if isinstance(v, int) and not isinstance(v, bool))
     # 1..25 lies inside every key's bounds, resolution's [0, 26) the tightest
@@ -126,7 +125,7 @@ def test_precedence_overrides_beat_file_beat_defaults(data):
 
 
 def test_digest_depends_on_experiment_and_config():
-    config = default_config("criteria")
+    config = resolve_config("criteria")
     base = config_digest("criteria", config)
     assert len(base) == 64 and base == config_digest("criteria", dict(config))
     assert base != config_digest("prop46", config)
@@ -261,9 +260,13 @@ def test_failed_run_writes_nothing(tmp_path, args, code):
     (["figure1", "--set", "table_resolution=40"], 2, "invalid-parameter"),
     (["wiener", "--set", f"fourier_terms={2**25 + 1}"], 2, "invalid-parameter"),
     (["prop43", "--set", "law=heavy_tail:0.001"], 2, "invalid-parameter"),
+    (["prop43", "--set", "rate_power=300", "--set", "seeds=1"], 2, "invalid-parameter"),
+    (["modulus", "--set", "gamma=0.001", "--set", "seeds=1", "--set", "j_max=8",
+      "--set", "resolution=12", "--set", "m_hi=11", "--set", "table_resolution=12"],
+     2, "invalid-parameter"),
 ], ids=["hmin-envelope-overflow", "modulus-infinite-flags", "wiener-resolution-40",
         "figure1-table_resolution-40", "wiener-fourier_terms-above-2^25",
-        "prop43-overflowing-draws"])
+        "prop43-overflowing-draws", "prop43-rate-power-overflow", "modulus-log-power-overflow"])
 def test_edge_config_exits_tagged(tmp_path, capsys, args, code, tag):
     # Overflows, non-finite flags and oversized grids exit with their own
     # tag, never as an internal error, and write nothing.  The oversized
@@ -341,7 +344,7 @@ def test_largest_seed_accepted(tmp_path):
 def test_failed_run_leaves_no_manifest(tmp_path):
     # unchecked library call: no seeds leave NaN means, and a NaN flag is
     # a numerical failure
-    config = {**default_config("wiener"), "seeds": 0, "fourier_terms": 8,
+    config = {**resolve_config("wiener"), "seeds": 0, "fourier_terms": 8,
               "resolution": 6, "m_hi": 6}
     with pytest.warns(RuntimeWarning), \
             pytest.raises(NumericalFailureError, match="wiener flag 'grand_mean'"):
@@ -443,7 +446,7 @@ def test_horizon_is_not_a_config_key(tmp_path, capsys, name):
     # no output read the horizon, so a manifest that carries it is refused
     old = tmp_path / "manifest.json"
     old.write_text(json.dumps({"experiment": name,
-                               "config": {**default_config(name), "horizon": 4096}}))
+                               "config": {**resolve_config(name), "horizon": 4096}}))
     for args in (["--set", "horizon=4096"], ["--config", str(old)]):
         assert main(["run", name, *args, "--out", str(tmp_path / "out")]) == 2
         assert f"unknown {name} config key 'horizon'" in capsys.readouterr().err
@@ -454,7 +457,7 @@ def test_prop31_depth_is_not_a_config_key(tmp_path, capsys):
     # the global sups prop31 writes are the same at every cell depth
     old = tmp_path / "manifest.json"
     old.write_text(json.dumps({"experiment": "prop31",
-                               "config": {**default_config("prop31"), "depth": 4}}))
+                               "config": {**resolve_config("prop31"), "depth": 4}}))
     for args in (["--set", "depth=4"], ["--config", str(old)]):
         assert main(["run", "prop31", *args, "--out", str(tmp_path / "out")]) == 2
         assert "unknown prop31 config key 'depth'" in capsys.readouterr().err
@@ -470,7 +473,7 @@ def test_config_precedence_through_cli(tmp_path):
     manifest = read_manifest(out)
     assert manifest["config"]["gamma"] == 1.5
     assert manifest["config"]["rate"] == "harmonic"
-    assert manifest["config"]["kinds"] == default_config("criteria")["kinds"]
+    assert manifest["config"]["kinds"] == resolve_config("criteria")["kinds"]
     verdicts = dict(ln.split(",")[:2] for ln in
                     (out / "verdicts.csv").read_text().splitlines()[2:])
     assert verdicts["l1"] == "fails"      # sum 1/j diverges

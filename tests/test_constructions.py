@@ -12,7 +12,7 @@ from rwslab import (
     NoDivergenceSequenceError,
     build_filter,
     cascade_evaluate,
-    default_config,
+    resolve_config,
 )
 from rwslab.constructions import (
     WITNESS_SIGN_STREAM,
@@ -284,7 +284,7 @@ def test_unbounded_series_empty_placement(haar_table):
 
 def test_prop22_default_placement():
     # the witness construction prop22 builds at its defaults
-    config = default_config("prop22")
+    config = resolve_config("prop22")
     table = cascade_evaluate(build_filter(config["wavelet"], config["vanishing_moments"]),
                              config["table_resolution"])
     scales = divergent_subsequence(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])

@@ -31,6 +31,7 @@ from rwslab.wavelets import (
     _positivity_search,
     _probe_diffs,
     _refine,
+    _two_scale,
     periodized_grid,
     pyramid_analysis,
     pyramid_synthesis,
@@ -78,31 +79,31 @@ def brute_periodized(table, j, k, x):
     return total
 
 
-def per_tap_refine(values, taps, r):
-    """The two-scale sum as one whole-array pass per tap (the former kernel)."""
-    out = np.zeros(values.size + (taps.size - 1) * 2**r)
-    for k, h in enumerate(taps):
+def per_tap_refine(values, weights, r):
+    """The two-scale sum as one whole-array pass per weight (the former kernel)."""
+    out = np.zeros(values.size + (weights.size - 1) * 2**r)
+    for k, w in enumerate(weights):
         lo = k * 2**r
-        out[lo : lo + values.size] += (SQRT2 * h) * values
+        out[lo : lo + values.size] += w * values
     return out
 
 
 def per_tap_cascade(filt, r_psi):
     """(phi, psi, refinement diffs) from full per-tap refinements at every level."""
-    taps, length = np.asarray(filt.taps), filt.support_length
+    (c, d), length = _two_scale(filt), filt.support_length
     diffs = []
     probe = np.zeros(length + 1)
     probe[0] = 1.0
     for r in range(r_psi):
-        nxt = per_tap_refine(probe, taps, r)
+        nxt = per_tap_refine(probe, c, r)
         diffs.append(float(np.max(np.abs(nxt[::2] - probe))))
         probe = nxt
-    phi = _integer_values(taps, length)
+    phi = _integer_values(c, length)
     for r in range(r_psi):
-        nxt = per_tap_refine(phi, taps, r)
+        nxt = per_tap_refine(phi, c, r)
         nxt[::2] = phi
         phi = nxt
-    psi = per_tap_refine(phi[::2], np.asarray(filt.highpass_taps()), r_psi - 1)
+    psi = per_tap_refine(phi[::2], d, r_psi - 1)
     return phi, psi, diffs
 
 
@@ -181,14 +182,14 @@ def test_haar_signed_intervals(haar_table):
 
 
 def test_haar_sup_and_intervals_leave_psi_unbuilt():
-    # The box's sup and positivity interval come from its closed-form psi
-    # at level SEARCH_DEPTH, which builds no phi level and is not kept.
-    # The box is constant on every search bin, so they agree with the
-    # search over psi at r_psi = 20, the table prop22 and prop43 read.
+    # The box's sup and positivity interval come from its psi at level
+    # SEARCH_DEPTH, refined from phi one level coarser like any filter's,
+    # and not kept.  The box is constant on every search bin, so they agree
+    # with the search over psi at r_psi = 20, the table prop22 and prop43 read.
     table = cascade_evaluate(build_filter("haar", 1), 20)
     got = (table.sup_norm, table.positivity_interval, table.positivity_floor)
     assert "psi" not in vars(table)
-    assert deepest_level(table) == 0
+    assert deepest_level(table) == SEARCH_DEPTH - 1
     psi = table.psi_level(20)
     pos, pos_floor = _positivity_search(psi, 20, 1)
     assert got == (float(np.max(np.abs(psi))), pos, pos_floor)
@@ -292,11 +293,11 @@ def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
 def test_refine_kernel_matches_per_tap_oracle(size, r):
     # Random signed values, with zeros and -0.0 among them, across block
     # boundaries and shifts wider than a block.
-    taps = np.asarray(build_filter("daubechies", 6).taps)
+    weights = _two_scale(build_filter("daubechies", 6))[0]
     values = np.random.default_rng(size + r).standard_normal(size)
     values[::7] = 0.0
     values[3::11] = -0.0
-    assert same_bits(_refine(values, taps, r), per_tap_refine(values, taps, r))
+    assert same_bits(_refine(values, weights, r), per_tap_refine(values, weights, r))
 
 
 def test_cascade_probe_holds_under_two_levels():
@@ -320,7 +321,7 @@ def test_frozen_taps_converge_at_full_depth(n):
     # rule (it raises at full depth) fires at no prefix, whatever r_psi a
     # table stops at.
     filt = build_filter("daubechies", n)
-    diffs = _probe_diffs(np.asarray(filt.taps), filt.support_length, 19 if n == 10 else 17)
+    diffs = _probe_diffs(_two_scale(filt)[0], filt.support_length, 19 if n == 10 else 17)
     assert all(b < a for a, b in zip(diffs[1:], diffs[2:]))
     assert not any(a > _CONVERGENCE_FLOOR and a >= b >= c
                    for c, b, a in zip(diffs, diffs[1:], diffs[2:]))
@@ -350,14 +351,14 @@ def test_levels_read_in_any_order_match_full_table(n, reads):
     # A table refines phi only as deep as it is read: the pyramid's rows
     # read the level of their cell, the sup and positivity search read
     # psi at min(r_psi, SEARCH_DEPTH) = r_psi, so phi one level coarser
-    # (the unit box needs none), and phi the last.  Whatever the order,
+    # (the unit box too), and phi the last.  Whatever the order,
     # every level refined so far is the subsample of the full table, every
     # field has the bits of full per-tap refinement, and no psi is kept.
     r_psi = 10
     filt = build_filter("haar" if n == 1 else "daubechies", n)
     table = cascade_evaluate(filt, r_psi)
     phi, psi, diffs = reference_cascade(filt, r_psi)
-    reads_level = {"coarse rows": 3, "search": 0 if n == 1 else r_psi - 1, "phi": r_psi}
+    reads_level = {"coarse rows": 3, "search": r_psi - 1, "phi": r_psi}
     depth = 0
     for read in reads:
         if read == "coarse rows":

@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 
 from rwslab.errors import InvalidParameterError
-from rwslab.wavelets import _bank_filters, _phi_rows
+from rwslab.wavelets import _phi_rows, _two_scale
 
 
 _FULL_PSI = weakref.WeakKeyDictionary()
@@ -72,7 +72,7 @@ def eval_periodized(table, j: int, k: int, x) -> np.ndarray | float:
 
 def gather_synthesis(coarse, levels, table, resolution) -> np.ndarray:
     """``pyramid_synthesis`` with a gathered window and one whole-level product."""
-    p, q = _bank_filters(table.filter)
+    p, q = _two_scale(table.filter)
     a = np.zeros(1)
     for c in levels:
         nxt = np.zeros(2 * a.size)
@@ -87,7 +87,7 @@ def gather_synthesis(coarse, levels, table, resolution) -> np.ndarray:
 
 def gather_analysis(values, table, j_hi) -> list[np.ndarray]:
     """``pyramid_analysis`` with gathered windows and whole-level products."""
-    p, q = _bank_filters(table.filter)
+    p, q = _two_scale(table.filter)
     size = 2 ** (j_hi + 1)
     phi = _phi_rows(table, values.size // size)
     g = (values.reshape(size, -1) @ phi.T) * (size / values.size)
