@@ -8,8 +8,8 @@ rounding, while a smooth-wavelet round trip is limited only by cross-scale
 quadrature leakage; the four spare resolution levels keep that leakage at
 the percent scale.
 
-Sup profiles are the one route from a field to its sups: each truncation
-is synthesized with the same filter bank as synthesis, so every recorded
+Sup profiles are the one route from a field to its sups: one pass of the
+synthesis filter bank is evaluated at each truncation, so every recorded
 sup matches a separately synthesized path bit for bit, and a non-finite
 path is rejected as a synthesized one is.  Haar profiles stop at the grid
 their cells need, since the box repeats each level-(J+1) value over its
@@ -31,7 +31,8 @@ from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope
 from .synthesis import SamplePath
 from .util import sup_abs, write_csv
-from .wavelets import MotherWaveletTable, check_grid, is_box, pyramid_analysis, pyramid_synthesis
+from .wavelets import (MotherWaveletTable, check_grid, is_box, pyramid_analysis,
+                       pyramid_evaluate, pyramid_lifts)
 
 # ---------------------------------------------------------------- analysis
 
@@ -69,12 +70,14 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     """Sup profile of the series on the table grid; a randomized series is
     profiled by passing ``randomized_field(...)``.
 
-    Truncations are deduplicated and sorted; each snapshot is synthesized
-    by the same filter bank as synthesize(..., J, R), so the two agree
-    exactly.  For the box, coarse + a[k] repeats over each level-(J+1)
-    cell, so the cell sups at this depth are read off the grid of
-    2^max(J+1, depth) points, bit for bit those of the table grid.  A
-    non-finite path is rejected as ``SamplePath`` rejects it.
+    Truncations are deduplicated and sorted.  One pass of ``pyramid_lifts``
+    runs up to the highest truncation, and each truncation's lift is
+    evaluated as it passes, by the same operations in the same order as
+    synthesize(..., J, R), so the two agree exactly.  For the box,
+    coarse + a[k] repeats over each level-(J+1) cell, so the cell sups at
+    this depth are read off the grid of 2^max(J+1, depth) points, bit for
+    bit those of the table grid.  A non-finite path is rejected as
+    ``SamplePath`` rejects it.
     """
     cuts = sorted({int(t) for t in truncations})
     if not cuts:
@@ -88,10 +91,9 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
 
     box = is_box(table.filter)
     local_sups = np.vstack([
-        _cell_sups(pyramid_synthesis(field_.coarse, field_.levels[: j_trunc + 1], table,
-                                     max(j_trunc + 1, depth) if box else table.r_psi),
-                   2**depth)
-        for j_trunc in cuts])
+        _cell_sups(pyramid_evaluate(field_.coarse, a, table,
+                                    max(j + 1, depth) if box else table.r_psi), 2**depth)
+        for j, a in enumerate(pyramid_lifts(field_.levels[: cuts[-1] + 1], table)) if j in cuts])
     global_sups = local_sups.max(axis=1)
     if not np.all(np.isfinite(global_sups)):
         raise InvalidParameterError("sample path contains non-finite values")

@@ -23,10 +23,10 @@ coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it.  The table keeps phi only: psi at level l is one more
 two-scale sum over phi at level l - 1, built on each call, for the box
-as for any filter.  ``sup_norm`` and the positivity interval
-come from one psi at level min(r_psi, ``SEARCH_DEPTH``), built on their
-first read and dropped, so deeper tables cost no more; past that depth
-the sup is a sampled maximum a little below the full table's, as any
+as for any filter.  ``sup_norm`` and the positivity interval come from one
+psi at level min(r_psi, ``SEARCH_DEPTH``), built on their first read and
+dropped with the phi it needed, so deeper tables cost no more; past that
+depth the sup is a sampled maximum a little below the full table's, as any
 sampled maximum lies below the true sup.  The box is constant on every
 search bin, so its values are exact.  For a valid orthonormal filter the
 refinement reproduces the coarse values identically.  A box-start probe
@@ -119,7 +119,7 @@ class MotherWaveletTable:
     levels are refined on first read and kept.  ``psi_level`` builds psi
     at a level on each call.  ``sup_norm`` and the positivity interval are
     read off psi at level min(r_psi, ``SEARCH_DEPTH``) on first read; the
-    table keeps them, not that psi.
+    table keeps them, not that psi nor the phi it needed.
     """
 
     filter: ScalingFilter
@@ -163,9 +163,11 @@ class MotherWaveletTable:
     @cached_property
     def _search(self) -> tuple[float, DyadicInterval | None, float]:
         """sup |psi|, then psi's best positive dyadic interval and its floor,
-        from one psi at level min(r_psi, ``SEARCH_DEPTH``)."""
-        level = min(self.r_psi, SEARCH_DEPTH)
+        from one psi at level min(r_psi, ``SEARCH_DEPTH``); the phi level it
+        refines is dropped with it."""
+        level, kept = min(self.r_psi, SEARCH_DEPTH), self._deepest
         psi = self.psi_level(level)
+        object.__setattr__(self, "_deepest", kept)
         return (sup_abs(psi), *_positivity_search(psi, level, self.support_length))
 
     sup_norm = property(lambda self: self._search[0])
@@ -293,20 +295,23 @@ def check_grid(table: MotherWaveletTable, j: int, resolution: int) -> None:
 
 def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
                       resolution: int) -> np.ndarray:
-    """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution.
+    """coarse + sum_j sum_k levels[j][k] psi_{j,k} at every grid point m 2^-resolution:
+    ``pyramid_evaluate`` of the last ``pyramid_lifts``.  Needs J + 1 <= resolution <= r_psi."""
+    a = np.zeros(1)
+    for a in pyramid_lifts(levels, table):
+        pass
+    return pyramid_evaluate(coarse, a, table, resolution)
 
-    The inverse periodized filter bank lifts the levels c to the scaling
-    coefficients a at level J+1 = len(levels).  Its weights p, q are the
+
+def pyramid_lifts(levels, table: MotherWaveletTable):
+    """Yield the scaling coefficients a at level j + 1 of levels[0..j], for each j.
+
+    The inverse periodized filter bank: its weights p, q are the
     two-scale weights of ``_two_scale``, because the height-normalized
     basis has phi_{j,k} = sum_n p_n phi_{j+1,2k+n} and psi_{j,k} =
     sum_n q_n phi_{j+1,2k+n}: weight n adds p_n a + q_n c to the entries
     2k + n mod 2^(j+1), that is to polyphase column n mod 2 shifted by
-    n // 2 rows, as two slice-adds.  a is then evaluated against
-    the tabulated phi: row k of the window holds a[k-d mod 2^(J+1)] for d
-    over the support.  The evaluation runs in row blocks that BLAS keeps on
-    the calling thread, and the coarse value is added in place (the sum
-    commutes bit for bit).  The box needs no product: phi is 1 on the cell,
-    so coarse + a[k] is repeated over cell k.  Needs J + 1 <= resolution <= r_psi.
+    n // 2 rows, as two slice-adds.  Each lift starts from the last one.
     """
     p, q = _two_scale(table.filter)
     a = np.zeros(1)
@@ -319,6 +324,19 @@ def pyramid_synthesis(coarse: float, levels, table: MotherWaveletTable,
             nxt[s:, n % 2] += t[: size - s]
             nxt[:s, n % 2] += t[size - s :]
         a = nxt.ravel()
+        yield a
+
+
+def pyramid_evaluate(coarse: float, a: np.ndarray, table: MotherWaveletTable,
+                     resolution: int) -> np.ndarray:
+    """coarse + sum_k a[k] phi_{J+1,k} at every grid point m 2^-resolution.
+
+    Row k of the window holds a[k-d mod 2^(J+1)] for d over the support.
+    The product with the tabulated phi runs in row blocks that BLAS keeps on
+    the calling thread, and the coarse value is added in place (the sum
+    commutes bit for bit).  The box needs no product: phi is 1 on the cell,
+    so coarse + a[k] is repeated over cell k.
+    """
     cell = 2**resolution // a.size
     if is_box(table.filter):
         return np.repeat(float(coarse) + a, cell)  # phi is 1 on the whole cell

@@ -25,6 +25,7 @@ from rwslab.constructions import (
 from rwslab.errors import InsufficientDataError, InvalidParameterError
 from rwslab.estimators import (
     PowerLogModulus,
+    _cell_sups,
     analysis_field,
     export_profile_csv,
     hmin_estimate,
@@ -49,7 +50,8 @@ from rwslab.synthesis import (
     randomized_synthesize,
     synthesize,
 )
-from rwslab.wavelets import build_filter, cascade_evaluate
+from rwslab.util import sup_abs
+from rwslab.wavelets import build_filter, cascade_evaluate, pyramid_lifts
 
 from wavelet_oracles import eval_periodized
 
@@ -159,6 +161,32 @@ def test_sup_growth_matches_synthesize(haar_table, db10_table):
         assert profile.local_sups.shape == (3, 8)
         assert np.all(profile.local_sups <= profile.global_sups[:, None])
         assert np.array_equal(profile.local_sups.max(axis=1), profile.global_sups)
+
+
+@pytest.mark.parametrize("table_name", ["haar_table", "db4_table", "db10_table"])
+@pytest.mark.parametrize("depth", [1, 7, 10])
+def test_sup_growth_lifts_once_for_every_cut(request, monkeypatch, table_name, depth):
+    # One pass of the lift serves every cut, unsorted and repeated ones too,
+    # and each cut keeps the bits of its own synthesis.  Depth 1 lies below
+    # J + 1 for every cut, 7 above the cuts at 2 and 5 and below 8, and 10
+    # above them all: the box reads its cells off the coarser grid there.
+    table = request.getfixturevalue(table_name)
+    f = random_field(8, np.random.default_rng(9))
+    lifted = []
+
+    def counting_lifts(levels, table):
+        for a in pyramid_lifts(levels, table):
+            lifted.append(a.size)
+            yield a
+
+    monkeypatch.setattr("rwslab.estimators.pyramid_lifts", counting_lifts)
+    profile = sup_growth(f, table, [8, 2, 5, 5], depth)
+    assert profile.truncations == (2, 5, 8)
+    assert lifted == [2 ** (j + 1) for j in range(9)]
+    for i, j_trunc in enumerate(profile.truncations):
+        values = synthesize(f, table, j_trunc, table.r_psi).values
+        assert profile.local_sups[i].tobytes() == _cell_sups(values, 2**depth).tobytes()
+        assert profile.global_sups[i] == sup_abs(values)
 
 
 @pytest.mark.parametrize("coarse", [None, -0.0])

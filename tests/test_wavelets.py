@@ -184,12 +184,13 @@ def test_haar_signed_intervals(haar_table):
 def test_haar_sup_and_intervals_leave_psi_unbuilt():
     # The box's sup and positivity interval come from its psi at level
     # SEARCH_DEPTH, refined from phi one level coarser like any filter's,
-    # and not kept.  The box is constant on every search bin, so they agree
-    # with the search over psi at r_psi = 20, the table prop22 and prop43 read.
+    # and neither is kept.  The box is constant on every search bin, so they
+    # agree with the search over psi at r_psi = 20, the table prop22 and
+    # prop43 read.
     table = cascade_evaluate(build_filter("haar", 1), 20)
     got = (table.sup_norm, table.positivity_interval, table.positivity_floor)
     assert "psi" not in vars(table)
-    assert deepest_level(table) == SEARCH_DEPTH - 1
+    assert deepest_level(table) == 0
     psi = table.psi_level(20)
     pos, pos_floor = _positivity_search(psi, 20, 1)
     assert got == (float(np.max(np.abs(psi))), pos, pos_floor)
@@ -213,7 +214,8 @@ def test_search_reads_psi_at_search_depth(n):
 
 def test_search_holds_under_32_mb():
     # db10 at r_psi = 20 searches phi at level SEARCH_DEPTH - 1 (5 MB) and
-    # one psi at SEARCH_DEPTH (10 MB), where psi at r_psi alone is 160 MB.
+    # one psi at SEARCH_DEPTH (10 MB), where psi at r_psi alone is 160 MB,
+    # and keeps neither.
     table = cascade_evaluate(build_filter("daubechies", 10), 20)
     tracemalloc.start()
     try:
@@ -224,7 +226,44 @@ def test_search_holds_under_32_mb():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert "psi" not in vars(table)
-    assert deepest_level(table) == SEARCH_DEPTH - 1
+    assert deepest_level(table) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+@pytest.mark.parametrize("r_psi", [10, 18])
+def test_search_keeps_no_phi_level(n, r_psi):
+    # phi refined for the search is dropped with its psi: the table is no
+    # larger after the read, and a level refined before stays as it was.
+    filt = build_filter("haar" if n == 1 else "daubechies", n)
+    for level in (0, 3):
+        table = cascade_evaluate(filt, r_psi)
+        table.phi_level(level)
+        kept = table._deepest
+        table.sup_norm
+        assert table._deepest is kept
+
+
+# sup_norm, the positivity interval (index, level) and its floor as the
+# search read them when it kept its phi level, as float.hex() strings.
+SEARCH_BITS = {
+    (1, 10): ("0x1.0000000000000p+0", 0, 1, "0x1.0000000000000p+0"),
+    (1, 18): ("0x1.0000000000000p+0", 0, 1, "0x1.0000000000000p+0"),
+    (2, 10): ("0x1.bb67ae8584caap+0", 95, 6, "0x1.af6fba982e18dp+0"),
+    (2, 18): ("0x1.bb67ae8584caap+0", 95, 6, "0x1.af6fba982e18dp+0"),
+    (4, 10): ("0x1.5bf295a7bc879p+0", 230, 6, "0x1.5afebde78ae7ap+0"),
+    (4, 18): ("0x1.5bf312a441daep+0", 230, 6, "0x1.5af2cb81cf8adp+0"),
+    (10, 10): ("0x1.06a5417641c16p+0", 589, 6, "0x1.b0141fb770c53p-1"),
+    (10, 18): ("0x1.06a5712140b10p+0", 589, 6, "0x1.b00004d8e73cep-1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_BITS))
+def test_search_keeps_its_bits(key):
+    n, r_psi = key
+    table = cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), r_psi)
+    interval = table.positivity_interval
+    got = (table.sup_norm.hex(), interval.index, interval.level, table.positivity_floor.hex())
+    assert got == SEARCH_BITS[key]
 
 
 def test_db10_quadrature_invariants(db10_table):
@@ -348,17 +387,17 @@ def deepest_level(table):
     ("phi", "search", "coarse rows"),
 ])
 def test_levels_read_in_any_order_match_full_table(n, reads):
-    # A table refines phi only as deep as it is read: the pyramid's rows
-    # read the level of their cell, the sup and positivity search read
-    # psi at min(r_psi, SEARCH_DEPTH) = r_psi, so phi one level coarser
-    # (the unit box too), and phi the last.  Whatever the order,
+    # A table keeps phi only as deep as it is read: the pyramid's rows
+    # read the level of their cell, the sup and positivity search keep no
+    # level (psi at min(r_psi, SEARCH_DEPTH) = r_psi is built from phi one
+    # level coarser, refined and dropped), and phi the last.  Whatever the order,
     # every level refined so far is the subsample of the full table, every
     # field has the bits of full per-tap refinement, and no psi is kept.
     r_psi = 10
     filt = build_filter("haar" if n == 1 else "daubechies", n)
     table = cascade_evaluate(filt, r_psi)
     phi, psi, diffs = reference_cascade(filt, r_psi)
-    reads_level = {"coarse rows": 3, "search": r_psi - 1, "phi": r_psi}
+    reads_level = {"coarse rows": 3, "search": 0, "phi": r_psi}
     depth = 0
     for read in reads:
         if read == "coarse rows":
