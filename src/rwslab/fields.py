@@ -227,7 +227,7 @@ def _psi_reductions(table: MotherWaveletTable) -> tuple[np.ndarray, np.ndarray, 
         T'(m) = sum_k c_k [T(2m - k) + T(2m - k + 1) + 2^l S(2m - k + 1)]
     with the two-scale weights c_k.  The step from level r - 1 with the
     weights d_k gives U and the in-cell moments V, and the first moment is
-    sum_c (c 2^r U(c) + V(c)).
+    sum_c (c 2^r U(c) + V(c)).  psi(c) is read off the table's psi at level 1.
     """
     length, r = table.support_length, table.r_psi
     cells = np.arange(length)
@@ -236,15 +236,11 @@ def _psi_reductions(table: MotherWaveletTable) -> tuple[np.ndarray, np.ndarray, 
         return ((lo + hi) * s).sum(axis=1), ((lo + hi) * t + 2.0**level * hi * s).sum(axis=1)
 
     lowpass, highpass = map(_two_scale_matrices, _two_scale(table.filter))
-    phi = table.phi_level(0)
-    s, t = phi[:length], np.zeros(length)
+    s, t = table.phi_level(0)[:length], np.zeros(length)
     for level in range(r - 1):
         s, t = finer(*lowpass, s, t, level)
     unit_sums, moments = finer(*highpass, s, t, r - 1)
-    # psi(c) = sum_k d_k phi(2c - k), summed in ascending k as the table sums it
-    psi_int = np.zeros(length)
-    for n in range(length - 1, -1, -1):
-        psi_int += highpass[0][:, n] * phi[n]
+    psi_int = table.psi_level(1)[: 2 * length : 2]
     return unit_sums, psi_int, math.fsum(cells * 2.0**r * unit_sums + moments)
 
 

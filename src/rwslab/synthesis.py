@@ -107,9 +107,7 @@ def randomized_synthesize(field_: CoefficientField, table: MotherWaveletTable,
     """Synthesis of the field with coefficients multiplied by law draws."""
     kept = CoefficientField(j_trunc, field_.coarse,
                             _kept_levels(field_, table, j_trunc, resolution))
-    values = pyramid_synthesis(field_.coarse, randomized_field(kept, law, seed).levels,
-                               table, resolution)
-    return SamplePath(resolution, values)
+    return synthesize(randomized_field(kept, law, seed), table, j_trunc, resolution)
 
 
 # -------------------------------------------------------------- Fourier side

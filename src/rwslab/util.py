@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -12,10 +13,15 @@ from .errors import InvalidParameterError
 # Rows formatted and written per ``write`` call: bounds the float kernel's
 # arrays to about 130 bytes a cell.
 _CHUNK_ROWS = 4096
-# Exact doubles 10^0..10^22, and the ASCII digits of 0000..9999 in a uint32 each.
+# Exact doubles 10^0..10^22.
 _POW10 = 10.0 ** np.arange(23)
-_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
-_QUADS = _QUADS.view(np.uint32).ravel()
+
+
+@functools.cache  # built on the first float-only CSV, not at import
+def _quads() -> np.ndarray:
+    """The ASCII digits of 0000..9999 in a uint32 each."""
+    digits = np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij")
+    return np.stack(digits, -1).view(np.uint32).ravel()
 
 
 def write_csv(path, columns, digits: int = 15, comment: str | None = None) -> None:
@@ -99,7 +105,7 @@ def _fixed_cells(v: np.ndarray, digits: int, out: np.ndarray) -> np.ndarray:
     for q in range(quads, 0, -1):
         # exact: M < 2^53, and a quotient below an integer is 1e-4 or more below it
         upper = np.floor(mant / 1e4)
-        quad = _QUADS[(mant - 1e4 * upper).astype(np.intp)]
+        quad = _quads()[(mant - 1e4 * upper).astype(np.intp)]
         digs[4 * q - 3 : 4 * q + 1] = quad.view(np.uint8).reshape(-1, 4).T
         mant = upper
     digs = digs[4 * quads - digits :]

@@ -15,11 +15,11 @@ exact.
 
 Mother scaling functions are tabulated on dyadic grids up to 2^{-r_psi}
 by exact two-scale refinement: values at the integers come from the unit
-eigenvector of the downsampled weight matrix, and each refinement level
-fills in the odd dyadics from the previous level's odd dyadics alone (past
-the first level every shift k 2^r is even), in cache-sized blocks that
-keep the rounding of one whole-array pass per tap.  Refinement keeps the
-coarse values exactly, so phi at level l is the every-2^(r_psi - l)-th
+eigenvector of the downsampled weight matrix, and each refinement level is
+one ``_refine`` over the whole previous level, with the coarse values
+written back exactly.  ``_refine`` forms every grid two-scale sum, in
+cache-sized blocks that keep the rounding of one whole-array pass per
+weight.  So phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it.  The table keeps phi only: psi at level l is one more
 two-scale sum over phi at level l - 1, built on each call, for the box
@@ -116,10 +116,10 @@ class MotherWaveletTable:
 
     ``cascade_evaluate`` fills in ``refinement_diffs``, one per probe level
     up to min(r_psi, ``PROBE_DEPTH``), and phi at the integers; finer phi
-    levels are refined on first read and kept.  ``psi_level`` builds psi
-    at a level on each call.  ``sup_norm`` and the positivity interval are
-    read off psi at level min(r_psi, ``SEARCH_DEPTH``) on first read; the
-    table keeps them, not that psi nor the phi it needed.
+    levels are refined on first read, a ``_refine`` each, and kept; psi at
+    a level is built on each call.  ``sup_norm`` and the positivity interval
+    are read off psi at level min(r_psi, ``SEARCH_DEPTH``) on first read;
+    the table keeps them, not that psi nor the phi it needed.
     """
 
     filter: ScalingFilter
@@ -138,17 +138,17 @@ class MotherWaveletTable:
     def phi_level(self, level: int) -> np.ndarray:
         """phi at every point of step 2^-level over [0, support], 0 <= level <= r_psi.
 
-        A strided view of the deepest level refined so far, refined deeper
-        first if that level is coarser.
+        A strided view of the deepest level refined so far, first refined
+        deeper, a ``_refine`` per level, if that level is coarser.
         """
         if not 0 <= level <= self.r_psi:
             raise InvalidParameterError(f"phi levels run from 0 to r_psi = {self.r_psi}, got {level}")
         depth = ((self._deepest.size - 1) // self.support_length).bit_length() - 1
-        if level > depth:
-            deeper = _refine_phi(self._deepest, _two_scale(self.filter)[0], depth, level)
-            object.__setattr__(self, "_deepest", deeper)
-            depth = level
-        return self._deepest[:: 2 ** (depth - level)]
+        for r in range(depth, level):
+            phi = _refine(self._deepest, _two_scale(self.filter)[0], r)
+            phi[::2] = self._deepest  # keep the exact coarse values
+            object.__setattr__(self, "_deepest", phi)
+        return self._deepest[:: 2 ** (max(depth, level) - level)]
 
     def psi_level(self, level: int) -> np.ndarray:
         """psi at every point of step 2^-level over [0, support], 1 <= level <= r_psi.
@@ -488,24 +488,6 @@ def _refine(values: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _refine_phi(phi: np.ndarray, weights: np.ndarray, level: int, target: int) -> np.ndarray:
-    """phi at level ``target`` from phi at ``level``, one level at a time.
-
-    Each level keeps the coarse values exactly and fills in the odd points.
-    Past r = 0 every shift k 2^r is even, so the odd points of level r+1
-    come from the odd points of level r alone; they carry into the next
-    level as one contiguous array.
-    """
-    odd = phi[1::2]
-    for r in range(level, target):
-        odd = _refine(odd, weights, r - 1) if r else _refine(phi, weights, 0)[1::2]
-        nxt = np.empty(2 * phi.size - 1)
-        nxt[1::2] = odd
-        nxt[::2] = phi  # keep the exact coarse values
-        phi = nxt
-    return phi
-
-
 def _positivity_search(psi: np.ndarray, sample_level: int, length: int):
     """``(interval, floor)``: the widest dyadic interval maximizing min psi over it.
 
@@ -519,20 +501,17 @@ def _positivity_search(psi: np.ndarray, sample_level: int, length: int):
     per_bin = 2 ** (sample_level - INTERVAL_GRANULARITY)
     n_bins = length * 2**INTERVAL_GRANULARITY
     mins = psi[: n_bins * per_bin].reshape(n_bins, per_bin).min(axis=1)
-    best = None  # (floor, -level, -index)
-    best_iv = None
+    best, best_iv = (0.0,), None  # key (floor, -level, -index) of best_iv
     level = INTERVAL_GRANULARITY
     while True:
-        for idx in np.flatnonzero(mins > 0.0):
-            key = (mins[idx], -level, -int(idx))
-            if best is None or key > best:
-                best = key
-                best_iv = DyadicInterval(index=int(idx), level=level)
+        floors = np.where(mins > 0.0, mins, 0.0)  # NaN bins fail the test too
+        idx = int(np.argmax(floors))  # the leftmost of the level's largest
+        key = (float(floors[idx]), -level, -idx)
+        if key[0] > 0.0 and key > best:
+            best, best_iv = key, DyadicInterval(index=idx, level=level)
         if mins.size < 2 or level <= _WIDEST_LEVEL:
             break
         pairs = mins.size // 2
         mins = np.minimum(mins[0 : 2 * pairs : 2], mins[1 : 2 * pairs : 2])
         level -= 1
-    if best is None:
-        return None, 0.0
-    return best_iv, float(best[0])
+    return best_iv, best[0]

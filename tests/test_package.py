@@ -41,6 +41,32 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.split() == ["False", "False", "True"]
 
 
+
+def test_import_builds_no_lookup_table():
+    # A fresh interpreter: the CSV digit table and the word-block counter
+    # table are built on their first use, so runs that write no float-only
+    # CSV and stream no word block never pay for them.
+    code = """if True:
+        import tempfile
+        from pathlib import Path
+        import numpy as np
+        import rwslab, rwslab.cli
+        from rwslab import laws, util
+        tables = (util._quads, laws._steps)
+        print(*[t.cache_info().currsize for t in tables])
+        laws.abs_max(laws.heavy_tail(2.0), 0, "coef", 3, 0, 8)
+        with tempfile.TemporaryDirectory() as tmp:
+            util.write_csv(Path(tmp, "x.csv"), [("x", np.linspace(0.1, 1.0, 5))])
+        print(*[t.cache_info().currsize for t in tables])
+    """
+    src = str(Path(rwslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1", "1"]
+
 def test_perfbench_span_targets_exist():
     # perfbench/spans.py rebinds these names for traced runs; a rename or
     # deletion in the package would make every traced run fail.

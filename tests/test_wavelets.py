@@ -22,9 +22,11 @@ from rwslab.wavelets import (
     _GEMM_CELLS,
     _GEMV_ROWS,
     DyadicInterval,
+    INTERVAL_GRANULARITY,
     PROBE_DEPTH,
     SEARCH_DEPTH,
     _CONVERGENCE_FLOOR,
+    _WIDEST_LEVEL,
     _blocked_matmul,
     _integer_values,
     _phi_rows,
@@ -311,10 +313,63 @@ def test_interval_search_deterministic():
     assert np.array_equal(a.psi_level(12), b.psi_level(12))
 
 
+def brute_positivity_search(psi, sample_level, length):
+    """Every dyadic interval at levels INTERVAL_GRANULARITY.._WIDEST_LEVEL inside
+    [0, length), the best by key (floor, -level, -index) among positive floors."""
+    best, best_iv = None, None
+    for level in range(INTERVAL_GRANULARITY, _WIDEST_LEVEL - 1, -1):
+        width = 2 ** (sample_level - level)
+        for index in range(length * 2**sample_level // width):
+            floor = float(np.min(psi[index * width : (index + 1) * width]))
+            key = (floor, -level, -index)
+            if floor > 0.0 and (best is None or key > best):  # NaN floors fail
+                best, best_iv = key, DyadicInterval(index=index, level=level)
+    return (None, 0.0) if best is None else (best_iv, best[0])
+
+
+def bins_psi(length, bins):
+    """psi sampled at level 7 over [0, length]: -1 but on the given level-6 bins."""
+    psi = np.full(length * 2**7 + 1, -1.0)
+    for lo, hi, value in bins:
+        psi[2 * lo : 2 * hi] = value
+    return psi
+
+
+@pytest.mark.parametrize("bins, expected", [
+    # equal floors at levels 6 and 2: the wider wins, though it lies right
+    ([(3, 4, 0.25), (32, 48, 0.25)], (DyadicInterval(index=2, level=2), 0.25)),
+    # equal floors within level 6: the leftmost wins
+    ([(50, 51, 0.75), (9, 10, 0.75), (20, 21, 0.5)], (DyadicInterval(index=9, level=6), 0.75)),
+    # a NaN bin beside positive ones: never picked, and it spoils the pair it joins
+    ([(9, 10, 1.0), (10, 11, np.nan), (11, 12, 2.0)], (DyadicInterval(index=11, level=6), 2.0)),
+    ([(0, 64, 0.5), (1, 2, np.nan)], (DyadicInterval(index=1, level=1), 0.5)),
+    # no positive bin: zeros, NaN and negatives
+    ([(0, 8, 0.0), (8, 9, np.nan)], (None, 0.0)),
+])
+def test_positivity_search_tie_rules(bins, expected):
+    psi = bins_psi(1, bins)
+    assert _positivity_search(psi, 7, 1) == expected
+    assert brute_positivity_search(psi, 7, 1) == expected
+
+
+@pytest.mark.parametrize("length", [1, 3, 7, 39])
+@pytest.mark.parametrize("seed", range(4))
+def test_positivity_search_matches_brute_force(length, seed):
+    # Few distinct values, constant over level-4 cells with single level-6
+    # bins changed, make ties within and across levels; NaN samples among them.
+    rng = np.random.default_rng([length, seed])
+    values = rng.choice([-1.0, 0.0, 0.25, 0.5, 1.0], size=length * 2**4)
+    psi = np.append(np.repeat(values, 2**3), -1.0)
+    for b in rng.integers(0, length * 2**6, size=2 * length):
+        psi[2 * b : 2 * b + 2] = rng.choice([-1.0, 0.25, 1.0, 1.0, 2.0])
+    psi[rng.integers(0, psi.size, size=2 * length)] = np.nan
+    assert _positivity_search(psi, 7, length) == brute_positivity_search(psi, 7, length)
+
+
 @pytest.mark.parametrize("n, r_psi", [(2, 8), (2, 16), (4, 14), (10, 15), (20, 14)])
 def test_blocked_refinement_matches_per_tap_oracle(n, r_psi):
-    # Blocked, odd-points-only refinement against full per-tap passes, bit
-    # for bit.  db4 r14 ends in a partial block: 7 2^14 + 1 = 3.5 blocks.
+    # Blocked whole-level refinement, coarse values written back, against
+    # full per-tap passes, bit for bit.  db4 r14 ends in a partial block: 7 2^14 + 1 = 3.5 blocks.
     # The probe stops at PROBE_DEPTH: its diffs are the oracle's first ones.
     filt = build_filter("daubechies", n)
     table = cascade_evaluate(filt, r_psi)
