@@ -1,12 +1,10 @@
 """Sample-path diagnostics: analysis, sup profiles, slope and modulus fits.
 
-The analysis side is the transpose of synthesis: a coefficient is the
-left-endpoint Riemann sum of path times weighted wavelet on the sample
-grid, computed as one phi-quadrature at the finest analysed level followed
-by the forward filter bank.  A Haar round trip is therefore exact to
-rounding, while a smooth-wavelet round trip is limited only by cross-scale
-quadrature leakage; the four spare resolution levels keep that leakage at
-the percent scale.
+The analysis side is the exact inverse of synthesis: it reads the path at
+the points k 2^-(J+1) of the finest analysed level and returns the field
+whose synthesis takes those values.  A round trip is therefore exact to
+rounding for every filter, and any other path is interpolated at those
+points.
 
 Sup profiles are the one route from a field to its sups: one pass of the
 synthesis filter bank is evaluated at each truncation, so every recorded
@@ -38,14 +36,11 @@ from .wavelets import (MotherWaveletTable, check_grid, is_box, pyramid_analysis,
 
 def analysis_field(path_: SamplePath, table: MotherWaveletTable,
                    j_hi: int) -> CoefficientField:
-    """Quadrature analysis of a sample path down to scale ``j_hi``.
-
-    The coarse part is the grid mean (the wavelet sums cancel it out
-    exactly on dyadic grids).
-    """
+    """The field of scales 0..j_hi whose synthesis takes the path's values
+    at the points k 2^-(j_hi + 1): the field itself for a synthesized path,
+    an interpolation of any other."""
     check_grid(table, j_hi, path_.resolution)
-    levels = pyramid_analysis(path_.values, table, j_hi)
-    return CoefficientField(j_hi, float(np.mean(path_.values)), levels)
+    return CoefficientField(j_hi, *pyramid_analysis(path_.values, table, j_hi))
 
 
 # ------------------------------------------------------------- sup profile

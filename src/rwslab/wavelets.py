@@ -38,7 +38,10 @@ are frozen constants, and their convergence at full depth is checked once
 by the test suite rather than on every table.
 
 Grid synthesis and analysis share one periodized filter-bank pair (the
-Mallat pyramid) over the tabulated phi; ``periodized_grid`` samples one
+Mallat pyramid): synthesis evaluates the finest scaling coefficients on
+the tabulated phi, and analysis inverts it from the samples at their
+points by one circulant solve against phi at the integers (Daubechies,
+*Ten Lectures*, 1992, ch. 5-6).  ``periodized_grid`` samples one
 periodized wavelet straight from psi at level r_psi, an independent check
 on the filter bank.  The pair reads each circular window as a strided view
 of a cyclically extended level and runs its matrix products in row blocks
@@ -283,9 +286,10 @@ def check_grid(table: MotherWaveletTable, j: int, resolution: int) -> None:
     """Reject scales 0..j on the grid of step 2^-resolution unless
     0 <= j and j + 4 <= resolution <= r_psi.
 
-    The four spare levels keep the quadrature leakage of analysis at the
-    percent scale, and resolution <= r_psi keeps every phi lookup on a table
-    point.  Synthesis uses the same rule, so what it writes analysis can read.
+    resolution <= r_psi keeps every phi lookup on a table point.  Analysis,
+    an exact inverse, would need only j + 1 <= resolution; the four spare
+    levels stay so that every config keeps its exit code.  Synthesis uses
+    the same rule, so what it writes analysis can read.
     """
     if not 0 <= j <= resolution - 4 or resolution > table.r_psi:
         raise InvalidParameterError(
@@ -350,27 +354,28 @@ def pyramid_evaluate(coarse: float, a: np.ndarray, table: MotherWaveletTable,
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
-                     j_hi: int) -> list[np.ndarray]:
-    """Grid quadratures 2^(j-R) sum_m values[m] psi_{j,k}(m 2^-R) for j = 0..j_hi.
+                     j_hi: int) -> tuple[float, list[np.ndarray]]:
+    """``(coarse, levels)`` of scales 0..j_hi whose synthesis takes the values
+    at the points k 2^-(j_hi + 1): the inverse of ``pyramid_synthesis``.
 
-    The transpose of ``pyramid_synthesis``: one phi-quadrature at level
-    j_hi + 1, then the forward filter bank with weights p/2 and q/2 over
-    the windows a[2k + n mod 2^(j+1)].  Every product runs in row blocks
-    that BLAS keeps on the calling thread.  Needs j_hi + 1 <= R <= r_psi
-    for the 2^R samples.
+    Synthesis takes sum_d a[k - d] phi(d) there, the coarse value carried in
+    a as a constant, so a is one FFT circulant solve against phi at the
+    integers folded onto those points.  The forward bank, weights p/2 and
+    q/2 over the windows a[2k + n mod 2^(j+1)] in row blocks that BLAS keeps
+    on the calling thread, gives every level, and its last scaling
+    coefficient the coarse value, as the bank lifts a constant to itself.
     """
     p, q = _two_scale(table.filter)
-    size = 2 ** (j_hi + 1)
-    phi = _phi_rows(table, values.size // size)
-    g = _blocked_matmul(values.reshape(size, -1), phi.T) * (size / values.size)
-    a = sum(np.roll(g[:, d], -d) for d in range(phi.shape[0]))
+    size, length = 2 ** (j_hi + 1), table.support_length
+    symbol = np.bincount(np.arange(length) % size, table.phi_level(0)[:length], size)
+    a = np.fft.irfft(np.fft.rfft(values[:: values.size // size]) / np.fft.rfft(symbol), n=size)
     levels = []
     while size > 1:
         size //= 2
         window = sliding_window_view(np.resize(a, a.size + p.size - 1), p.size)[::2]
         levels.append(_blocked_matmul(window, 0.5 * q))
         a = _blocked_matmul(window, 0.5 * p)
-    return levels[::-1]
+    return float(a[0]), levels[::-1]
 
 
 def _blocked_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -384,9 +389,8 @@ def _blocked_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     more.  Every output entry is then the whole-level product's dot product
     wherever the kernel BLAS picks for a block agrees with the one it picks
     for the whole level.  On OpenBLAS 0.3.31 they differ in the last bit
-    for analysis cells of 256 samples and more, and for synthesis cells of
-    2 or 4 samples at 2^13 rows and more: shapes no experiment or benchmark
-    runs.
+    for synthesis cells of 2 or 4 samples at 2^13 rows and more: shapes no
+    experiment or benchmark runs.
     """
     m, k = rows.shape
     out = np.empty((m,) + mat.shape[1:])

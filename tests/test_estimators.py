@@ -1,18 +1,19 @@
-"""Analysis quadrature, sup profiles, hmin and modulus fits.
+"""Analysis, sup profiles, hmin and modulus fits.
 
 Oracles:
   * Round trips run against fields whose coefficients are known exactly;
-    for Haar both synthesis and the Riemann analysis are exact at grid
-    resolution (step functions constant on grid cells), so recovery to
-    1e-8 is a hard floor, not a tuned tolerance.
-  * brute_coefficient recomputes one analysis coefficient as a plain
-    Riemann sum through eval_periodized, independent of the filter bank
-    in the module.
+    analysis inverts synthesis for every filter, so recovery to 1e-12
+    relative per level is a rounding floor, not a tuned tolerance.
+  * dense_analysis solves the square system of synthesized unit fields
+    sampled at the points k 2^-(J+1), independent of the circulant solve
+    and the forward filter bank in the module.
   * Nested-interval averages for the divergence witness are computed as
     exact grid means over dyadic slices.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -53,14 +54,23 @@ from rwslab.synthesis import (
 from rwslab.util import sup_abs
 from rwslab.wavelets import build_filter, cascade_evaluate, pyramid_lifts
 
-from wavelet_oracles import eval_periodized
 
-
-def brute_coefficient(path_, table, j, k):
-    """2^j * Riemann sum of path * psi_{j,k}, one lookup per grid point."""
-    xs = np.arange(path_.values.size) * 2.0**-path_.resolution
-    weights = eval_periodized(table, j, k, xs)
-    return float(2.0**j * np.sum(path_.values * weights) * 2.0**-path_.resolution)
+def dense_analysis(path_, table, j_max):
+    """(coarse, coefficients of scales 0..j_max in level order) whose synthesis
+    takes the path's values at k 2^-(j_max+1): one np.linalg.solve against the
+    2^(j_max+1) x 2^(j_max+1) matrix whose columns are synthesized unit fields
+    sampled at those points."""
+    size = 2 ** (j_max + 1)
+    step = path_.values.size // size
+    columns = []
+    for i in range(size):  # the coarse value, then c_{j,k} at i = 2^j + k
+        unit = zero_field(j_max, float(i == 0))
+        if i:
+            j = i.bit_length() - 1
+            unit.levels[j][i - 2**j] = 1.0
+        columns.append(synthesize(unit, table, j_max, path_.resolution).values[::step])
+    solved = np.linalg.solve(np.column_stack(columns), path_.values[::step])
+    return float(solved[0]), solved[1:]
 
 
 def grid_average(path_, lo: float, hi: float) -> float:
@@ -95,23 +105,42 @@ def test_round_trip_db10_envelope(db10_table):
         assert env.values[j] == pytest.approx(2.0 ** (-0.5 * j), rel=0.02)
 
 
-def test_round_trip_db10_per_level(db10_table):
-    f = random_field(6, np.random.default_rng(4))
-    path = synthesize(f, db10_table, 6, 12)
-    recovered = analysis_field(path, db10_table, 6)
-    for j in range(7):
+@functools.lru_cache(maxsize=1)
+def table_of(n, r_psi):
+    return cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), r_psi)
+
+
+@pytest.mark.parametrize("n, j_max", [(n, 6) for n in range(1, 21)]
+                         + [(20, j) for j in range(4)])  # 2^(J+1) points, fewer than the support
+def test_round_trip_per_level(n, j_max):
+    table = table_of(n, 12)
+    f = random_field(j_max, np.random.default_rng(4))
+    recovered = analysis_field(synthesize(f, table, j_max, 12), table, j_max)
+    assert abs(recovered.coarse - f.coarse) <= 1e-12 * abs(f.coarse)
+    for j in range(j_max + 1):
         err = float(np.max(np.abs(recovered.levels[j] - f.levels[j])))
-        assert err <= 0.02 * float(np.max(np.abs(f.levels[j])))
+        assert err <= 1e-12 * float(np.max(np.abs(f.levels[j])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("j_max", [0, 2, 11])
+def test_analysis_interpolates_any_path(n, j_max):
+    # Gaussian noise is no synthesis: its analysis is the field whose
+    # synthesis takes the noise's values at the points k 2^-(J+1).
+    table = table_of(n, 15)
+    path = SamplePath(15, np.random.default_rng(n + j_max).standard_normal(2**15))
+    again = synthesize(analysis_field(path, table, j_max), table, j_max, 15)
+    step = 2 ** (14 - j_max)
+    assert float(np.max(np.abs(again.values[::step] - path.values[::step]))) <= 1e-12
 
 
 def check_analysis_brute_force(table):
     f = random_field(4, np.random.default_rng(5))
     path = synthesize(f, table, 4, 10)
     recovered = analysis_field(path, table, 4)
-    for j, k in ((0, 0), (2, 3), (4, 11)):
-        assert recovered.levels[j][k] == pytest.approx(
-            brute_coefficient(path, table, j, k), abs=1e-12
-        )
+    coarse, coefficients = dense_analysis(path, table, 4)
+    assert recovered.coarse == pytest.approx(coarse, abs=1e-12)
+    assert np.concatenate(recovered.levels) == pytest.approx(coefficients, abs=1e-12)
 
 
 def test_analysis_matches_brute_force(db10_table):

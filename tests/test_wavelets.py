@@ -487,9 +487,9 @@ def test_phi_level_rejects_levels_off_the_table(db4_table):
 
 
 def test_pyramid_refines_only_the_cell_level(monkeypatch):
-    # One synthesis and one analysis at roundtrip sizes read phi at the
-    # level of their 8-sample cell: no deeper phi and no psi is refined,
-    # while the eager probe ran to level PROBE_DEPTH.
+    # One analysis at roundtrip sizes reads phi at the integers only, and
+    # one synthesis phi at the level of its 8-sample cell: no deeper phi and
+    # no psi is refined, while the eager probe ran to level PROBE_DEPTH.
     table = cascade_evaluate(build_filter("daubechies", 10), 17)
     j, resolution = 13, 17
     sizes = []
@@ -502,8 +502,9 @@ def test_pyramid_refines_only_the_cell_level(monkeypatch):
 
     monkeypatch.setattr("rwslab.wavelets._refine", recording)
     rng = np.random.default_rng(3)
-    pyramid_synthesis(0.0, [rng.standard_normal(2**i) for i in range(j + 1)], table, resolution)
     pyramid_analysis(rng.standard_normal(2**resolution), table, j)
+    assert sizes == [] and deepest_level(table) == 0
+    pyramid_synthesis(0.0, [rng.standard_normal(2**i) for i in range(j + 1)], table, resolution)
     monkeypatch.undo()
     assert sizes and max(sizes) <= table.support_length * 2**3 + 1
     assert deepest_level(table) == 3
@@ -534,9 +535,23 @@ def test_pyramid_matches_gather_oracle(n, r_psi, j, resolution):
     assert same_bits(pyramid_synthesis(0.25, levels, table, resolution),
                      gather_synthesis(0.25, levels, table, resolution))
     values = rng.standard_normal(2**resolution)
-    got, want = pyramid_analysis(values, table, j), gather_analysis(values, table, j)
+    (got_coarse, got), (want_coarse, want) = (pyramid_analysis(values, table, j),
+                                              gather_analysis(values, table, j))
+    assert same_bits(np.array(got_coarse), np.array(want_coarse))
     assert len(got) == len(want) == j + 1
     assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_analysis_symbol_stays_off_zero():
+    # Analysis divides by the DFT of phi at the integers folded onto the
+    # 2^s points of its finest level; a floor of 0.03 (db5 comes closest)
+    # bounds the solve's loss of relative accuracy at about 33x.
+    for n in range(1, 21):
+        table = cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), 6)
+        length = table.support_length
+        for s in range(1, 15):
+            symbol = np.bincount(np.arange(length) % 2**s, table.phi_level(0)[:length], 2**s)
+            assert np.min(np.abs(np.fft.rfft(symbol))) >= 0.03, (n, s)
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -604,8 +619,7 @@ def test_pyramid_products_stay_below_threading_cutoff(monkeypatch, n):
         assert synthesis_shapes == []  # the box repeats its coefficients: no product
     else:
         assert entries(synthesis_shapes) == 2**resolution
-    support = table.support_length
-    assert entries(shapes) == 2 ** (j + 1) * support + 2 * (2 ** (j + 1) - 1)
+    assert entries(shapes) == 2 * (2 ** (j + 1) - 1)  # the bank's two vectors per level
     for a, b in synthesis_shapes + shapes:
         if len(b) == 1 or b[1] == 1:
             assert a[0] <= _GEMV_ROWS

@@ -5,8 +5,9 @@ r_psi, built once per table: every live translate of the wrap sum is a
 nearest-grid-point lookup, with no two-scale recursion in between.  Beside
 it, the filter-bank pair in its gather form: every circular window is a
 %-indexed fancy gather and every product one whole-level matrix product,
-the arithmetic that the blocked pair must reproduce bit for bit.  Test
-modules import them as references.
+the arithmetic that the blocked pair must reproduce bit for bit.  Analysis
+starts from the module's own circulant solve, which has a dense oracle in
+the estimator tests.  Test modules import them as references.
 """
 
 from __future__ import annotations
@@ -85,17 +86,18 @@ def gather_synthesis(coarse, levels, table, resolution) -> np.ndarray:
     return float(coarse) + (shifted @ phi).ravel()
 
 
-def gather_analysis(values, table, j_hi) -> list[np.ndarray]:
-    """``pyramid_analysis`` with gathered windows and whole-level products."""
+def gather_analysis(values, table, j_hi) -> tuple[float, list[np.ndarray]]:
+    """``pyramid_analysis``: the same circulant solve, then gathered windows
+    and whole-level products."""
     p, q = _two_scale(table.filter)
     size = 2 ** (j_hi + 1)
-    phi = _phi_rows(table, values.size // size)
-    g = (values.reshape(size, -1) @ phi.T) * (size / values.size)
-    a = sum(np.roll(g[:, d], -d) for d in range(phi.shape[0]))
+    length = table.support_length
+    symbol = np.bincount(np.arange(length) % size, table.phi_level(0)[:length], size)
+    a = np.fft.irfft(np.fft.rfft(values[:: values.size // size]) / np.fft.rfft(symbol), n=size)
     levels = []
     while size > 1:
         size //= 2
         window = a[(2 * np.arange(size)[:, None] + np.arange(p.size)) % a.size]
         levels.append(window @ (0.5 * q))
         a = window @ (0.5 * p)
-    return levels[::-1]
+    return float(a[0]), levels[::-1]
