@@ -183,12 +183,12 @@ def unbounded_series_field(env: ScaleEnvelope, placement: NestedPlacement) -> Co
 
 def divergence_scales(law: RandomLaw, j_max: int,
                       variant: str = "plain") -> list[tuple[int, int]]:
-    """(n, j_n) pairs of the law's divergence sequence with j_n <= j_max."""
-    n_max = 8
-    seq = divergence_sequence(law, variant, n_max)
-    while seq[-1] <= j_max:
-        n_max *= 2
-        seq = divergence_sequence(law, variant, n_max)
+    """(n, j_n) pairs of the law's divergence sequence with j_n <= j_max.
+
+    The sequence rises strictly from j_1 >= 0, so j_n >= n - 1 and the
+    first j_max + 1 terms hold every j_n <= j_max.
+    """
+    seq = divergence_sequence(law, variant, max(1, j_max + 1))
     return [(n, j) for n, j in enumerate(seq, start=1) if j <= j_max]
 
 

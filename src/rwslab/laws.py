@@ -12,22 +12,29 @@ Clamping u to 1 - 2^-53 keeps it strictly inside (0, 1), so every draw is
 finite, and keeps u non-decreasing in m.
 
 Reductions stream: ``_word_blocks`` yields any k-range of a stream in
-fixed blocks of ``BLOCK`` words, which are the very words behind the
-draws ``draw_array`` returns at those k, so a max or a count never
-materializes a whole level.  The blocks share one reused buffer.  The
-reductions decide in word space.  For every law in ``LAW_TAGS``, |chi|
-is a monotone function of the uniform u (non-increasing for bernoulli,
-exp_tail and heavy_tail, constant for rademacher) or V-shaped about
-u = 1/2 (``V_SHAPED_TAGS``), and u never decreases as the word's top 53
-bits, the mantissa m, increase.  So the largest |chi| over a range is
-attained at the word with the smallest or the largest mantissa: ``abs_max``
-transforms only those two words, and for rademacher, where |chi| = 1,
-none at all.  Likewise |chi| >= x holds on a prefix m < a of the mantissas,
-or on m < a and m >= b for the V-shaped laws.  ``exceedances`` finds a and
-b once per (law, threshold), searching the transform itself at a threshold
-lowered by a relative 1e-9, then compares each word against the cut and
-transforms only the few candidates, which it checks against x exactly; so
-its count equals a dense scan even where |chi| is monotone only to rounding.
+fixed blocks of ``BLOCK`` head words, so a max or a count never
+materializes a whole level.  A head word is the word behind the draw
+``draw_array`` returns at that k before SplitMix64's final xorshift
+z ^ (z >> 31), which leaves the top 31 bits of z unchanged: a word and
+its head share one bucket of 2^33 consecutive words.  So a min, a max or
+a range test decided on head words, with each bound widened to a whole
+bucket, holds for the finished words, and only the few heads in the
+bound's own bucket need ``_mix_tail``.  The blocks share one reused
+buffer.  The reductions decide in word space.  For every law in
+``LAW_TAGS``, |chi| is a monotone function of the uniform u
+(non-increasing for bernoulli, exp_tail and heavy_tail, constant for
+rademacher) or V-shaped about u = 1/2 (``V_SHAPED_TAGS``), and u never
+decreases as the word's top 53 bits, the mantissa m, increase.  So the
+largest |chi| over a range is attained at the word with the smallest or
+the largest mantissa: ``abs_max`` transforms only those two words, and for
+rademacher, where |chi| = 1, none at all.  Likewise |chi| >= x holds on a
+prefix m < a of the mantissas, or on m < a and m >= b for the V-shaped
+laws.  ``exceedances`` finds a and b once per (law, threshold), searching
+the transform itself at a threshold lowered by a relative 1e-9, then
+compares each head word against the cut widened to whole buckets, and
+finishes and transforms only the few candidates, which it checks against
+x exactly; so its count equals a dense scan even where |chi| is monotone
+only to rounding.
 
 Divergence sequences read the tails of the unbounded laws in log space,
 ln P(|chi| >= x) in closed form, so they stay finite where P underflows.
@@ -166,14 +173,24 @@ def _stream_key(seed: int, stream_tag: str, j: int) -> int:
     return _mix(((key ^ (j & _MASK)) + _GAMMA) & _MASK)
 
 
-def _mix_words(z: np.ndarray) -> np.ndarray:
-    """``_mix`` over an array of words, in place."""
+def _mix_head(z: np.ndarray) -> np.ndarray:
+    """``_mix`` less its final xorshift, over an array of words, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_M2)
+    return z
+
+
+def _mix_tail(z: np.ndarray) -> np.ndarray:
+    """The final xorshift of ``_mix``, in place: the top 31 bits pass through."""
     z ^= z >> np.uint64(31)
     return z
+
+
+def _mix_words(z: np.ndarray) -> np.ndarray:
+    """``_mix`` over an array of words, in place."""
+    return _mix_tail(_mix_head(z))
 
 
 def _words(key: int, k) -> np.ndarray:
@@ -185,9 +202,11 @@ def _words(key: int, k) -> np.ndarray:
 
 def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     """The law's transform: draws from SplitMix64 output words."""
+    t = law.tag
+    if t == "rademacher":
+        return np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     np.minimum(u, 1.0 - 2.0**-53, out=u)  # the top mantissa rounds to u = 1.0
-    t = law.tag
     if t == "gaussian":
         from scipy.special import ndtri  # scipy loads on the first Gaussian draw only
 
@@ -197,8 +216,6 @@ def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     if t == "bounded_uniform":
         return law.bound * (2.0 * u - 1.0)
     sign = np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)  # the symmetric laws
-    if t == "rademacher":
-        return sign
     if t == "exp_tail":
         return sign * (-np.log(u) / law.b) ** (1.0 / law.gamma)
     return sign * u ** (-1.0 / law.exponent)  # heavy_tail
@@ -224,14 +241,20 @@ def _steps() -> np.ndarray:
 
 
 def _word_blocks(seed: int, stream_tag: str, j: int, start: int, stop: int):
-    """Yield (offset, words) blocks, all written into one reused buffer:
-    each block must be consumed before the next is requested."""
+    """Yield (offset, head words) blocks, all written into one reused buffer:
+    each block must be consumed before the next is requested.  A head word
+    is a word before the final xorshift: ``_mix_tail`` makes it the output."""
     key = _stream_key(seed, stream_tag, j)
     buf = np.empty(BLOCK, dtype=np.uint64)
     for lo in range(start, stop, BLOCK):
         z = buf[: min(BLOCK, stop - lo)]
         np.add(_steps()[: z.size], np.uint64((lo * _GAMMA + key) & _MASK), out=z)
-        yield lo, _mix_words(z)
+        yield lo, _mix_head(z)
+
+
+# The low 33 bits, the only ones the final xorshift changes: a head word
+# and its output share the 31 above them, their bucket.
+_LOW = (1 << 33) - 1
 
 
 def abs_max(law: RandomLaw, seed: int, stream_tag: str, j: int,
@@ -245,10 +268,17 @@ def abs_max(law: RandomLaw, seed: int, stream_tag: str, j: int,
     if law.tag == "rademacher":
         return 1.0 if stop > start else 0.0
     lo = hi = None
-    for _, words in _word_blocks(seed, stream_tag, j, start, stop):
-        w_lo, w_hi = words.min(), words.max()
-        lo = w_lo if lo is None else min(lo, w_lo)
-        hi = w_hi if hi is None else max(hi, w_hi)
+    for _, z in _word_blocks(seed, stream_tag, j, start, stop):
+        z_lo, z_hi = int(z.min()), int(z.max())
+        # The block's smallest output shares its top bits with z_lo, so it
+        # can tie or beat lo only if z_lo does not pass lo | _LOW; likewise
+        # for the largest.  Only the words sharing those bits are finished.
+        if lo is None or z_lo <= lo | _LOW:
+            w = int(_mix_tail(z[z <= np.uint64(z_lo | _LOW)]).min())
+            lo = w if lo is None else min(lo, w)
+        if hi is None or z_hi >= hi & ~_LOW:
+            w = int(_mix_tail(z[z >= np.uint64(z_hi & ~_LOW)]).max())
+            hi = w if hi is None else max(hi, w)
     if lo is None:
         return 0.0
     return float(np.max(np.abs(_from_words(law, np.array([lo, hi], dtype=np.uint64)))))
@@ -283,29 +313,34 @@ def exceedances(law: RandomLaw, seed: int, stream_tag: str, j: int,
     """(count, first_k) of |chi_{j,k}| >= threshold over k in [start, stop).
 
     Equal to a scan of ``draw_array`` over the range; ``first_k`` is None
-    when nothing exceeds.  Words are compared against a mantissa cut found
-    at ``threshold`` lowered by a relative 1e-9, and only the words inside
-    it are transformed and checked exactly (see the module docstring).
+    when nothing exceeds.  Head words are compared against a mantissa cut
+    found at ``threshold`` lowered by a relative 1e-9 and widened to whole
+    top-31-bit buckets, and only the words inside it are finished,
+    transformed and checked exactly (see the module docstring).
     """
     x = threshold * (1.0 - 1e-9)
     top = 2 * _HALF
     v_shaped = law.tag in V_SHAPED_TAGS
     a = _cut(law, x, 0, _HALF if v_shaped else top, rising=False)
     b = _cut(law, x, _HALF, top, rising=True) if v_shaped else top
-    # Candidate words, with m >= b or m < a, wrap around 2^64: less b 2^11
-    # (mod 2^64) they are exactly the words <= last.
-    off = np.uint64((b << 11) & _MASK)
+    # Candidate outputs, with m >= b or m < a, wrap around 2^64: less
+    # off = b 2^11 (mod 2^64) they are exactly the words <= last.  Their
+    # head words share the top bits, so less base (mod 2^64) they are
+    # among the words <= width, the cut widened to whole buckets.
+    off = (b << 11) & _MASK
     last = ((a + top - b) << 11) - 1
     count, first_k = 0, None
     if last < 0:
         return count, first_k
-    last = np.uint64(last)
+    base = off & ~_LOW
+    width = np.uint64(min(((off + last) | _LOW) - base, _MASK))
     for lo, words in _word_blocks(seed, stream_tag, j, start, stop):
-        if off:
-            words -= off
-        if words.min() <= last:
-            idx = np.flatnonzero(words <= last)
-            idx = idx[np.abs(_from_words(law, words[idx] + off)) >= threshold]
+        if base:
+            words -= np.uint64(base)
+        idx = np.flatnonzero(words <= width)
+        if idx.size:
+            heads = words[idx] + np.uint64(base)
+            idx = idx[np.abs(_from_words(law, _mix_tail(heads))) >= threshold]
             if first_k is None and idx.size:
                 first_k = lo + int(idx[0])
             count += idx.size

@@ -35,7 +35,8 @@ from rwslab.fields import (
     zero_field,
 )
 from rwslab import laws
-from rwslab.laws import BLOCK, COEFFICIENT_STREAM, draw_array, exp_tail, gaussian, heavy_tail, rademacher
+from rwslab.laws import (BLOCK, COEFFICIENT_STREAM, divergence_sequence, draw_array, exp_tail,
+                         gaussian, heavy_tail, rademacher)
 
 
 # ---------------------------------------------------------------- oracles
@@ -52,6 +53,17 @@ def dense_exceedances_oracle(law, j_max, seed, stop_after=1):
             if stop_after is not None and len(events) >= stop_after:
                 break
     return events
+
+
+def doubling_divergence_scales(law, j_max, variant="plain"):
+    """Divergence scales up to j_max by doubling n_max until the sequence
+    passes j_max, recomputing it on each round."""
+    n_max = 8
+    seq = divergence_sequence(law, variant, n_max)
+    while seq[-1] <= j_max:
+        n_max *= 2
+        seq = divergence_sequence(law, variant, n_max)
+    return [(n, j) for n, j in enumerate(seq, start=1) if j <= j_max]
 
 
 def greedy_blocks_oracle(values, horizon):
@@ -320,6 +332,15 @@ def test_divergence_scale_field_gaussian():
     assert np.all(f.levels[2] == 1.0)
     assert sum(np.count_nonzero(lv) for lv in f.levels) == 4
     assert divergence_scales(gaussian(), 50)[:2] == [(1, 2), (2, 50)]
+
+
+@pytest.mark.parametrize("law", [heavy_tail(0.2), heavy_tail(1.0), heavy_tail(3.0), gaussian(),
+                                 exp_tail(0.5, 1.0), exp_tail(2.0, 2.0)])
+@pytest.mark.parametrize("variant", ["plain", "strengthened"])
+def test_divergence_scales_match_doubling_loop(law, variant):
+    for j_max in range(-1, 40):
+        assert divergence_scales(law, j_max, variant) == \
+            doubling_divergence_scales(law, j_max, variant), j_max
 
 
 def test_divergence_scale_field_bounded_law():

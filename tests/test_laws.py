@@ -28,7 +28,7 @@ from rwslab.laws import (
     parse_law,
     rademacher,
 )
-from rwslab.laws import _cut, _from_words, _word_blocks
+from rwslab.laws import V_SHAPED_TAGS, _cut, _from_words, _mix_tail, _word_blocks
 
 mp.mp.dps = 50
 
@@ -350,8 +350,9 @@ EXTREME_SEEDS = (0, 2**63 + 5, 2**64 - 1)
 
 @pytest.mark.parametrize("tag", LAW_TAGS)
 def test_draw_blocks_equal_draw_array(tag):
-    # the block counter arithmetic of abs_max and exceedances; the word
-    # buffer is reused, so each block is copied before the next is drawn
+    # the block counter arithmetic of abs_max and exceedances; the blocks
+    # hold head words, which _mix_tail finishes, and the word buffer is
+    # reused, so each block is copied before the next is drawn
     law = STREAM_LAWS[tag]
     start, stop = BLOCK - 5, 2 * BLOCK + 7
     for seed in (0, 2**64 - 1):
@@ -360,7 +361,7 @@ def test_draw_blocks_equal_draw_array(tag):
         assert [lo for lo, _ in blocks] == [start, start + BLOCK]
         assert [w.size for _, w in blocks] == [BLOCK, 12]
         dense = draw_array(law, seed, "coef", 19, np.arange(start, stop))
-        streamed = np.concatenate([_from_words(law, w) for _, w in blocks])
+        streamed = np.concatenate([_from_words(law, _mix_tail(w)) for _, w in blocks])
         assert np.array_equal(streamed, dense)
     assert list(_word_blocks(0, "coef", 3, 4, 4)) == []
 
@@ -447,6 +448,140 @@ def test_exceedances_equal_dense_count(tag, seed):
                 dense = (hits.size, start + int(hits[0]) if hits.size else None)
                 assert exceedances(law, seed, "coef", j, start, stop, x) == dense, (j, x)
         assert exceedances(law, seed, "coef", 5, 9, 9, 0.0) == (0, None)
+
+
+# ------------------------------------------------- crafted head words
+
+# The bits of a head word that the final xorshift rewrites; the 31 above
+# them pass through to the output.
+LOW_BITS = 2**33 - 1
+
+
+def head_of(outputs):
+    """Head words whose final xorshift gives these outputs: z ^ (z >> 31)
+    is undone by w ^ (w >> 31) ^ (w >> 62)."""
+    w = np.asarray(outputs, dtype=np.uint64)
+    return w ^ (w >> np.uint64(31)) ^ (w >> np.uint64(62))
+
+
+def read_crafted_blocks(monkeypatch, blocks, start):
+    """Make the streamed reductions read these head-word blocks, the first
+    at k = start, whatever range they ask for."""
+    def crafted(seed, stream_tag, j, lo, hi):
+        k = start
+        for block in blocks:
+            yield k, block.copy()  # the reductions may write into a block
+            k += block.size
+
+    monkeypatch.setattr("rwslab.laws._word_blocks", crafted)
+
+
+def dense_chi(law, blocks):
+    """|chi| of every crafted word, finished by _mix_tail."""
+    return np.abs(_from_words(law, _mix_tail(np.concatenate(blocks))))
+
+
+def test_head_of_inverts_the_final_xorshift():
+    w = np.array([0, 1, LOW_BITS, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    assert np.array_equal(_mix_tail(head_of(w)), w)
+
+
+def bucket_words(bucket, lows):
+    """Output words with these top 31 bits and these low 33 bits."""
+    return [(bucket << 33) | low for low in lows]
+
+
+def abs_max_blocks():
+    """Two blocks whose smallest and largest outputs sit in the buckets of
+    the block's head min and head max, never at those words, and where the
+    second block's head min equals lo | LOW_BITS and its head max equals
+    hi & ~LOW_BITS of the first block, yet their outputs beat both."""
+    # The final xorshift flips low bits 31 and 30 in the low bucket and
+    # 3 to 32 in the high one, so these outputs reorder as head words.
+    low_bucket, high_bucket = 2**29 + 2**28, 2**31 - 2
+    first_low = bucket_words(low_bucket, [2**32 + 2**30 + 2**11, 2**32 + 2**30 + 2**20,
+                                          2**32 + 2**31, 2**32 + 2**31 + 2**20, 2**32 + 2**31 + 2**28])
+    first_high = bucket_words(high_bucket, [2**31 + 2**11, 2**31 + 2**20, 2**31 + 2**28,
+                                            2**32 + 2**11, 2**32 + 2**20])
+    rng = np.random.default_rng(11)
+    middle = [int(v) for v in rng.integers(2**63, 3 * 2**62, 40, dtype=np.uint64)]
+    first = head_of(first_low + middle[:20] + first_high)
+    # Their outputs have low parts 2^32 + 2^30 - 4 and 2^33 - 8: below and
+    # above every output of the first block's buckets.
+    second = np.concatenate([head_of(middle[20:]),
+                             np.array([(low_bucket << 33) | LOW_BITS, high_bucket << 33],
+                                      dtype=np.uint64)])
+    return [first, second]
+
+
+@pytest.mark.parametrize("tag", ["gaussian", "exp_tail", "heavy_tail", "bounded_uniform"])
+def test_abs_max_decides_ties_on_crafted_head_words(monkeypatch, tag):
+    law = STREAM_LAWS[tag]
+    blocks = abs_max_blocks()
+    # within the first block the extreme outputs are not at the extreme
+    # head words; across both, the second block holds them
+    first = _mix_tail(blocks[0].copy())
+    assert first.argmin() != blocks[0].argmin() and first.argmax() != blocks[0].argmax()
+    assert int(blocks[1].min()) == int(first.min()) | LOW_BITS
+    assert int(blocks[1].max()) == int(first.max()) & ~LOW_BITS
+    both = _mix_tail(np.concatenate(blocks))
+    assert both.argmin() >= first.size and both.argmax() >= first.size
+    for case in ([blocks[0]], blocks, blocks[::-1]):
+        read_crafted_blocks(monkeypatch, case, 0)
+        size = sum(block.size for block in case)
+        assert abs_max(law, 0, "coef", 9, 0, size) == float(dense_chi(law, case).max())
+
+
+def cut_words(law, threshold):
+    """The output words where exceedances' cut starts and ends: outputs in
+    [start, end) mod 2^64 are its candidates."""
+    x = threshold * (1.0 - 1e-9)
+    v_shaped = law.tag in V_SHAPED_TAGS
+    a = _cut(law, x, 0, 2**52 if v_shaped else 2**53, False)
+    b = _cut(law, x, 2**52, 2**53, True) if v_shaped else 2**53
+    return (b << 11) % 2**64, (a << 11) % 2**64
+
+
+# (law, threshold, whether some exceedance has its head word outside the
+# unwidened cut).  That takes a cut end in a bucket whose final xorshift
+# moves words further than the 1e-9 lowering of the threshold: near u = 1.
+@pytest.mark.parametrize("law, threshold, outside", [
+    (gaussian(), 3.0, True), (gaussian(), 5.5, True), (bounded_uniform(2.0), 1.9, False),
+    (heavy_tail(1.5), 27.0, False), (exp_tail(0.5, 0.5), 200.0, False), (gaussian(), 0.0, False)])
+def test_exceedances_widen_the_cut_on_crafted_head_words(monkeypatch, law, threshold, outside):
+    # outputs across both ends of the cut, a bucket either side of each
+    ends = cut_words(law, threshold)
+    spread = [d * 2**e for e in (11, 15, 19, 23, 27) for d in range(-64, 65)]
+    outputs = np.array(sorted({(e + d) % 2**64 for e in ends for d in spread}), dtype=np.uint64)
+    rng = np.random.default_rng(5)
+    heads = head_of(rng.permutation(outputs))
+    blocks = [heads[: heads.size // 3], heads[heads.size // 3:]]
+    chi = dense_chi(law, blocks)
+    hits = np.flatnonzero(chi >= threshold)
+    read_crafted_blocks(monkeypatch, blocks, 7)
+    assert exceedances(law, 0, "coef", 9, 7, 7 + heads.size, threshold) == \
+        (hits.size, 7 + int(hits[0]) if hits.size else None)
+    if law.tag in V_SHAPED_TAGS and threshold:
+        assert ends[0] > ends[1]  # the cut wraps past 2^64
+    span = (ends[1] - ends[0]) % 2**64  # 0 for the whole circle
+    outside_cut = span and np.any((heads[hits] - np.uint64(ends[0])) >= np.uint64(span))
+    assert bool(outside_cut) == outside
+
+
+@given(st.sampled_from(list(STREAM_LAWS.values()) + list(MORE_STREAM_LAWS.values())),
+       st.one_of(st.sampled_from(EXTREME_SEEDS), st.integers(0, 2**64 - 1)),
+       st.integers(0, 40), st.integers(0, BLOCK), st.integers(0, 2 * BLOCK + 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_streamed_reductions_equal_draw_array_scans(law, seed, j, start, size, data):
+    # thresholds are the range's own |chi| values, where ties are likeliest
+    stop = start + size
+    chi = np.abs(draw_array(law, seed, "coef", j, np.arange(start, stop)))
+    assert abs_max(law, seed, "coef", j, start, stop) == (float(chi.max()) if size else 0.0)
+    picks = data.draw(st.lists(st.integers(0, size - 1), max_size=3)) if size else []
+    for x in [0.0] + [float(chi[i]) for i in picks]:
+        hits = np.flatnonzero(chi >= x)
+        assert exceedances(law, seed, "coef", j, start, stop, x) == \
+            (hits.size, start + int(hits[0]) if hits.size else None)
 
 
 # ------------------------------------------------------------- max check
