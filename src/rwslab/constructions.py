@@ -12,6 +12,7 @@ failed, so callers get the feasible subsequence and its placement at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,10 +187,16 @@ def divergence_scales(law: RandomLaw, j_max: int,
     """(n, j_n) pairs of the law's divergence sequence with j_n <= j_max.
 
     The sequence rises strictly from j_1 >= 0, so j_n >= n - 1 and the
-    first j_max + 1 terms hold every j_n <= j_max.
+    first j_max + 1 terms hold every j_n <= j_max.  A fresh list each call,
+    from one computation per (law, j_max, variant).
     """
+    return list(_divergence_scales(law, j_max, variant))
+
+
+@functools.lru_cache(maxsize=64)  # every seed of a run shares its scales
+def _divergence_scales(law: RandomLaw, j_max: int, variant: str) -> tuple[tuple[int, int], ...]:
     seq = divergence_sequence(law, variant, max(1, j_max + 1))
-    return [(n, j) for n, j in enumerate(seq, start=1) if j <= j_max]
+    return tuple((n, j) for n, j in enumerate(seq, start=1) if j <= j_max)
 
 
 def divergence_scale_field(law: RandomLaw, j_max: int,
@@ -241,6 +248,7 @@ def block_witness_process(field: CoefficientField, law: RandomLaw, seed: int) ->
     """
     per_scale: list[dict] = []
     exceeded = 0
+    sign_law = rademacher()
     for n, j in divergence_scales(law, field.j_max, "strengthened"):
         size = 2**j
         block = 2 * j
@@ -249,7 +257,7 @@ def block_witness_process(field: CoefficientField, law: RandomLaw, seed: int) ->
             continue
         ks = np.arange(size)
         n_sq = float(n) ** 2
-        signs = draw_array(rademacher(), seed, WITNESS_SIGN_STREAM, j, ks)
+        signs = draw_array(sign_law, seed, WITNESS_SIGN_STREAM, j, ks)
         perturbed = signs / n_sq + field.levels[j]
         witness = np.abs(perturbed) >= 1.0 / n_sq
         grid = witness[: nblocks * block].reshape(nblocks, block)

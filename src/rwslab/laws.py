@@ -38,8 +38,15 @@ only to rounding.
 
 Divergence sequences read the tails of the unbounded laws in log space,
 ln P(|chi| >= x) in closed form, so they stay finite where P underflows.
-scipy supplies the Gaussian quantile and log tail and is imported on the
-Gaussian paths only.
+
+The Gaussian quantile is Cephes ``ndtri`` (Moshier, *Methods and Programs
+for Mathematical Functions*, 1989), the algorithm ``scipy.special.ndtri``
+runs.  Up to ``_SCALAR_WORDS`` words, the pair ``abs_max`` finishes and a
+single ``draw``, it runs as ``_ndtri``, a Python-float transcription that
+gives scipy's bits; every larger array goes to scipy.  So scipy, whose
+import costs more time and memory than a small run's draws, is imported
+lazily, on the first dense Gaussian draw, the Gaussian log tail or a
+Gaussian ``exceedances``, and never by ``hmin``.
 """
 
 from __future__ import annotations
@@ -164,10 +171,15 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _stream_key(seed: int, stream_tag: str, j: int) -> int:
-    tag_hash = int.from_bytes(
+@functools.lru_cache(maxsize=64)  # a run reads a handful of stream tags
+def _tag_hash(stream_tag: str) -> int:
+    return int.from_bytes(
         hashlib.blake2b(stream_tag.encode("utf-8"), digest_size=8).digest(), "little"
     )
+
+
+def _stream_key(seed: int, stream_tag: str, j: int) -> int:
+    tag_hash = _tag_hash(stream_tag)
     key = _mix(((seed & _MASK) + _GAMMA) & _MASK)
     key = _mix(((key ^ tag_hash) + _GAMMA) & _MASK)
     return _mix(((key ^ (j & _MASK)) + _GAMMA) & _MASK)
@@ -200,6 +212,64 @@ def _words(key: int, k) -> np.ndarray:
     return _mix_words(z)
 
 
+# Cephes ndtri's rational approximations, highest power first: P0/Q0 for
+# |u - 1/2| <= 3/8, then in z = 1/sqrt(-2 ln u) P1/Q1 for sqrt(-2 ln u) < 8
+# and P2/Q2 beyond.  Each Q has an implied leading coefficient 1.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _ratio(x: float, p: tuple, q: tuple) -> float:
+    """x p(x) / q(x), q monic, by Horner's rule in Cephes' order of
+    operations: (x p(x)) / q(x) rounds differently from x (p(x) / q(x))."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _ndtri(u: float) -> float:
+    """Cephes ndtri of u in (0, 1) in Python floats.  Bit for bit
+    ``scipy.special.ndtri``: ``math.log`` rounds as the C library's log,
+    which numpy's vectorised ``np.log`` does not always do."""
+    lower = u <= 1.0 - _EXP_M2
+    y = u if lower else 1.0 - u
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * _ratio(y2, _P0, _Q0)) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - _ratio(1.0 / x, p, q)
+    return -x if lower else x
+
+
+# Gaussian transforms of at most this many words run through ``_ndtri``:
+# the pair ``abs_max`` finishes and a single ``draw``, for which importing
+# scipy would cost far more than the transform.  Per word ``_ndtri`` is
+# about fifty times slower than scipy's ndtri, so larger arrays go there.
+_SCALAR_WORDS = 2
+
+
 def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     """The law's transform: draws from SplitMix64 output words."""
     t = law.tag
@@ -208,7 +278,9 @@ def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     np.minimum(u, 1.0 - 2.0**-53, out=u)  # the top mantissa rounds to u = 1.0
     if t == "gaussian":
-        from scipy.special import ndtri  # scipy loads on the first Gaussian draw only
+        if u.size <= _SCALAR_WORDS:
+            return np.array([_ndtri(v) for v in u.ravel().tolist()]).reshape(u.shape)
+        from scipy.special import ndtri  # scipy loads on the first dense Gaussian draw
 
         return ndtri(u)
     if t == "bernoulli":
@@ -334,17 +406,34 @@ def exceedances(law: RandomLaw, seed: int, stream_tag: str, j: int,
         return count, first_k
     base = off & ~_LOW
     width = np.uint64(min(((off + last) | _LOW) - base, _MASK))
-    for lo, words in _word_blocks(seed, stream_tag, j, start, stop):
+    blocks = _word_blocks(seed, stream_tag, j, start, stop)
+    for ks, heads in _candidate_batches(blocks, np.uint64(base), width):
+        ks = ks[np.abs(_from_words(law, _mix_tail(heads))) >= threshold]
+        if first_k is None and ks.size:
+            first_k = int(ks[0])
+        count += ks.size
+    return count, first_k
+
+
+def _candidate_batches(blocks, base: np.uint64, width: np.uint64):
+    """Yield (k, head word) arrays of the words in ``blocks`` with
+    head - base <= width (mod 2^64), in order, gathered over blocks until a
+    batch holds ``BLOCK`` words: the finish and transform then run a few
+    times per stream, not once per block, in O(``BLOCK``) memory."""
+    ks, heads, held = [], [], 0
+    for lo, words in blocks:
         if base:
-            words -= np.uint64(base)
+            words -= base
         idx = np.flatnonzero(words <= width)
         if idx.size:
-            heads = words[idx] + np.uint64(base)
-            idx = idx[np.abs(_from_words(law, _mix_tail(heads))) >= threshold]
-            if first_k is None and idx.size:
-                first_k = lo + int(idx[0])
-            count += idx.size
-    return count, first_k
+            ks.append(idx.astype(np.uint64) + np.uint64(lo))
+            heads.append(words[idx] + base)
+            held += idx.size
+        if held >= BLOCK:
+            yield np.concatenate(ks), np.concatenate(heads)
+            ks, heads, held = [], [], 0
+    if held:
+        yield np.concatenate(ks), np.concatenate(heads)
 
 
 def draw(law: RandomLaw, seed: int, index: tuple[str, int, int]) -> float:

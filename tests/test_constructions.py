@@ -34,7 +34,7 @@ from rwslab.fields import (
     uniform_decay_field,
     zero_field,
 )
-from rwslab import laws
+from rwslab import constructions, laws
 from rwslab.laws import (BLOCK, COEFFICIENT_STREAM, divergence_sequence, draw_array, exp_tail,
                          gaussian, heavy_tail, rademacher)
 
@@ -341,6 +341,28 @@ def test_divergence_scales_match_doubling_loop(law, variant):
     for j_max in range(-1, 40):
         assert divergence_scales(law, j_max, variant) == \
             doubling_divergence_scales(law, j_max, variant), j_max
+
+
+def test_divergence_scales_computed_once_per_law_and_scale(monkeypatch):
+    calls = []
+
+    def counting(law, variant, n_max):
+        calls.append((law, variant, n_max))
+        return divergence_sequence(law, variant, n_max)
+
+    constructions._divergence_scales.cache_clear()
+    monkeypatch.setattr(constructions, "divergence_sequence", counting)
+    law = heavy_tail(1.0)
+    first = divergence_scales(law, 16)
+    first.append((0, 0))  # each call returns a list of its own
+    assert divergence_scales(law, 16) == first[:-1] == doubling_divergence_scales(law, 16)
+    for seed in range(3):
+        coefficient_exceedances(law, 16, seed, stop_after=None)
+    assert len(calls) == 1
+    divergence_scales(law, 16, "strengthened")
+    divergence_scales(law, 15)
+    assert len(calls) == 3
+    constructions._divergence_scales.cache_clear()
 
 
 def test_divergence_scale_field_bounded_law():

@@ -28,7 +28,8 @@ from rwslab.laws import (
     parse_law,
     rademacher,
 )
-from rwslab.laws import V_SHAPED_TAGS, _cut, _from_words, _mix_tail, _word_blocks
+from rwslab import laws
+from rwslab.laws import V_SHAPED_TAGS, _cut, _from_words, _mix_tail, _ndtri, _word_blocks
 
 mp.mp.dps = 50
 
@@ -409,6 +410,60 @@ def test_gaussian_top_mantissas_stay_monotone():
     assert _cut(gaussian(), 1e6, 2**52, 2**53, True) == 2**53  # no mantissa reaches it
 
 
+def mantissa_uniforms(ms):
+    """The uniforms _from_words builds from these mantissas."""
+    u = (np.asarray(ms, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
+
+
+def neighbours(x, steps):
+    """x and its float neighbours up to ``steps`` ulps either side."""
+    out = [x]
+    for toward in (0.0, 1.0):
+        y = x
+        for _ in range(steps):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+def test_scalar_ndtri_gives_scipy_bits():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(35)
+    # 2^19 mantissas spread evenly, and 2^19 spread log-evenly into both
+    # tails, down to m = 0 and up to m = 2^53 - 1
+    tails = np.floor(np.exp2(rng.uniform(0.0, 53.0, 2**19))).astype(np.uint64) - np.uint64(1)
+    tails[1::2] = np.uint64(2**53 - 1) - tails[1::2]
+    ms = np.concatenate([rng.integers(0, 2**53, 2**19, dtype=np.uint64), tails])
+    u = np.concatenate([mantissa_uniforms(ms), [2.0**-54, 1.0 - 2.0**-53],
+                        *[neighbours(x, 64) for x in (math.exp(-2.0), 1.0 - math.exp(-2.0), 0.5,
+                                                       math.exp(-32.0))],
+                        # sqrt(-2 ln(1 - u)) = 8 near u = 1 - 114 2^-53
+                        1.0 - np.arange(1, 256) * 2.0**-53])
+    assert u.size >= 2**20 and np.all((0.0 < u) & (u < 1.0))
+    assert [_ndtri(v) for v in (2.0**-54, 1.0 - 2.0**-53)] == list(ndtri([2.0**-54, 1.0 - 2.0**-53]))
+    got = np.array([_ndtri(v) for v in u.tolist()])
+    assert got.tobytes() == ndtri(u).tobytes()
+
+
+def test_gaussian_pairs_take_the_scalar_route(monkeypatch):
+    from scipy.special import ndtri
+
+    ms = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    words = ms << np.uint64(11)
+    dense = _from_words(gaussian(), words)
+    assert dense.tobytes() == ndtri(mantissa_uniforms(ms)).tobytes()
+    calls, transformed = [], 0
+    monkeypatch.setattr(laws, "_ndtri", lambda u: calls.append(u) or _ndtri(u))
+    for i in range(words.size):
+        for pair in (words[i:i + 1], words[i:i + 2]):
+            assert _from_words(gaussian(), pair).tobytes() == dense[i:i + pair.size].tobytes()
+            transformed += pair.size
+    assert len(calls) == transformed
+    assert _from_words(gaussian(), words[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("tag", LAW_TAGS)
 @pytest.mark.parametrize("seed", EXTREME_SEEDS)
 def test_abs_max_equals_dense_max(tag, seed):
@@ -448,6 +503,32 @@ def test_exceedances_equal_dense_count(tag, seed):
                 dense = (hits.size, start + int(hits[0]) if hits.size else None)
                 assert exceedances(law, seed, "coef", j, start, stop, x) == dense, (j, x)
         assert exceedances(law, seed, "coef", 5, 9, 9, 0.0) == (0, None)
+
+
+# Laws and thresholds where most of a block is a candidate, so batches
+# gather whole blocks: every word at 0, about 2/3 of them otherwise.
+@pytest.mark.parametrize("law, threshold", [
+    (gaussian(), 0.0), (gaussian(), 0.43), (heavy_tail(1.0), 0.0), (heavy_tail(1.0), 1.5),
+    (exp_tail(1.0, 1.0), 0.4), (bounded_uniform(3.0), 1.0)])
+def test_exceedances_batch_candidates_over_blocks(monkeypatch, law, threshold):
+    batches, batch_candidates = [], laws._candidate_batches
+
+    def recording(*args):
+        for ks, heads in batch_candidates(*args):
+            batches.append(ks.size)
+            yield ks, heads
+
+    monkeypatch.setattr(laws, "_candidate_batches", recording)
+    start, stop = 5, 3 * BLOCK + 17
+    chi = np.abs(draw_array(law, 4, "coef", 20, np.arange(start, stop)))
+    hits = np.flatnonzero(chi >= threshold)
+    assert exceedances(law, 4, "coef", 20, start, stop, threshold) == (hits.size, start + int(hits[0]))
+    # a batch is flushed once it holds BLOCK words: all but the last hold
+    # BLOCK to 2 BLOCK - 1, and they span the range's 4 blocks
+    assert len(batches) >= 2 and all(BLOCK <= n < 2 * BLOCK for n in batches[:-1])
+    assert 0 < batches[-1] < 2 * BLOCK
+    if threshold == 0.0:
+        assert batches == [BLOCK, BLOCK, BLOCK, 12]
 
 
 # ------------------------------------------------- crafted head words

@@ -20,26 +20,49 @@ def test_all_exports_unique_and_resolve():
     assert [n for n in names if not hasattr(rwslab, n)] == []
 
 
+def run_fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, which loads only what it asks for
+    (this one has scipy loaded already), with the package on its path."""
+    src = str(Path(rwslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_import_leaves_scipy_unloaded():
-    # A fresh interpreter: this one has scipy loaded already.  scipy comes
-    # in with the first Gaussian draw, and no other law pulls it in.
+    # scipy comes in with the first dense Gaussian array: a single draw and
+    # the pair of words abs_max finishes run scipy's ndtri without it.
     code = """if True:
         import sys
+        import numpy as np
         import rwslab, rwslab.cli
         print("scipy" in sys.modules)
         rwslab.draw(rwslab.heavy_tail(2.0), 0, ("coef", 3, 1))
         print("scipy" in sys.modules)
         rwslab.draw(rwslab.gaussian(), 0, ("coef", 3, 1))
+        rwslab.abs_max(rwslab.gaussian(), 0, "coef", 12, 0, 2**12)
+        env = rwslab.uniform_decay_envelope(0.4, 8)
+        rwslab.randomized_envelope(env, rwslab.gaussian(), 0)
+        print("scipy" in sys.modules)
+        rwslab.draw_array(rwslab.gaussian(), 0, "coef", 3, np.arange(3))
         print("scipy" in sys.modules)
     """
-    src = str(Path(rwslab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert run_fresh(code).stdout.split() == ["False", "False", "False", "True"]
 
+
+def test_hmin_run_leaves_scipy_unloaded(tmp_path):
+    code = f"""if True:
+        import sys
+        from rwslab.cli import main
+        code = main(["run", "hmin", "--out", {str(tmp_path)!r}, "--set", "j_max=12",
+                     "--set", "j_lo=6", "--set", "j_hi=12", "--set", "seeds=2"])
+        print(code, "scipy" in sys.modules)
+    """
+    assert run_fresh(code, cwd=tmp_path).stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "estimates.csv").exists()
 
 
 def test_import_builds_no_lookup_table():
@@ -59,13 +82,8 @@ def test_import_builds_no_lookup_table():
             util.write_csv(Path(tmp, "x.csv"), [("x", np.linspace(0.1, 1.0, 5))])
         print(*[t.cache_info().currsize for t in tables])
     """
-    src = str(Path(rwslab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "1", "1"]
+    assert run_fresh(code).stdout.split() == ["0", "0", "1", "1"]
+
 
 def test_perfbench_span_targets_exist():
     # perfbench/spans.py rebinds these names for traced runs; a rename or
