@@ -2,9 +2,11 @@
 """Run every named experiment at its defaults into one output root.
 
 Each experiment runs as its own ``python -m rwslab.cli`` child process;
-its exit code, wall time, CPU time (user plus system, all threads) and
-peak RSS (the child's own ``ru_maxrss``) are printed, so CPU time well
-above wall time shows idle threads spinning.  A last line gives the total
+its exit code, wall time, CPU time (user plus system, all threads), peak
+RSS (the child's own ``ru_maxrss``) and minor page faults (``ru_minflt``)
+are printed, so CPU time well above wall time shows idle threads spinning
+and a fault count far above a few thousand shows arrays paged in again
+and again.  A last line gives the total
 wall and CPU time, the largest peak RSS and the worst exit code, and names
 every experiment whose peak RSS is above the 100 MB memory ceiling.  The
 script exits with the worst exit code, or with 1 if every child exited 0
@@ -30,14 +32,15 @@ from rwslab.experiments import EXPERIMENT_NAMES
 RSS_CEILING_MB = 100
 
 
-def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float]:
-    """Exit code, wall seconds, CPU seconds and peak RSS in MB of one child process."""
+def run_child(argv: list[str], env: dict) -> tuple[int, float, float, float, int]:
+    """Exit code, wall seconds, CPU seconds, peak RSS in MB and minor page
+    faults of one child process."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return (proc.returncode, time.perf_counter() - t0, usage.ru_utime + usage.ru_stime,
-            usage.ru_maxrss / 1024)
+            usage.ru_maxrss / 1024, usage.ru_minflt)
 
 
 def main() -> int:
@@ -58,9 +61,9 @@ def main() -> int:
                 "--out", str(args.out / name)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
-        code, wall, cpu, rss = run_child(argv, env)
-        print(f"  {name}: exit {code} in {wall:.1f}s ({cpu:.1f}s CPU), peak RSS {rss:.0f} MB",
-              flush=True)
+        code, wall, cpu, rss, faults = run_child(argv, env)
+        print(f"  {name}: exit {code} in {wall:.1f}s ({cpu:.1f}s CPU), peak RSS {rss:.0f} MB, "
+              f"{faults / 1000:.1f}k minor faults", flush=True)
         worst = max(worst, code if code >= 0 else 128 - code)  # killed: 128 + signal
         total, total_cpu, peak = total + wall, total_cpu + cpu, max(peak, rss)
         if rss > RSS_CEILING_MB:

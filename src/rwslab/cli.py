@@ -5,11 +5,20 @@ value, unreadable config file, infeasible parameters), 3 failure during the
 run: a numerical failure, or any other exception, reported as
 ``error[internal]``.  Errors surface with their tag as
 ``error[<tag>]: <message>`` on stderr, never as a traceback.
+
+``main`` first fixes glibc's allocation thresholds (mallopt(3)): blocks
+below 32 MiB come from the heap, and the heap keeps up to 64 MiB of free
+top.  glibc otherwise lifts its mmap threshold to the size of the largest
+block freed so far, up to those same limits, so whether a run re-faults
+its multi-MB arrays in every round would depend on what it freed earlier.
+Importing the library changes nothing; where libc has no ``mallopt`` the
+call does nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -46,9 +55,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_allocator() -> None:
+    """Pin glibc's mmap threshold at 32 MiB, the 64-bit ceiling of its own
+    dynamic threshold, and its trim threshold at twice that; a no-op
+    without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C runtime by name
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     import numpy as np
 
+    _fix_allocator()
     args = _build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else Path("rws-lab-out") / args.experiment
     try:

@@ -39,8 +39,14 @@ def analysis_field(path_: SamplePath, table: MotherWaveletTable,
     """The field of scales 0..j_hi whose synthesis takes the path's values
     at the points k 2^-(j_hi + 1): the field itself for a synthesized path,
     an interpolation of any other."""
+    _check_whole(path_)
     check_grid(table, j_hi, path_.resolution)
     return CoefficientField(j_hi, *pyramid_analysis(path_.values, table, j_hi))
+
+
+def _check_whole(path_: SamplePath) -> None:
+    if path_.window is not None:
+        raise InvalidParameterError(f"needs a path on the whole grid, got window {path_.window}")
 
 
 # ------------------------------------------------------------- sup profile
@@ -172,6 +178,7 @@ def modulus_ratio(path_: SamplePath, theta: PowerLogModulus,
     """
     if not isinstance(theta, PowerLogModulus):
         raise InvalidParameterError("trial modulus must be a PowerLogModulus")
+    _check_whole(path_)
     if not 2 <= m_lo < m_hi <= path_.resolution - 1:
         raise InvalidParameterError(
             f"lag exponents must satisfy 2 <= m_lo < m_hi <= "

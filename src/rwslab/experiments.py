@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .constructions import (
+    NestedPlacement,
     block_witness_process,
     coefficient_exceedances,
     divergence_scale_field,
@@ -140,7 +141,8 @@ def _run_prop22(config, out, comment):
             f"only {len(placement.scales)} feasible witness scales up to "
             f"j = {config['witness_j_max']}, need {levels}")
     # a greedy prefix is the placement of its own scales
-    placement = nested_placement(table, placement.scales[:levels])
+    placement = NestedPlacement(placement.scales[:levels], placement.positions[:levels],
+                                placement.intervals[:levels])
     j_lo, j_hi = config["j_lo"], config["j_hi"]
     level_factor = table.support_length * table.sup_norm
     law = bounded_uniform(1.0)
@@ -162,9 +164,9 @@ def _run_prop22(config, out, comment):
     rows = []
     for l, j_trunc in enumerate(placement.scales):
         lo_f, hi_f = placement.intervals[l]
-        a, b = int(lo_f * 2**res), int(hi_f * 2**res)
-        # no path kept in a local: it would stay alive through the next synthesis
-        average = float(synthesize(field, table, j_trunc, res).values[a:b].mean())
+        window = (int(lo_f * 2**res), int(hi_f * 2**res))
+        # only the cells under the window are evaluated, not the 2^res grid
+        average = float(synthesize(field, table, j_trunc, res, window).values.mean())
         target = 0.8 * table.positivity_floor * sum(
             env.values[j] for j in placement.scales[: l + 1])
         rows.append((l + 1, j_trunc, float(lo_f), float(hi_f), average, target))

@@ -6,7 +6,8 @@ evaluates the resulting scaling coefficients against the tabulated phi in
 matrix products over row blocks; for Haar, whose phi is 1 on its cell, the
 evaluation is a repeat of each coefficient plus the coarse value.  Sups of
 a synthesized field are taken by ``estimators.sup_growth``, which for Haar
-stops at the grid its cells need.  R <= r_psi keeps every table lookup on
+stops at the grid its cells need.  A window of the grid evaluates only
+the cells that cover it.  R <= r_psi keeps every table lookup on
 a grid point.  The summation order is fixed, so the floating-point result
 is a pure function of the field and the grid.
 
@@ -32,7 +33,8 @@ from .laws import (
     gaussian,
 )
 from .util import write_csv
-from .wavelets import MotherWaveletTable, check_grid, pyramid_synthesis
+from .wavelets import (MotherWaveletTable, check_grid, is_box, pyramid_evaluate,
+                       pyramid_lifts, pyramid_synthesis)
 
 # Stream tag for the Gaussian mode draws of the Brownian sine expansion.
 FOURIER_MODE_STREAM = "fourier-mode"
@@ -40,25 +42,39 @@ FOURIER_MODE_STREAM = "fourier-mode"
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Grid samples values[m] ~ f(m 2^-resolution)."""
+    """Grid samples values[m] ~ f((lo + m) 2^-resolution): the whole grid
+    (lo = 0), or with ``window`` = (lo, hi) its points lo..hi-1 only."""
 
     resolution: int
     values: np.ndarray = field(repr=False)
+    window: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.resolution < 0:
             raise InvalidParameterError(f"resolution must be nonnegative, got {self.resolution}")
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape != (2**self.resolution,):
-            raise InvalidParameterError(
-                f"expected 2^{self.resolution} samples, got array of shape {v.shape}"
-            )
+        lo, hi = _window_bounds(self.window, self.resolution)
+        if v.shape != (hi - lo,):
+            want = f"2^{self.resolution}" if self.window is None else hi - lo
+            raise InvalidParameterError(f"expected {want} samples, got array of shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("sample path contains non-finite values")
 
     def grid_x(self) -> np.ndarray:
-        return np.arange(self.values.size) * 2.0**-self.resolution
+        lo, _ = _window_bounds(self.window, self.resolution)
+        return np.arange(lo, lo + self.values.size) * 2.0**-self.resolution
+
+
+def _window_bounds(window, resolution: int) -> tuple[int, int]:
+    """(lo, hi) of a window of the 2^resolution-point grid; the whole grid for None."""
+    if window is None:
+        return 0, 2**resolution
+    lo, hi = window
+    if not 0 <= lo < hi <= 2**resolution:
+        raise InvalidParameterError(
+            f"window [{lo}, {hi}) needs 0 <= lo < hi <= 2^{resolution}")
+    return lo, hi
 
 
 def _kept_levels(field_: CoefficientField, table: MotherWaveletTable,
@@ -71,10 +87,43 @@ def _kept_levels(field_: CoefficientField, table: MotherWaveletTable,
 
 
 def synthesize(field_: CoefficientField, table: MotherWaveletTable,
-               j_trunc: int, resolution: int) -> SamplePath:
-    """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid."""
+               j_trunc: int, resolution: int, window=None) -> SamplePath:
+    """Evaluate coarse + sum_{j <= j_trunc} sum_k c_{j,k} psi_{j,k} on the grid,
+    or with ``window`` = (lo, hi) at its points lo..hi-1 only.
+
+    A window evaluates just the level-(J+1) cells that cover it, each value
+    bit for bit that of the whole grid, and is returned only when the whole
+    path is finite, as the whole grid would be.
+    """
     levels = _kept_levels(field_, table, j_trunc, resolution)
-    return SamplePath(resolution, pyramid_synthesis(field_.coarse, levels, table, resolution))
+    if window is None:
+        return SamplePath(resolution, pyramid_synthesis(field_.coarse, levels, table, resolution))
+    lo, hi = _window_bounds(window, resolution)
+    for a in pyramid_lifts(levels, table):
+        pass
+    if not _path_finite(field_.coarse, a, table, resolution):
+        raise InvalidParameterError("sample path contains non-finite values")
+    return SamplePath(resolution, pyramid_evaluate(field_.coarse, a, table, resolution, lo, hi),
+                      (lo, hi))
+
+
+def _path_finite(coarse: float, a: np.ndarray, table: MotherWaveletTable,
+                 resolution: int) -> bool:
+    """Whether coarse + sum_k a[k] phi_{J+1,k} is finite on the whole grid.
+
+    A non-finite coefficient leaves non-finite entries in a, and finite ones
+    can overflow the path only when |coarse| + max |a| max |phi| times the
+    support length nears the float range, the one case where the whole grid
+    is evaluated to check.
+    """
+    if is_box(table.filter):
+        return bool(np.all(np.isfinite(float(coarse) + a)))
+    if not (math.isfinite(coarse) and np.all(np.isfinite(a))):
+        return False
+    phi = table.phi_level(resolution + 1 - a.size.bit_length())  # at the grid step
+    bound = abs(coarse) + float(np.abs(a).max()) * float(np.abs(phi).max()) * table.support_length
+    return bound < 2.0**1000 or bool(
+        np.all(np.isfinite(pyramid_evaluate(coarse, a, table, resolution))))
 
 
 def randomized_field(field_: CoefficientField, law: RandomLaw, seed: int) -> CoefficientField:

@@ -332,25 +332,33 @@ def pyramid_lifts(levels, table: MotherWaveletTable):
 
 
 def pyramid_evaluate(coarse: float, a: np.ndarray, table: MotherWaveletTable,
-                     resolution: int) -> np.ndarray:
-    """coarse + sum_k a[k] phi_{J+1,k} at every grid point m 2^-resolution.
+                     resolution: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """coarse + sum_k a[k] phi_{J+1,k} at the grid points m 2^-resolution
+    for m in lo..hi-1, 0 <= lo < hi <= 2^resolution, by default every point.
 
     Row k of the window holds a[k-d mod 2^(J+1)] for d over the support.
     The product with the tabulated phi runs in row blocks that BLAS keeps on
     the calling thread, and the coarse value is added in place (the sum
     commutes bit for bit).  The box needs no product: phi is 1 on the cell,
-    so coarse + a[k] is repeated over cell k.
+    so coarse + a[k] is repeated over cell k.  Only the cells that cover
+    [lo, hi) are evaluated, widened to whole row blocks of the full-level
+    product, so every value is that of the full grid bit for bit.
     """
-    cell = 2**resolution // a.size
-    if is_box(table.filter):
-        return np.repeat(float(coarse) + a, cell)  # phi is 1 on the whole cell
+    size = 2**resolution
+    hi = size if hi is None else hi
+    cell = size // a.size
+    k_lo, k_hi = lo // cell, -(-hi // cell)
+    if is_box(table.filter):  # phi is 1 on the whole cell
+        return np.repeat(float(coarse) + a[k_lo:k_hi], cell)[lo - k_lo * cell : hi - k_lo * cell]
     phi = _phi_rows(table, cell)
     support = phi.shape[0]
+    step = _block_rows(a.size, phi)
+    k_lo, k_hi = k_lo // step * step, min(a.size, -(-k_hi // step) * step)
     ext = np.resize(np.roll(a, support - 1), a.size + support - 1)
-    window = sliding_window_view(ext, support)[:, ::-1]
+    window = sliding_window_view(ext, support)[k_lo:k_hi, ::-1]
     values = _blocked_matmul(window, phi).ravel()
     values += float(coarse)
-    return values
+    return values[lo - k_lo * cell : hi - k_lo * cell]
 
 
 def pyramid_analysis(values: np.ndarray, table: MotherWaveletTable,
@@ -396,16 +404,21 @@ def _blocked_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     out = np.empty((m,) + mat.shape[1:])
     mat2, out2 = mat.reshape(k, -1), out.reshape(m, -1)  # a vector as one column
     cols = mat2.shape[1]
-    if cols == 1:
-        step, width = _GEMV_ROWS, 1
-    else:
-        step = min(m, max(4, _floor_pow2(_GEMM_CELLS // mat.size)))
-        width = cols if step * mat.size <= _GEMM_CELLS else _floor_pow2(_GEMM_CELLS // (step * k))
+    step = _block_rows(m, mat)
+    width = cols if step * mat.size <= _GEMM_CELLS else _floor_pow2(_GEMM_CELLS // (step * k))
     for lo in range(0, m, step):
         block = np.ascontiguousarray(rows[lo : lo + step])
         for c in range(0, cols, width):
             np.matmul(block, mat2[:, c : c + width], out=out2[lo : lo + step, c : c + width])
     return out
+
+
+def _block_rows(m: int, mat: np.ndarray) -> int:
+    """Rows of one ``_blocked_matmul`` block of m rows times mat.  A power of
+    two, so an m-row product and any run of its whole blocks split alike."""
+    if mat.size == mat.shape[0]:  # one column
+        return _GEMV_ROWS
+    return min(m, max(4, _floor_pow2(_GEMM_CELLS // mat.size)))
 
 
 def _floor_pow2(n: int) -> int:

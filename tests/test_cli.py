@@ -4,6 +4,7 @@ Every experiment here runs shrunk (small resolutions, few seeds) so the
 module stays fast; full-scale runs live in the acceptance suite.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import rwslab
 from rwslab.cli import main
+from rwslab.constructions import unbounded_series_field
 from rwslab.errors import InvalidParameterError, NumericalFailureError
 from rwslab.estimators import sup_growth
 from rwslab.experiments import (
@@ -31,8 +33,8 @@ from rwslab.experiments import (
     run_experiment,
 )
 from rwslab.fields import CoefficientField
-from rwslab.synthesis import synthesize
 from rwslab.util import canonical_json, sha256_file
+from rwslab.wavelets import pyramid_evaluate
 
 ALL_NAMES = ("criteria", "figure1", "hmin", "modulus", "prevalence",
              "prop22", "prop31", "prop43", "prop46", "wiener")
@@ -568,34 +570,73 @@ def test_prop22_tail_bounds_and_witness(tmp_path):
 
 @pytest.fixture
 def syntheses(monkeypatch):
-    """The kind of every synthesis a runner makes: "grid" for ``synthesize``,
-    "sup" for ``sup_growth``."""
+    """What a runner synthesizes: "sup" for each ``sup_growth`` call, "grid"
+    for each evaluation of a whole table grid, by ``synthesize`` or any
+    other route."""
     made = []
 
-    def counting(kind, run):
-        def call(*args):
-            made.append(kind)
-            return run(*args)
-        return call
+    def counting_sups(*args):
+        made.append("sup")
+        return sup_growth(*args)
 
-    monkeypatch.setattr("rwslab.experiments.synthesize", counting("grid", synthesize))
-    monkeypatch.setattr("rwslab.experiments.sup_growth", counting("sup", sup_growth))
+    def evaluate(coarse, a, table, resolution, *window):
+        values = pyramid_evaluate(coarse, a, table, resolution, *window)
+        if values.size == 2**table.r_psi:
+            made.append("grid")
+        return values
+
+    monkeypatch.setattr("rwslab.experiments.sup_growth", counting_sups)
+    for module in ("estimators", "synthesis", "wavelets"):
+        monkeypatch.setattr(f"rwslab.{module}.pyramid_evaluate", evaluate)
     return made
 
 
 @pytest.mark.parametrize("name, args, calls", [
     ("prop22", ["trials=3", "j_lo=5", "j_hi=8", "table_resolution=12",
-                "witness_levels=2", "witness_j_max=8"], 3 + 2),  # + witness cuts
+                "witness_levels=2", "witness_j_max=8"], 3),
     ("prop43", ["seeds=3", "j_lo=4", "j_hi=6", "table_resolution=10"], 3),
 ])
 def test_tail_bounds_synthesize_once_per_trial(tmp_path, syntheses, name, args, calls):
     # One sup of one tail synthesis per trial or seed, taken without a grid;
-    # only prop22's witness averages read a grid, one per witness level.
+    # prop22's witness averages evaluate only the cells under their windows.
     sets = [a for kv in args for a in ("--set", kv)]
     assert main(["run", name, "--out", str(tmp_path), *sets]) == 0
-    assert len(syntheses) == calls
-    witnesses = 2 if name == "prop22" else 0
-    assert syntheses == ["sup"] * (calls - witnesses) + ["grid"] * witnesses
+    assert syntheses == ["sup"] * calls
+
+
+@pytest.mark.parametrize("wavelet", [
+    ["wavelet=haar", "table_resolution=12", "witness_j_max=8"],
+    ["wavelet=daubechies", "vanishing_moments=4", "table_resolution=16", "witness_j_max=12"]])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_prop22_rejects_a_non_finite_witness_field(tmp_path, monkeypatch, capsys, wavelet, bad):
+    # The witness means evaluate only the cells under their windows, but a
+    # non-finite coefficient anywhere still fails the run as a config error.
+    def spoiled(env, placement):
+        field_ = unbounded_series_field(env, placement)
+        field_.levels[2][3] = bad  # under every witness cut, far from every window
+        return field_
+
+    monkeypatch.setattr("rwslab.experiments.unbounded_series_field", spoiled)
+    sets = [a for kv in ["trials=2", "j_lo=5", "j_hi=8", "witness_levels=2", *wavelet]
+            for a in ("--set", kv)]
+    out = tmp_path / "out"
+    assert main(["run", "prop22", "--out", str(out), *sets]) == 2
+    assert not out.exists()
+    assert "error[invalid-parameter]: sample path contains non-finite values" in \
+        capsys.readouterr().err
+
+
+def test_prop22_rejects_a_witness_window_without_grid_points(tmp_path, capsys):
+    # db4 at r_psi 14 places scale 9 at [0.29998779296875, 0.300018310546875),
+    # whose ends both fall on grid index 4915: no point to average over
+    sets = [a for kv in ["wavelet=daubechies", "vanishing_moments=4", "table_resolution=14",
+                         "witness_j_max=10", "witness_levels=2", "trials=2", "j_lo=5",
+                         "j_hi=8"] for a in ("--set", kv)]
+    out = tmp_path / "out"
+    assert main(["run", "prop22", "--out", str(out), *sets]) == 2
+    assert not out.exists()
+    assert "error[invalid-parameter]: window [4915, 4915) needs 0 <= lo < hi <= 2^14" in \
+        capsys.readouterr().err
 
 
 def test_prop22_rejects_witness_levels_before_trials(tmp_path, syntheses):
@@ -781,6 +822,44 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "manifest.json").exists()
     assert "manifest.json" in proc.stdout
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Allocates a pair of 4 MiB arrays and frees it, three times, after one run,
+# and prints the minor faults of the third pair.
+ALLOCATOR_PROBE = """
+import resource, sys
+import numpy as np
+from rwslab.cli import main
+
+assert main(["run", "prop46", "--out", sys.argv[1]]) == 0
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pair = [np.ones(2**19), np.ones(2**19)]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    del pair
+print(faults)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_cli_fixes_the_allocator_thresholds(tmp_path):
+    # glibc's dynamic thresholds would follow the first free pair to a 4 MiB
+    # mmap threshold and an 8 MiB trim threshold, so the freed pair's 8 MiB
+    # would go back to the system and every later pair would fault its 2,048
+    # pages in again.  A fresh interpreter starts from glibc's defaults.
+    src = str(Path(rwslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout.split()[-1]) < 64
 
 
 @pytest.mark.skipif(shutil.which("rws-lab") is None,

@@ -227,10 +227,23 @@ def test_nested_placement_greedy_over_long_runs(haar_table):
     p = nested_placement(haar_table, list(range(2, 20)))
     assert len(p.scales) > 3
     assert_nesting(haar_table, p)
-    # a greedy prefix is the placement of its own scales
-    q = nested_placement(haar_table, p.scales[:3])
-    assert (q.scales, q.positions, q.intervals) == \
-        (p.scales[:3], p.positions[:3], p.intervals[:3])
+
+
+@pytest.mark.parametrize("table_name", ["haar_table", "db4_table"])
+@pytest.mark.parametrize("scales", [
+    list(range(2, 40)),
+    divergent_subsequence(PowerLogRate(0.0, a=-1.0), 40),  # prop22's candidates
+])
+def test_nested_placement_prefix_is_its_own_placement(request, table_name, scales):
+    # prop22 keeps the first witness_levels scales of one placement
+    # instead of placing them a second time
+    table = request.getfixturevalue(table_name)
+    p = nested_placement(table, scales)
+    assert len(p.scales) >= 4
+    for n in range(1, len(p.scales) + 1):
+        q = nested_placement(table, p.scales[:n])
+        assert (q.scales, q.positions, q.intervals) == \
+            (p.scales[:n], p.positions[:n], p.intervals[:n])
 
 
 @given(st.sampled_from(["haar", "db10"]),
@@ -300,9 +313,9 @@ def test_prop22_default_placement():
     table = cascade_evaluate(build_filter(config["wavelet"], config["vanishing_moments"]),
                              config["table_resolution"])
     scales = divergent_subsequence(PowerLogRate(0.0, a=-1.0), config["witness_j_max"])
-    p = nested_placement(table, nested_placement(table, scales).scales[:config["witness_levels"]])
-    assert p.scales == (3, 6, 9, 12)
-    assert p.positions == (1, 9, 73, 585)
+    p = nested_placement(table, scales)
+    assert p.scales[:config["witness_levels"]] == (3, 6, 9, 12)
+    assert p.positions[:config["witness_levels"]] == (1, 9, 73, 585)
 
 
 # ------------------------------------------------------- divergence scales

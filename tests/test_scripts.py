@@ -32,12 +32,13 @@ def test_total_line_names_runs_above_the_ceiling(runner, monkeypatch, tmp_path, 
                                                  children, code, named):
     def fake_child(argv, env):
         exit_code, rss = children[argv[argv.index("run") + 1]]
-        return exit_code, 0.5, 0.5, rss
+        return exit_code, 0.5, 0.5, rss, 1234
 
     monkeypatch.setattr(runner, "run_child", fake_child)
     monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", *children, "--out", str(tmp_path)])
     assert runner.main() == code
-    total = capsys.readouterr().out.splitlines()[-1]
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert [line.split(", ")[-1] for line in lines] == ["1.2k minor faults"] * len(children)
     assert total.startswith("total: ")
     if named:
         assert total.endswith(f"above the {runner.RSS_CEILING_MB} MB ceiling: " + ", ".join(named))
@@ -59,6 +60,7 @@ def test_prop43_db10_child_stays_under_the_ceiling(runner, tmp_path):
             "--set", "wavelet=daubechies", "--set", "vanishing_moments=10", "--set", "seeds=2"]
     out = subprocess.run([sys.executable, "-c", probe, str(SCRIPT), *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    code, _, _, rss = out.split()[-4:]
+    code, _, _, rss, faults = out.split()[-5:]
     assert int(code) == 0
     assert float(rss) < runner.RSS_CEILING_MB
+    assert int(faults) > 0

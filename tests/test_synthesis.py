@@ -20,7 +20,13 @@ import pytest
 
 from rwslab.constructions import divergence_scale_field
 from rwslab.errors import InvalidParameterError
-from rwslab.estimators import _cell_sups, sup_growth
+from rwslab.estimators import (
+    PowerLogModulus,
+    _cell_sups,
+    analysis_field,
+    modulus_ratio,
+    sup_growth,
+)
 from rwslab.fields import (
     CoefficientField,
     scale_envelope,
@@ -50,7 +56,7 @@ from rwslab.synthesis import (
     wiener_brownian,
 )
 from rwslab.util import sup_abs
-from rwslab.wavelets import build_filter, cascade_evaluate
+from rwslab.wavelets import _block_rows, build_filter, cascade_evaluate
 
 from wavelet_oracles import eval_periodized
 
@@ -258,6 +264,82 @@ def test_sample_path_validation():
         SamplePath(3, np.zeros(7))
     with pytest.raises(InvalidParameterError):
         SamplePath(2, np.array([1.0, np.inf, 0.0, 0.0]))
+
+
+# ------------------------------------------------------------ grid windows
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+@pytest.mark.parametrize("spare", [0, 2])
+def test_window_has_the_bits_of_the_whole_grid(n, spare):
+    # prop22's witness averages: windows that start or end mid-cell, one
+    # cell, one point, the whole grid, and for db10 windows across a row
+    # block boundary of the level's product.
+    table = cascade_evaluate(build_filter("haar" if n == 1 else "daubechies", n), 14)
+    f = random_field(10, np.random.default_rng(n))
+    res = table.r_psi - spare
+    size = 2**res
+    for j in (3, 6, 10 - spare):
+        whole = synthesize(f, table, j, res)
+        cell = size // 2 ** (j + 1)
+        windows = [(0, size), (cell, 2 * cell), (cell // 2 + 1, 5 * cell - 3), (7, 8),
+                   (size - cell - 5, size)]
+        step = _block_rows(2 ** (j + 1), np.empty((table.support_length, cell)))
+        if n == 10 and spare == 0 and j >= 6:
+            assert step < 2 ** (j + 1)  # the level spans several blocks
+        windows += [(b * cell - cell - 3, b * cell + cell // 2)
+                    for b in range(step, 2 ** (j + 1), step)][:4]
+        for lo, hi in windows:
+            part = synthesize(f, table, j, res, (lo, hi))
+            assert part.window == (lo, hi)
+            assert part.values.tobytes() == whole.values[lo:hi].tobytes()
+            assert part.values.mean().tobytes() == whole.values[lo:hi].mean().tobytes()
+            assert part.grid_x().tobytes() == whole.grid_x()[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("table_name", ["haar_table", "db4_table"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1.7e308])
+def test_window_rejects_a_non_finite_path(request, table_name, bad):
+    # A non-finite coefficient far from the window is rejected as the whole
+    # grid rejects it, from its scale on.  1.7e308 is finite, and so is the
+    # box's path, but db4's psi peaks at 1.36: its path overflows.
+    table = request.getfixturevalue(table_name)
+    f = zero_field(6)
+    f.levels[5][20] = bad
+    rejected = not (table_name == "haar_table" and bad == 1.7e308)
+    res = table.r_psi
+    assert synthesize(f, table, 4, res, (0, 4)).values.tolist() == [0.0] * 4
+    for cut in (5, 6):
+        if not rejected:
+            assert synthesize(f, table, cut, res, (0, 4)).values.tolist() == [0.0] * 4
+            continue
+        for window in (None, (0, 4)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(InvalidParameterError, match="non-finite"):
+                synthesize(f, table, cut, res, window)
+
+
+@pytest.mark.parametrize("window", [(-1, 4), (0, 0), (5, 5), (6, 2), (0, 2**8 + 1),
+                                    (2**8, 2**8 + 1)])
+def test_window_outside_the_grid_is_rejected(haar_table, window):
+    with pytest.raises(InvalidParameterError, match=r"window \[.*needs 0 <= lo < hi <= 2\^8"):
+        synthesize(zero_field(3), haar_table, 3, 8, window)
+    with pytest.raises(InvalidParameterError, match="window"):
+        SamplePath(8, np.zeros(4), window)
+
+
+def test_window_path_validation(haar_table):
+    part = SamplePath(3, np.zeros(2), (5, 7))
+    assert part.grid_x().tolist() == [5 / 8, 6 / 8]
+    with pytest.raises(InvalidParameterError, match="expected 2 samples"):
+        SamplePath(3, np.zeros(3), (5, 7))
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        SamplePath(3, np.array([0.0, np.nan]), (5, 7))
+    # analysis and increments read the whole torus
+    part = synthesize(zero_field(3), haar_table, 3, 8, (0, 16))
+    with pytest.raises(InvalidParameterError, match="whole grid"):
+        analysis_field(part, haar_table, 3)
+    with pytest.raises(InvalidParameterError, match="whole grid"):
+        modulus_ratio(part, PowerLogModulus(0.5), 2, 5)
 
 
 # ---------------------------------------------------- randomized synthesis
