@@ -9,9 +9,9 @@ points.
 Sup profiles are the one route from a field to its sups: one pass of the
 synthesis filter bank is evaluated at each truncation, so every recorded
 sup matches a separately synthesized path bit for bit, and a non-finite
-path is rejected as a synthesized one is.  Haar profiles stop at the grid
-their cells need, since the box repeats each level-(J+1) value over its
-cell.
+path is rejected as a synthesized one is.  Haar profiles build no path:
+the box repeats each level-(J+1) value over its cell, so a cell's sup
+comes from the extremes of those values over it.
 
 Almost-sure divergence or boundedness is never decided here: the profiles
 and fits report observed statistics against the rates that the symbolic
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError
 from .fields import CoefficientField, ScaleEnvelope
 from .synthesis import SamplePath
-from .util import sup_abs, write_csv
+from .util import slope, sup_abs, write_csv
 from .wavelets import (MotherWaveletTable, check_grid, is_box, pyramid_analysis,
                        pyramid_evaluate, pyramid_lifts)
 
@@ -75,9 +75,8 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
     runs up to the highest truncation, and each truncation's lift is
     evaluated as it passes, by the same operations in the same order as
     synthesize(..., J, R), so the two agree exactly.  For the box,
-    coarse + a[k] repeats over each level-(J+1) cell, so the cell sups at
-    this depth are read off the grid of 2^max(J+1, depth) points, bit for
-    bit those of the table grid.  A non-finite path is rejected as
+    coarse + a[k] repeats over each level-(J+1) cell, so the cell sups come
+    from a with no path built.  A non-finite path is rejected as
     ``SamplePath`` rejects it.
     """
     cuts = sorted({int(t) for t in truncations})
@@ -92,8 +91,8 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
 
     box = is_box(table.filter)
     local_sups = np.vstack([
-        _cell_sups(pyramid_evaluate(field_.coarse, a, table,
-                                    max(j + 1, depth) if box else table.r_psi), 2**depth)
+        _cell_sups(a, 2**depth, field_.coarse) if box else
+        _cell_sups(pyramid_evaluate(field_.coarse, a, table, table.r_psi), 2**depth)
         for j, a in enumerate(pyramid_lifts(field_.levels[: cuts[-1] + 1], table)) if j in cuts])
     global_sups = local_sups.max(axis=1)
     if not np.all(np.isfinite(global_sups)):
@@ -102,10 +101,14 @@ def sup_growth(field_: CoefficientField, table: MotherWaveletTable,
                             local_sups=local_sups)
 
 
-def _cell_sups(values: np.ndarray, cells: int) -> np.ndarray:
-    """max |values| over each of ``cells`` equal cells, without an |values| array."""
-    rows = values.reshape(cells, -1)
-    return np.abs(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+def _cell_sups(values: np.ndarray, cells: int, shift: float = 0.0) -> np.ndarray:
+    """max |shift + values| over each of ``cells`` equal cells, repeated where
+    cells are finer than values, from the extremes over each: rounding is
+    monotone, so fl(shift + max) is the max of fl(shift + v), inf and nan
+    included, and no |values| or shifted array is made."""
+    rows = values.reshape(min(cells, values.size), -1)
+    sups = np.abs(np.maximum(shift + rows.max(axis=1), -(shift + rows.min(axis=1))))
+    return np.repeat(sups, cells // sups.size)
 
 
 # -------------------------------------------------------------- slope fits
@@ -113,9 +116,9 @@ def _cell_sups(values: np.ndarray, cells: int) -> np.ndarray:
 def hmin_estimate(env: ScaleEnvelope, j_lo: int, j_hi: int) -> float:
     """Lower uniform regularity exponent read off the envelope decay.
 
-    Minus the least-squares slope of log2 omega_j against j over
-    [j_lo, j_hi]; the span must cover at least four scale steps for the
-    slope to mean anything, and every omega_j in it must be positive.
+    Minus the closed-form least-squares slope of log2 omega_j against j
+    over [j_lo, j_hi]; the span must cover at least four scale steps for
+    the slope to mean anything, and every omega_j in it must be positive.
     """
     if j_lo < 0 or j_hi > env.j_max:
         raise InvalidParameterError(f"bad fit range [{j_lo}, {j_hi}] for j_max {env.j_max}")
@@ -124,7 +127,7 @@ def hmin_estimate(env: ScaleEnvelope, j_lo: int, j_hi: int) -> float:
     omegas = env.values[j_lo : j_hi + 1]
     if not np.all(omegas > 0.0):
         raise InsufficientDataError(f"the envelope vanishes at some scale in [{j_lo}, {j_hi}]")
-    return float(-np.polyfit(np.arange(j_lo, j_hi + 1, dtype=float), np.log2(omegas), 1)[0])
+    return -slope(np.arange(j_lo, j_hi + 1, dtype=float), np.log2(omegas))
 
 
 # ------------------------------------------------------------ modulus fits

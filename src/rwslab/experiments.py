@@ -77,7 +77,7 @@ from .synthesis import (
     synthesize,
     wiener_brownian,
 )
-from .util import canonical_json, sha256_file, sha256_hex, sup_abs, write_csv
+from .util import canonical_json, sha256_file, sha256_hex, slope, sup_abs, write_csv
 from .wavelets import build_filter, cascade_evaluate
 
 
@@ -345,7 +345,7 @@ def _run_modulus(config, out, comment):
         flat = fit.sup_increments / np.array([plain.value(h) for h in fit.lags])
         # Trend across all lags; single steps fluctuate at the scale of a
         # max-of-gaussians statistic, so per-step rises only count extra.
-        rising += bool(np.polyfit(np.asarray(fit.lags_m, float), flat, 1)[0] > 0.0)
+        rising += slope(np.asarray(fit.lags_m, float), flat) > 0.0
         strictly_rising += bool(np.all(np.diff(flat) > 0.0))
         rows.extend(
             (seed, int(m), float(h), float(inc), float(tv), float(rt), float(fl))

@@ -46,7 +46,8 @@ single ``draw``, it runs as ``_ndtri``, a Python-float transcription that
 gives scipy's bits; every larger array goes to scipy.  So scipy, whose
 import costs more time and memory than a small run's draws, is imported
 lazily, on the first dense Gaussian draw, the Gaussian log tail or a
-Gaussian ``exceedances``, and never by ``hmin``.
+Gaussian ``exceedances`` with more candidates than that (its cut searches
+run ``_ndtri``), and never by ``hmin``.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def _mix_words(z: np.ndarray) -> np.ndarray:
 
 
 def _words(key: int, k) -> np.ndarray:
-    z = np.asarray(k, dtype=np.uint64) + np.uint64(1)
+    z = np.array(k, dtype=np.uint64)  # the one copy, updated in place
+    z += np.uint64(1)
     z *= np.uint64(_GAMMA)
     z += np.uint64(key)
     return _mix_words(z)
@@ -270,15 +272,16 @@ def _ndtri(u: float) -> float:
 _SCALAR_WORDS = 2
 
 
-def _from_words(law: RandomLaw, words: np.ndarray) -> np.ndarray:
-    """The law's transform: draws from SplitMix64 output words."""
+def _from_words(law: RandomLaw, words: np.ndarray, scalar: bool = False) -> np.ndarray:
+    """The law's transform: draws from SplitMix64 output words.  ``scalar``
+    sends Gaussian words through ``_ndtri`` however many there are."""
     t = law.tag
     if t == "rademacher":
         return np.where((words & np.uint64(1)).astype(bool), 1.0, -1.0)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     np.minimum(u, 1.0 - 2.0**-53, out=u)  # the top mantissa rounds to u = 1.0
     if t == "gaussian":
-        if u.size <= _SCALAR_WORDS:
+        if scalar or u.size <= _SCALAR_WORDS:
             return np.array([_ndtri(v) for v in u.ravel().tolist()]).reshape(u.shape)
         from scipy.special import ndtri  # scipy loads on the first dense Gaussian draw
 
@@ -366,11 +369,12 @@ def _cut(law: RandomLaw, x: float, lo: int, hi: int, rising: bool) -> int:
 
     A multi-way search: it assumes |chi| is monotone on [lo, hi) and returns
     an m whose predecessor fails the test and which passes it (or is hi).
+    Gaussian probes go through ``_ndtri``, so a search imports no scipy.
     """
     while lo < hi:
         ms = range(lo, hi, -(-(hi - lo) // _PROBES))
         words = np.array(ms, dtype=np.uint64) << np.uint64(11)
-        passed = (np.abs(_from_words(law, words)) >= x) == rising
+        passed = (np.abs(_from_words(law, words, scalar=True)) >= x) == rising
         i = int(np.argmax(passed)) if passed.any() else len(ms)
         # the probes before i fail the test and probe i passes it
         if i:

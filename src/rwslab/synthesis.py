@@ -1,15 +1,15 @@
 """Partial-sum evaluation on dyadic grids, plus the Fourier-side comparisons.
 
 Wavelet synthesis runs the inverse periodized filter bank (the Mallat
-pyramid) from scale 0 up to J+1, one polyphase slice-add per tap, and
-evaluates the resulting scaling coefficients against the tabulated phi in
-matrix products over row blocks; for Haar, whose phi is 1 on its cell, the
-evaluation is a repeat of each coefficient plus the coarse value.  Sups of
-a synthesized field are taken by ``estimators.sup_growth``, which for Haar
-stops at the grid its cells need.  A window of the grid evaluates only
-the cells that cover it.  R <= r_psi keeps every table lookup on
-a grid point.  The summation order is fixed, so the floating-point result
-is a pure function of the field and the grid.
+pyramid) from scale 0 up to J+1, one polyphase slice-add per tap (for Haar
+a sum and a difference), and evaluates the resulting scaling coefficients
+against the tabulated phi in matrix products over row blocks; for Haar,
+whose phi is 1 on its cell, the evaluation is a repeat of each coefficient
+plus the coarse value.  ``estimators.sup_growth`` takes the sups of a
+synthesized field, for Haar from those coefficients alone.  A window of the
+grid evaluates only the cells that cover it.  R <= r_psi keeps every table
+lookup on a grid point.  The summation order is fixed, so the
+floating-point result is a pure function of the field and the grid.
 
 The Fourier side (sawtooth partial sums, the sine expansion of Brownian
 motion) folds mode m onto m mod 2^R, which is exact on the grid, and
@@ -111,13 +111,14 @@ def _path_finite(coarse: float, a: np.ndarray, table: MotherWaveletTable,
                  resolution: int) -> bool:
     """Whether coarse + sum_k a[k] phi_{J+1,k} is finite on the whole grid.
 
-    A non-finite coefficient leaves non-finite entries in a, and finite ones
-    can overflow the path only when |coarse| + max |a| max |phi| times the
-    support length nears the float range, the one case where the whole grid
-    is evaluated to check.
+    The box path's extremes are coarse + max a and coarse + min a, as
+    rounding is monotone.  Otherwise a non-finite coefficient leaves
+    non-finite entries in a, and finite ones can overflow the path only when
+    |coarse| + max |a| max |phi| times the support length nears the float
+    range, the one case where the whole grid is evaluated to check.
     """
     if is_box(table.filter):
-        return bool(np.all(np.isfinite(float(coarse) + a)))
+        return math.isfinite(coarse + a.max()) and math.isfinite(coarse + a.min())
     if not (math.isfinite(coarse) and np.all(np.isfinite(a))):
         return False
     phi = table.phi_level(resolution + 1 - a.size.bit_length())  # at the grid step

@@ -1,4 +1,4 @@
-"""Small shared helpers: CSV and canonical JSON output, SHA-256 digests, sup norms."""
+"""Small shared helpers: CSV and canonical JSON output, SHA-256 digests, sup norms, slopes."""
 
 from __future__ import annotations
 
@@ -128,6 +128,12 @@ def _fixed_cells(v: np.ndarray, digits: int, out: np.ndarray) -> np.ndarray:
 def sup_abs(values: np.ndarray) -> float:
     """max |values| without an |values| temporary."""
     return float(abs(max(values.max(), -values.min())))
+
+
+def slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, sum (x - mean x) y / sum (x - mean x)^2."""
+    dx = x - x.mean()
+    return float((dx * y).sum() / (dx * dx).sum())
 
 
 def canonical_json(obj) -> str:

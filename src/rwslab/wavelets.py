@@ -15,11 +15,12 @@ exact.
 
 Mother scaling functions are tabulated on dyadic grids up to 2^{-r_psi}
 by exact two-scale refinement: values at the integers come from the unit
-eigenvector of the downsampled weight matrix, and each refinement level is
-one ``_refine`` over the whole previous level, with the coarse values
-written back exactly.  ``_refine`` forms every grid two-scale sum, in
-cache-sized blocks that keep the rounding of one whole-array pass per
-weight.  So phi at level l is the every-2^(r_psi - l)-th
+eigenvector of the downsampled weight matrix, by repeated squaring with no
+LAPACK or BLAS call, and each refinement level is one ``_refine`` over the
+whole previous level, with the coarse values written back exactly; so a
+table's bits depend on the taps and numpy alone.  ``_refine`` forms every
+grid two-scale sum, in cache-sized blocks that keep the rounding of one
+whole-array pass per weight.  So phi at level l is the every-2^(r_psi - l)-th
 sample of the full table, and a table refines phi only as deep as
 something reads it.  The table keeps phi only: psi at level l is one more
 two-scale sum over phi at level l - 1, built on each call, for the box
@@ -49,8 +50,9 @@ small enough that BLAS keeps them on the calling thread.  BLAS threads a
 whole-level product, and after each threaded call its idle thread spins on
 the other core for about 0.1 s; some threaded shapes also stall for
 milliseconds where row blocks take a fraction of one.  Haar synthesis makes
-no product at all: phi is 1 on the whole cell, so each scaling coefficient
-plus the coarse value is repeated over its cell.
+no product at all: its lifts are sums and differences, and phi is 1 on the
+whole cell, so each scaling coefficient plus the coarse value is repeated
+over its cell.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def cascade_evaluate(filt: ScalingFilter, r_psi: int) -> MotherWaveletTable:
     """A table of phi on the grid of step 2^-r_psi over [0, 2N-1].
 
     Eager: the argument checks, phi at the integers (a numerical failure
-    if the refinement matrix has no usable unit eigenvector) and the
+    if squaring the refinement matrix finds no unit eigenvector) and the
     convergence probe behind ``refinement_diffs``, run to level
     min(r_psi, ``PROBE_DEPTH``), which raises a numerical failure if the
     refinement reproduction error grows over its last three levels instead
@@ -237,8 +239,8 @@ def _probe_diffs(weights: np.ndarray, length: int, depth: int) -> list[float]:
     two-scale operator iterated from a box start; a numerical failure if they
     are above rounding level and did not fall over the last three levels.
 
-    The table's phi starts from the exact integer eigenvector instead, which
-    is self-consistent by construction and so blind to bad taps.
+    The table's phi starts from the integer eigenvector instead, which
+    reproduces itself to rounding and so is blind to a diverging cascade.
     """
     diffs = []
     probe = np.zeros(length + 1)
@@ -316,17 +318,25 @@ def pyramid_lifts(levels, table: MotherWaveletTable):
     sum_n q_n phi_{j+1,2k+n}: weight n adds p_n a + q_n c to the entries
     2k + n mod 2^(j+1), that is to polyphase column n mod 2 shifted by
     n // 2 rows, as two slice-adds.  Each lift starts from the last one.
+    The box's weights (1, 1) and (1, -1) make the columns a + c and a - c:
+    the tap loop's bits, as it adds them to +0.0, which changes only -0.0,
+    and they are -0.0 only where a is, which no lift from +0.0 ever is.
     """
     p, q = _two_scale(table.filter)
+    box = is_box(table.filter)
     a = np.zeros(1)
     for c in levels:
         size = a.size
         nxt = np.zeros((size, 2))
-        for n in range(p.size):
-            t = p[n] * a + q[n] * c
-            s = (n // 2) % size
-            nxt[s:, n % 2] += t[: size - s]
-            nxt[:s, n % 2] += t[size - s :]
+        if box:
+            np.add(a, c, out=nxt[:, 0])
+            np.subtract(a, c, out=nxt[:, 1])
+        else:
+            for n in range(p.size):
+                t = p[n] * a + q[n] * c
+                s = (n // 2) % size
+                nxt[s:, n % 2] += t[: size - s]
+                nxt[:s, n % 2] += t[size - s :]
         a = nxt.ravel()
         yield a
 
@@ -467,23 +477,28 @@ def _two_scale_matrices(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _integer_values(weights: np.ndarray, length: int) -> np.ndarray:
     """Exact phi values at the integers 0..support, unit-sum normalized: the
-    unit eigenvector of the interior block [c_{2i-m}], 0 < i, m < L."""
+    unit eigenvector v of the interior block M = [c_{2i-m}], 0 < i, m < L.
+
+    M's columns sum to 1 and its other eigenvalues are 1/2, 1/4, ... and
+    smaller (Daubechies, *Ten Lectures*, 1992, ch. 6), so six squarings in
+    ``einsum``'s own loops, not BLAS, leave M^64 = v 1^T to 2^-64: a column,
+    normalized and taken once more through M, is v, unless M moves it by
+    more than 1e-8 (or it is not finite), a numerical failure.
+    """
     vals = np.zeros(length + 1)
     if length == 1:
         # Unit box: right-continuous convention at the jump.
         vals[0] = 1.0
         return vals
-    eigvals, eigvecs = np.linalg.eig(_two_scale_matrices(weights)[0][1:, 1:])
-    pick = int(np.argmin(np.abs(eigvals - 1.0)))
-    if abs(eigvals[pick] - 1.0) > 1e-8:
-        raise NumericalFailureError(
-            f"no unit eigenvalue in the refinement matrix (closest {eigvals[pick]:.6g})"
-        )
-    vec = np.real(eigvecs[:, pick])
-    total = vec.sum()
-    if abs(total) < 1e-12:
-        raise NumericalFailureError("degenerate integer-point eigenvector")
-    vals[1:length] = vec / total
+    mat = power = _two_scale_matrices(weights)[0][1:, 1:]
+    for _ in range(6):
+        power = np.einsum("ik,kj->ij", power, power)
+    vec = power[:, 0] / power[:, 0].sum()
+    image = np.einsum("ik,k->i", mat, vec)
+    moved = float(np.abs(image - vec).max())
+    if not moved <= 1e-8:
+        raise NumericalFailureError(f"no unit eigenvector: the refinement matrix moves it by {moved:.3g}")
+    vals[1:length] = image / image.sum()
     return vals
 
 

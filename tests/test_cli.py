@@ -6,6 +6,7 @@ module stays fast; full-scale runs live in the acceptance suite.
 
 import ctypes
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -34,7 +35,7 @@ from rwslab.experiments import (
 )
 from rwslab.fields import CoefficientField
 from rwslab.util import canonical_json, sha256_file
-from rwslab.wavelets import pyramid_evaluate
+from rwslab.wavelets import build_filter, cascade_evaluate, pyramid_evaluate
 
 ALL_NAMES = ("criteria", "figure1", "hmin", "modulus", "prevalence",
              "prop22", "prop31", "prop43", "prop46", "wiener")
@@ -792,6 +793,40 @@ def test_wiener_increment_ratios(tmp_path):
     rows = load_rows(tmp_path / "variance.csv")
     assert rows.shape == (20, 4)
     assert np.all(rows[:, 3] > 0)
+
+
+LAPACK_ROUTES = ("linalg.eig", "linalg.eigvals", "linalg.lstsq", "linalg.solve",
+                 "linalg.svd", "linalg.inv", "polyfit")
+
+
+def test_no_run_calls_lapack(tmp_path, monkeypatch):
+    # scipy.special first, as a run may load it; then every numpy route
+    # into LAPACK raises.  Daubechies tables come from repeated squaring and
+    # slopes from their closed form, so every run and table still succeeds.
+    importlib.import_module("scipy.special")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK route was called")
+
+    for name in LAPACK_ROUTES:
+        monkeypatch.setattr(f"numpy.{name}", refuse)
+    runs = {
+        "hmin": ["j_max=12", "j_lo=6", "j_hi=12", "seeds=2"],
+        "modulus": ["resolution=12", "table_resolution=12", "j_max=8", "m_lo=4", "m_hi=7",
+                    "seeds=2"],
+        "figure1": ["fourier_terms=64", "resolution=10", "table_resolution=12", "j_lo=4",
+                    "j_hi=6", "depth=3"],
+        "prop22": ["trials=3", "j_lo=5", "j_hi=8", "table_resolution=12", "witness_levels=2",
+                   "witness_j_max=8"],
+        "prop43": ["seeds=3", "j_lo=4", "j_hi=6", "table_resolution=10",
+                   "wavelet=daubechies", "vanishing_moments=4"],
+        "prop31": ["seeds=3", "exceedance_j_max=6"],
+    }
+    for name, sets in runs.items():
+        args = [arg for kv in sets for arg in ("--set", kv)]
+        assert main(["run", name, "--out", str(tmp_path / name), *args]) == 0, name
+    for n in range(2, 21):
+        assert cascade_evaluate(build_filter("daubechies", n), 8).refinement_diffs
 
 
 # ----------------------------------------------------------- entry point

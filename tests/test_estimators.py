@@ -52,7 +52,9 @@ from rwslab.synthesis import (
     synthesize,
 )
 from rwslab.util import sup_abs
-from rwslab.wavelets import build_filter, cascade_evaluate, pyramid_lifts
+from rwslab.wavelets import build_filter, cascade_evaluate, pyramid_evaluate, pyramid_lifts
+
+from wavelet_oracles import special_levels, tap_lifts
 
 
 def dense_analysis(path_, table, j_max):
@@ -233,6 +235,32 @@ def test_sup_growth_has_the_bits_of_the_abs_reduction(haar_table, db10_table, co
         assert profile.local_sups.tobytes() == want_local.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["normal", "zeros"])
+@pytest.mark.parametrize("coarse", [0.0, -0.0, 0.375])
+def test_box_sup_profile_is_the_dense_path(haar_table, kind, coarse):
+    # Cell sups from the extremes of each lift over the cell, against the
+    # tap-loop lifts evaluated on the table grid, at every depth 0..J + 3.
+    f = CoefficientField(8, coarse, special_levels(kind, 8, seed=3))
+    for depth in range(12):
+        profile = sup_growth(f, haar_table, range(9), depth)
+        for j, a in enumerate(tap_lifts(f.levels, haar_table)):
+            want = _cell_sups(pyramid_evaluate(coarse, a, haar_table, haar_table.r_psi), 2**depth)
+            assert profile.local_sups[j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coarse", [0.0, -0.0, 0.375, 1.7e308])
+def test_box_cell_sups_keep_inf_and_nan(haar_table, coarse):
+    # Lifts holding infinities and nans, and overflow in coarse + a: the
+    # extremes give the dense path's cell sups bit for bit.
+    levels = special_levels("special", 8, seed=4)
+    with np.errstate(all="ignore"):
+        for j, a in enumerate(tap_lifts(levels, haar_table)):
+            for depth in range(j + 4):
+                dense = pyramid_evaluate(coarse, a, haar_table, max(j + 1, depth))
+                got = _cell_sups(a, 2**depth, coarse)
+                assert got.tobytes() == _cell_sups(dense, 2**depth).tobytes()
+
+
 def test_sup_growth_randomized_determinism(haar_table):
     f = uniform_decay_field(0.7, 6)
     a = sup_growth(randomized_field(f, gaussian(), 11), haar_table, [3, 6], 2)
@@ -363,11 +391,15 @@ def test_hmin_rademacher_exact_invariance():
 
 @pytest.mark.parametrize("law", [gaussian(), rademacher()])
 def test_hmin_is_the_direct_polyfit(law):
-    # minus the least-squares slope of log2 omega_j over [j_lo, j_hi], bit for bit
+    # minus the least-squares slope of log2 omega_j over [j_lo, j_hi]: the
+    # closed form bit for bit, and numpy's polyfit to 1e-13
     env = randomized_envelope(uniform_decay_envelope(0.4, 14), law, 3)
-    js = np.arange(6, 15)
-    want = -np.polyfit(js.astype(float), np.log2(env.values[js]), 1)[0]
-    assert hmin_estimate(env, 6, 14) == want
+    js = np.arange(6, 15).astype(float)
+    y = np.log2(env.values[6:15])
+    dx = js - js.mean()
+    got = hmin_estimate(env, 6, 14)
+    assert got == -float((dx * y).sum() / (dx * dx).sum())
+    assert abs(got + np.polyfit(js, y, 1)[0]) <= 1e-13 * abs(got)
 
 
 def test_hmin_rejects_a_vanishing_scale_in_range():

@@ -53,6 +53,17 @@ def test_import_leaves_scipy_unloaded():
     assert run_fresh(code).stdout.split() == ["False", "False", "False", "True"]
 
 
+def test_gaussian_exceedances_cut_leaves_scipy_unloaded():
+    # The cut search transforms its probes through the scalar ndtri, and a
+    # threshold no Gaussian word reaches leaves no candidate to transform.
+    code = """if True:
+        import sys
+        from rwslab.laws import exceedances, gaussian
+        print(*exceedances(gaussian(), 0, "coef", 12, 0, 4096, 27.0), "scipy" in sys.modules)
+    """
+    assert run_fresh(code).stdout.split() == ["0", "None", "False"]
+
+
 def test_hmin_run_leaves_scipy_unloaded(tmp_path):
     code = f"""if True:
         import sys

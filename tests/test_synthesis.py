@@ -47,6 +47,7 @@ from rwslab.laws import (
 from rwslab.synthesis import (
     FOURIER_MODE_STREAM,
     SamplePath,
+    _path_finite,
     export_path_csv,
     fourier_sawtooth,
     randomized_envelope,
@@ -56,9 +57,9 @@ from rwslab.synthesis import (
     wiener_brownian,
 )
 from rwslab.util import sup_abs
-from rwslab.wavelets import _block_rows, build_filter, cascade_evaluate
+from rwslab.wavelets import _block_rows, build_filter, cascade_evaluate, pyramid_evaluate
 
-from wavelet_oracles import eval_periodized
+from wavelet_oracles import eval_periodized, special_levels, tap_lifts
 
 
 def brute_synthesize(field_, table, j_trunc, resolution):
@@ -316,6 +317,20 @@ def test_window_rejects_a_non_finite_path(request, table_name, bad):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(InvalidParameterError, match="non-finite"):
                 synthesize(f, table, cut, res, window)
+
+
+@pytest.mark.parametrize("coarse", [0.0, -0.0, 0.375, 1.7e308, -1.7e308])
+def test_box_path_finite_reads_the_extremes(haar_table, coarse):
+    # coarse + max a and coarse + min a decide finiteness as the dense
+    # path does, with infinities, nans and overflow in the lifts.
+    levels = special_levels("special", 8, seed=6)
+    seen = set()
+    with np.errstate(all="ignore"):
+        for j, a in enumerate(tap_lifts(levels, haar_table)):
+            want = bool(np.all(np.isfinite(pyramid_evaluate(coarse, a, haar_table, j + 3))))
+            assert _path_finite(coarse, a, haar_table, j + 3) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("window", [(-1, 4), (0, 0), (5, 5), (6, 2), (0, 2**8 + 1),

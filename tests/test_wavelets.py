@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,12 +35,15 @@ from rwslab.wavelets import (
     _probe_diffs,
     _refine,
     _two_scale,
+    _two_scale_matrices,
     periodized_grid,
     pyramid_analysis,
+    pyramid_lifts,
     pyramid_synthesis,
 )
 
-from wavelet_oracles import eval_periodized, full_psi, gather_analysis, gather_synthesis, psi_at
+from wavelet_oracles import (eval_periodized, full_psi, gather_analysis, gather_synthesis,
+                             psi_at, special_levels, tap_lifts)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -252,10 +256,10 @@ SEARCH_BITS = {
     (1, 18): ("0x1.0000000000000p+0", 0, 1, "0x1.0000000000000p+0"),
     (2, 10): ("0x1.bb67ae8584caap+0", 95, 6, "0x1.af6fba982e18dp+0"),
     (2, 18): ("0x1.bb67ae8584caap+0", 95, 6, "0x1.af6fba982e18dp+0"),
-    (4, 10): ("0x1.5bf295a7bc879p+0", 230, 6, "0x1.5afebde78ae7ap+0"),
-    (4, 18): ("0x1.5bf312a441daep+0", 230, 6, "0x1.5af2cb81cf8adp+0"),
-    (10, 10): ("0x1.06a5417641c16p+0", 589, 6, "0x1.b0141fb770c53p-1"),
-    (10, 18): ("0x1.06a5712140b10p+0", 589, 6, "0x1.b00004d8e73cep-1"),
+    (4, 10): ("0x1.5bf295a7bc87ep+0", 230, 6, "0x1.5afebde78ae7fp+0"),
+    (4, 18): ("0x1.5bf312a441dafp+0", 230, 6, "0x1.5af2cb81cf8b1p+0"),
+    (10, 10): ("0x1.06a5417641c12p+0", 589, 6, "0x1.b0141fb770c50p-1"),
+    (10, 18): ("0x1.06a5712140b0ep+0", 589, 6, "0x1.b00004d8e73ccp-1"),
 }
 
 
@@ -542,6 +546,21 @@ def test_pyramid_matches_gather_oracle(n, r_psi, j, resolution):
     assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("kind", ["normal", "zeros", "special"])
+def test_box_lifts_are_the_tap_loop(kind):
+    # Sums and differences written into the polyphase columns keep the bits
+    # of the tap loop with weights (1, 1) and (1, -1), signed zeros, infinities
+    # and nans included.
+    table = deep_table(1, 12)
+    levels = special_levels(kind, 11, seed=5)
+    with np.errstate(all="ignore"):
+        pairs = list(zip(pyramid_lifts(levels, table), tap_lifts(levels, table), strict=True))
+    assert len(pairs) == 12
+    assert all(same_bits(got, want) for got, want in pairs)
+    if kind == "special":
+        assert all(np.isnan(got).any() and np.isfinite(got).any() for got, _ in pairs[3:])
+
+
 def test_analysis_symbol_stays_off_zero():
     # Analysis divides by the DFT of phi at the integers folded onto the
     # 2^s points of its finest level; a floor of 0.03 (db5 comes closest)
@@ -635,6 +654,42 @@ def test_cascade_rejects_shallow_depth():
         for r_psi in (4, 5):
             with pytest.raises(InvalidParameterError, match=">= 6"):
                 cascade_evaluate(filt, r_psi)
+
+
+def mp_integer_values(weights):
+    """phi at 1..L-1 from the double weights in 50-digit arithmetic: the
+    solve of (M - I) v = 0 with sum v = 1 over the interior block M."""
+    with mp.workdps(50):
+        length = weights.size - 1
+        rows = mp.matrix([[mp.mpf(float(x)) for x in row]
+                          for row in _two_scale_matrices(weights)[0][1:, 1:]]) - mp.eye(length - 1)
+        for m in range(length - 1):
+            rows[length - 2, m] = 1
+        rhs = mp.matrix([0] * (length - 2) + [1])
+        return mp.lu_solve(rows, rhs)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_integer_values_match_a_50_digit_solve(n):
+    # Repeated squaring finds phi at the integers within 2.6e-15 of the
+    # largest value, where LAPACK's eig came to 2.58e-15 at worst.
+    weights, length = _two_scale(build_filter("daubechies", n))[0], 2 * n - 1
+    got = _integer_values(weights, length)
+    want = mp_integer_values(weights)
+    assert got[0] == got[length] == 0.0
+    scale = max(abs(v) for v in want)
+    assert max(abs(mp.mpf(float(g)) - v) for g, v in zip(got[1:length], want)) < 2.6e-15 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_integer_values_reject_taps_off_their_sum(n):
+    # Taps scaled by 1.01 leave no unit eigenvalue: the squared power is not
+    # reproduced by the matrix, by 1% of the vector.
+    good = build_filter("daubechies", n)
+    with pytest.raises(NumericalFailureError, match="no unit eigenvector"):
+        _integer_values(1.01 * _two_scale(good)[0], good.support_length)
+    with pytest.raises(NumericalFailureError):
+        cascade_evaluate(ScalingFilter("daubechies", n, tuple(1.01 * h for h in good.taps)), 12)
 
 
 def test_cascade_detects_corrupt_taps():

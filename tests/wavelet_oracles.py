@@ -7,7 +7,10 @@ it, the filter-bank pair in its gather form: every circular window is a
 %-indexed fancy gather and every product one whole-level matrix product,
 the arithmetic that the blocked pair must reproduce bit for bit.  Analysis
 starts from the module's own circulant solve, which has a dense oracle in
-the estimator tests.  Test modules import them as references.
+the estimator tests.  The lifts have their tap loop for every filter, the
+box included, which the library replaces by sums and differences, and a
+field builder that puts signed zeros, infinities and nans in a lift.  Test
+modules import them as references.
 """
 
 from __future__ import annotations
@@ -69,6 +72,41 @@ def eval_periodized(table, j: int, k: int, x) -> np.ndarray | float:
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(total)
     return total
+
+
+def tap_lifts(levels, table):
+    """``pyramid_lifts`` by its tap loop for every filter: weight n adds
+    p_n a + q_n c to polyphase column n mod 2, shifted by n // 2 rows."""
+    p, q = _two_scale(table.filter)
+    a = np.zeros(1)
+    for c in levels:
+        size = a.size
+        nxt = np.zeros((size, 2))
+        for n in range(p.size):
+            t = p[n] * a + q[n] * c
+            s = (n // 2) % size
+            nxt[s:, n % 2] += t[: size - s]
+            nxt[:s, n % 2] += t[size - s :]
+        a = nxt.ravel()
+        yield a
+
+
+def special_levels(kind: str, j: int, seed: int = 0) -> list[np.ndarray]:
+    """Levels 0..j of a field: ``normal`` draws; ``zeros``, each entry +0.0
+    or -0.0; ``special``, normal draws with +-0.0, +-inf, nan and values
+    near the float range in a quarter of the entries of levels 1..3 and
+    about four of each finer one, so that most lifts keep finite entries.
+    Only ``normal`` and ``zeros`` make a ``CoefficientField``."""
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return [np.where(rng.random(2**i) < 0.5, 0.0, -0.0) for i in range(j + 1)]
+    levels = [rng.standard_normal(2**i) for i in range(j + 1)]
+    if kind == "special":
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308])
+        for lv in levels[1:]:
+            hit = rng.random(lv.size) < min(0.25, 4 / lv.size)
+            lv[hit] = rng.choice(values, size=int(hit.sum()))
+    return levels
 
 
 def gather_synthesis(coarse, levels, table, resolution) -> np.ndarray:
